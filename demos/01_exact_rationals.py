@@ -5,10 +5,8 @@ Run:  python3 demos/01_exact_rationals.py
 
 from exact_xformer import (
     Rat,
-    rat_add,
     rat_bits,
     rat_from_string,
-    rat_mul,
     rat_sum,
     rat_to_string,
 )
@@ -19,8 +17,8 @@ def main() -> None:
     b = rat_from_string("-7/2")
     print(f"Rat(3, 12) canonicalizes to {rat_to_string(a)}")
     print(f"parsed        {rat_to_string(b)}")
-    print(f"a + b       = {rat_to_string(rat_add(a, b))}")
-    print(f"a * b       = {rat_to_string(rat_mul(a, b))}")
+    print(f"a + b       = {rat_to_string(a + b)}")
+    print(f"a * b       = {rat_to_string(a * b)}")
 
     # Folds are exact no matter how adversarial the magnitudes are.
     terms = [Rat(1, 3), Rat(1, 5), Rat(-8, 15), Rat(1, 10**30)]
@@ -31,7 +29,7 @@ def main() -> None:
     # denominator bit length, the quantity the evaluator's growth trace tracks.
     x = Rat(1, 3)
     for step in range(1, 6):
-        x = rat_mul(x, rat_add(x, Rat(1)))
+        x = x * (x + Rat(1))
         print(f"after {step} squaring-ish steps: {rat_bits(x)} bits")
 
 

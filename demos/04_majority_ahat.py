@@ -6,15 +6,12 @@ Run:  python3 demos/04_majority_ahat.py
 """
 
 from exact_xformer import (
-    TieError,
     bit_growth_trace,
     eval_ahat,
     fit_loglog_slope,
     load_model,
     rat_to_string,
-    recognize,
 )
-from exact_xformer.evaluator import EvalContext
 
 
 def main() -> None:
@@ -22,11 +19,7 @@ def main() -> None:
 
     for w in ("1", "10110", "0010", "111000111"):
         value, trace = eval_ahat(maj, w)
-        try:
-            ctx = EvalContext(mode="ahat_exact", n=len(w))
-            decision = recognize(maj, w, ctx).value
-        except TieError:
-            decision = "tie"
+        decision = {1: "accept", -1: "reject", 0: "tie"}[value.sign]
         widest = max(max(b) for b in [trace.embedding_bits] + trace.layer_bits)
         print(f"w={w!r:13} score={rat_to_string(value):8} -> {decision}"
               f"  (max intermediate: {widest} bits)")

@@ -23,10 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import Optional, Sequence
 
 from .elementary import rat_exp_approx, rat_floor_log2, rat_sqrt_approx
-from .errors import DomainError, EvalModeError
+from .errors import DomainError
+from .evaluator import check_heads, embed_input, exact_backend, forward
 from .model_ir import LayerNorm, Model
 from .rational import RAT_ZERO, Rat, rat_max, rat_sum
 
@@ -42,11 +44,14 @@ RAT_HALF = Rat(1, 2)
 class ErrorBudget:
     epsilon: Rat
     n: int
-    activation_bound: Rat
-    layernorm_floor: Optional[Rat]
     site_deltas: dict[tuple, Rat] = field(default_factory=dict)
     stage_tolerances: dict[tuple, Tol] = field(default_factory=dict)
-    lipschitz: dict[tuple, Rat] = field(default_factory=dict)
+
+
+class Decision(Enum):
+    ACCEPT = "accept"
+    REJECT = "reject"
+    BELOW_MARGIN = "below_margin"
 
 
 # --------------------------------------------------------------------------
@@ -207,27 +212,11 @@ def plan_budget(model: Model, n: int, epsilon: Rat) -> ErrorBudget:
     if n < 1:
         raise DomainError("n must be >= 1")
     bounds = _forward_bounds(model)
-    c_global = max(
-        [b["c_in"] for b in bounds] + [b["out"] for b in bounds] + [RAT_ZERO],
-        default=RAT_ZERO,
-    )
-    floors = [
-        ln.c
-        for layer in model.layers
-        for ln in (layer.layernorm_attn, layer.layernorm_ffnn)
-        if ln is not None
-    ]
-    budget = ErrorBudget(
-        epsilon=epsilon,
-        n=n,
-        activation_bound=c_global,
-        layernorm_floor=min(floors) if floors else None,
-    )
+    budget = ErrorBudget(epsilon=epsilon, n=n)
 
     rho_head = RAT_ZERO
     for x in model.output_head.weights:
         rho_head = rho_head + abs(x)
-    budget.lipschitz[("output",)] = rho_head
     budget.stage_tolerances[("output",)] = epsilon
     tol: Tol = _t_div(epsilon, rho_head)
 
@@ -243,7 +232,6 @@ def plan_budget(model: Model, n: int, epsilon: Rat) -> ErrorBudget:
         else:
             t_resid, t_ffnn = None, tol
         rho_ffnn = _inf_norm(layer.ffnn.w2) * _inf_norm(layer.ffnn.w1)
-        budget.lipschitz[("layer", li, "ffnn")] = rho_ffnn
         tol = _t_min(t_resid, _t_div(t_ffnn, rho_ffnn))
         budget.stage_tolerances[("layer", li, "ffnn_in")] = tol
         if layer.layernorm_attn is not None:
@@ -266,7 +254,6 @@ def plan_budget(model: Model, n: int, epsilon: Rat) -> ErrorBudget:
             rho_score = Rat(model.dim) * (hb["c_q"] * _inf_norm(head.w_k) + hb["c_k"] * _inf_norm(head.w_q))
             if rho_score.num != 0:
                 rho_score = rho_score + RAT_ONE  # absorbs the second-order dq*dk term
-            budget.lipschitz[("layer", li, "head", hi, "score")] = rho_score
             t_x_score = _t_div(delta_sm if eps_alpha is not None else None, rho_score)
             t_x_value = _t_div(_t_half(t_u), _inf_norm(head.w_v))
             t_x = _t_min(t_x, t_x_score, t_x_value)
@@ -312,52 +299,23 @@ def layernorm_budgeted(x: list[Rat], ln: LayerNorm, delta: Rat) -> list[Rat]:
 
 def eval_budgeted(model: Model, w: str, epsilon: Rat) -> Rat:
     """Output within epsilon of the exact real-valued softmax transformer."""
-    for li, layer in enumerate(model.layers):
-        for hi, head in enumerate(layer.heads):
-            if head.kind != "softmax":
-                raise EvalModeError(
-                    f"layers[{li}].heads[{hi}] is {head.kind}; the budgeted contract covers softmax heads"
-                )
-    from .evaluator import _attend_positions, _dot, _ffnn_exact, _matvec, _vec_add, embed_input
-
+    check_heads(model, "softmax", "the budgeted contract covers softmax heads")
     xs = embed_input(model, w)
-    n = len(xs)
-    budget = plan_budget(model, n, epsilon)
+    deltas = plan_budget(model, len(xs), epsilon).site_deltas
+    backend = exact_backend(
+        lambda scores, li, hi: softmax_budgeted(scores, deltas[("layer", li, "head", hi, "softmax")]),
+        lambda x, ln, li, site: layernorm_budgeted(x, ln, deltas[("layer", li, site)]),
+    )
+    return forward(model, xs, backend)[0]
 
-    for li, layer in enumerate(model.layers):
-        per_head = []
-        for hi, head in enumerate(layer.heads):
-            delta_sm = budget.site_deltas[("layer", li, "head", hi, "softmax")]
-            qs = [_matvec(head.w_q, x) for x in xs]
-            ks = [_matvec(head.w_k, x) for x in xs]
-            vs = [_matvec(head.w_v, x) for x in xs]
-            outs = []
-            for i in range(1, n + 1):
-                js = _attend_positions(head.masking, i, n)
-                row = [_dot(qs[i - 1], ks[j - 1]) for j in js]
-                alphas = softmax_budgeted(row, delta_sm)
-                ctx = [RAT_ZERO] * model.dim
-                for a, j in zip(alphas, js):
-                    if a.num == 0:
-                        continue
-                    for c in range(model.dim):
-                        if vs[j - 1][c].num:
-                            ctx[c] = ctx[c] + a * vs[j - 1][c]
-                outs.append(_matvec(head.w_o, ctx))
-            per_head.append(outs)
 
-        nxt = []
-        for i in range(n):
-            acc = list(xs[i]) if layer.residual_attn else [RAT_ZERO] * model.dim
-            for outs in per_head:
-                acc = _vec_add(acc, outs[i])
-            if layer.layernorm_attn is not None:
-                acc = layernorm_budgeted(acc, layer.layernorm_attn, budget.site_deltas[("layer", li, "ln_attn")])
-            f = _ffnn_exact(layer.ffnn, acc)
-            h = _vec_add(acc, f) if layer.residual_ffnn else f
-            if layer.layernorm_ffnn is not None:
-                h = layernorm_budgeted(h, layer.layernorm_ffnn, budget.site_deltas[("layer", li, "ln_ffnn")])
-            nxt.append(h)
-        xs = nxt
-
-    return _dot(model.output_head.weights, xs[-1]) + model.output_head.bias
+def margin_recognize(model: Model, w: str, epsilon_margin: Rat) -> Decision:
+    """Budgeted decision: correct whenever the true margin exceeds epsilon."""
+    if epsilon_margin.num <= 0:
+        raise DomainError("margin must be > 0")
+    t_hat = eval_budgeted(model, w, epsilon_margin)
+    if t_hat.num > 0:
+        return Decision.ACCEPT
+    if t_hat.num < 0:
+        return Decision.REJECT
+    return Decision.BELOW_MARGIN

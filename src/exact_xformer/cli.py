@@ -184,13 +184,9 @@ def _cmd_eval(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         return EXIT_RANGE
     elapsed = time.perf_counter() - started
 
-    if isinstance(value, PFloat):
-        sign = (value.m > 0) - (value.m < 0)
-    else:
-        sign = (value.num > 0) - (value.num < 0)
-    if sign > 0:
+    if value.sign > 0:
         decision = "accept"
-    elif sign < 0:
+    elif value.sign < 0:
         decision = "reject"
     else:
         decision = "below_margin" if args.mode == "budgeted" else "tie"

@@ -1,5 +1,10 @@
 """Runs a transformer Model on a string under three arithmetic regimes.
 
+One forward pass (`forward`) covers the encoder: embedding, attention heads
+(causal or unmasked), residuals, the FFNN, layernorm and the output head.
+What differs between the regimes is the arithmetic, which `forward` takes
+from a Backend:
+
 ahat_exact    exact rationals end to end; attention is average-hard (equal
               weight on all score maximizers); forbids layernorm.
 smat_pbit     every primitive is a p-bit float operation: two-ary ops and
@@ -9,83 +14,126 @@ smat_budgeted exact rationals except exp and inverse-sqrt, each approximated
               to a per-site tolerance planned in budget.py so the output
               lands within a caller-chosen epsilon of the exact real value.
 
-Recognition follows the strict-sign convention: positive output accepts,
-negative rejects, exact zero is a tie error.
+This module holds the first two; budget.py builds the third on `forward`
+and `exact_backend`.  Recognition follows the strict-sign convention:
+positive output accepts, negative rejects, exact zero is a tie.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-from typing import Optional, Sequence
+import operator
+from dataclasses import dataclass, replace
+from functools import reduce
+from typing import Callable, NamedTuple, Sequence
 
 from .elementary import f_exp, f_sqrt
-from .errors import DomainError, EvalModeError, TieError
-from .model_ir import LayerNorm, Model, Vector, position_embedding
+from .errors import DomainError, EvalModeError
+from .model_ir import Model, position_embedding
 from .pfloat import PFloat, f_add, f_div, f_mul, f_neg, f_sum_blocks, round_p
 from .rational import RAT_ZERO, Rat, rat_max
-
-MODES = ("ahat_exact", "smat_pbit", "smat_budgeted")
-
-
-@dataclass(frozen=True)
-class EvalContext:
-    mode: str
-    n: int
-    p: Optional[int] = None
-    epsilon: Optional[Rat] = None
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise EvalModeError(f"unknown mode {self.mode!r}")
-        if self.n < 1:
-            raise DomainError("input length must be >= 1")
-        if self.mode == "smat_pbit":
-            if self.p is None or self.epsilon is not None:
-                raise EvalModeError("smat_pbit takes p and no epsilon")
-            if self.p < 1:
-                raise DomainError("precision must be >= 1")
-        elif self.mode == "smat_budgeted":
-            if self.epsilon is None or self.p is not None:
-                raise EvalModeError("smat_budgeted takes epsilon and no p")
-            if self.epsilon.num <= 0:
-                raise DomainError("epsilon must be > 0")
-        elif self.p is not None or self.epsilon is not None:
-            raise EvalModeError("ahat_exact takes neither p nor epsilon")
 
 
 @dataclass
 class EvalTrace:
     embedding_bits: tuple[int, int]
     layer_bits: list[tuple[int, int]]  # (max numerator bits, max denominator bits)
-    snapshots: Optional[list[list[tuple[Rat, ...]]]] = None
 
 
-class Decision(Enum):
-    ACCEPT = "accept"
-    REJECT = "reject"
-    BELOW_MARGIN = "below_margin"
+class Backend(NamedTuple):
+    """The arithmetic `forward` runs on.
+
+    dot(u, v, bias=None)   sum of u[k]*v[k] (plus bias), zero products skipped
+    total(terms)           sum of the terms
+    add(a, b)              a + b
+    positive(x)            x > 0 (the ReLU test)
+    normalize(scores, layer, head)       attention weights of one score row
+    layernorm(x, ln, layer, site)        site is "ln_attn" or "ln_ffnn"
+    """
+
+    zero: object
+    dot: Callable
+    total: Callable
+    add: Callable
+    positive: Callable
+    normalize: Callable
+    layernorm: Callable
+
+
+def check_heads(model: Model, kind: str, reason: str, layernorm: bool = True) -> None:
+    """Raise EvalModeError unless every head is `kind` (and, if `layernorm`
+    is False, no layer has a layernorm)."""
+    for li, layer in enumerate(model.layers):
+        for hi, head in enumerate(layer.heads):
+            if head.kind != kind:
+                raise EvalModeError(f"layers[{li}].heads[{hi}] is {head.kind}; {reason}")
+        if not layernorm and (layer.layernorm_attn is not None or layer.layernorm_ffnn is not None):
+            raise EvalModeError(f"layers[{li}] has layernorm; ahat_exact forbids it")
+
+
+def forward(model: Model, xs: list[list], backend: Backend) -> tuple[object, list[list[list]]]:
+    """The encoder over embedded inputs `xs`; returns the output value and
+    each layer's output vectors."""
+    dot, total, add, zero, positive = backend.dot, backend.total, backend.add, backend.zero, backend.positive
+    n = len(xs)
+    states = []
+    for li, layer in enumerate(model.layers):
+        per_head = []
+        for hi, head in enumerate(layer.heads):
+            qs = [[dot(row, x) for row in head.w_q] for x in xs]
+            ks = [[dot(row, x) for row in head.w_k] for x in xs]
+            vs = [[dot(row, x) for row in head.w_v] for x in xs]
+            outs = []
+            for i in range(n):
+                js = range(i + 1) if head.masking == "causal" else range(n)
+                alphas = backend.normalize([dot(qs[i], ks[j]) for j in js], li, hi)
+                ctx = [dot(alphas, [vs[j][c] for j in js]) for c in range(model.dim)]
+                outs.append([dot(row, ctx) for row in head.w_o])
+            per_head.append(outs)
+
+        ffnn = layer.ffnn
+        nxt = []
+        for i, x in enumerate(xs):
+            acc = [
+                total([outs[i][c] for outs in per_head] + ([x[c]] if layer.residual_attn else []))
+                for c in range(model.dim)
+            ]
+            if layer.layernorm_attn is not None:
+                acc = backend.layernorm(acc, layer.layernorm_attn, li, "ln_attn")
+            hidden = [dot(row, acc, b) for row, b in zip(ffnn.w1, ffnn.b1)]
+            if ffnn.activation == "relu":
+                hidden = [h if positive(h) else zero for h in hidden]
+            h = [dot(row, hidden, b) for row, b in zip(ffnn.w2, ffnn.b2)]
+            if layer.residual_ffnn:
+                h = [add(a, b) for a, b in zip(acc, h)]
+            if layer.layernorm_ffnn is not None:
+                h = backend.layernorm(h, layer.layernorm_ffnn, li, "ln_ffnn")
+            nxt.append(h)
+        xs = nxt
+        states.append(xs)
+
+    return dot(model.output_head.weights, xs[-1], model.output_head.bias), states
 
 
 # --------------------------------------------------------------------------
-# rational helpers
+# exact rational evaluation
 # --------------------------------------------------------------------------
 
 
-def _dot(u: Sequence[Rat], v: Sequence[Rat]) -> Rat:
+def _rat_dot(u: Sequence[Rat], v: Sequence[Rat], bias: Rat | None = None) -> Rat:
     total = RAT_ZERO
     for a, b in zip(u, v):
         if a.num and b.num:
             total = total + a * b
-    return total
+    return total if bias is None else total + bias
 
 
-def _matvec(m: Sequence[Sequence[Rat]], v: Sequence[Rat]) -> list[Rat]:
-    return [_dot(row, v) for row in m]
+def _rat_total(terms: Sequence[Rat]) -> Rat:
+    return reduce(operator.add, terms) if terms else RAT_ZERO
 
 
-def _vec_add(u: Sequence[Rat], v: Sequence[Rat]) -> list[Rat]:
-    return [a + b for a, b in zip(u, v)]
+def exact_backend(normalize: Callable, layernorm: Callable) -> Backend:
+    """Exact rationals around the given attention and layernorm steps."""
+    return Backend(RAT_ZERO, _rat_dot, _rat_total, operator.add, lambda x: x.num > 0, normalize, layernorm)
 
 
 def _bits_of(vecs: Sequence[Sequence[Rat]]) -> tuple[int, int]:
@@ -107,7 +155,7 @@ def embed_input(model: Model, w: str) -> list[list[Rat]]:
         if sym not in model.token_embeddings:
             raise DomainError(f"symbol {sym!r} not in the model alphabet")
         pos = position_embedding(model.position_rule, i, n, model.dim)
-        out.append(_vec_add(model.token_embeddings[sym], pos))
+        out.append([a + b for a, b in zip(model.token_embeddings[sym], pos)])
     return out
 
 
@@ -121,74 +169,13 @@ def ahardmax_weights(scores: Sequence[Rat]) -> list[Rat]:
     return [share if s == top else RAT_ZERO for s in scores]
 
 
-def _attend_positions(masking: str, i: int, n: int) -> range:
-    return range(1, i + 1) if masking == "causal" else range(1, n + 1)
-
-
-def _relu(x: Rat) -> Rat:
-    return x if x.num > 0 else RAT_ZERO
-
-
-def _ffnn_exact(layer_ffnn, x: list[Rat]) -> list[Rat]:
-    hidden = [_dot(row, x) + b for row, b in zip(layer_ffnn.w1, layer_ffnn.b1)]
-    if layer_ffnn.activation == "relu":
-        hidden = [_relu(h) for h in hidden]
-    return [_dot(row, hidden) + b for row, b in zip(layer_ffnn.w2, layer_ffnn.b2)]
-
-
-# --------------------------------------------------------------------------
-# exact average-hard evaluation
-# --------------------------------------------------------------------------
-
-
-def eval_ahat(model: Model, w: str, keep_snapshots: bool = False) -> tuple[Rat, EvalTrace]:
+def eval_ahat(model: Model, w: str) -> tuple[Rat, EvalTrace]:
     """Exact rational evaluation; average-hard attention, no layernorm."""
-    for li, layer in enumerate(model.layers):
-        for hi, head in enumerate(layer.heads):
-            if head.kind != "average_hard":
-                raise EvalModeError(f"layers[{li}].heads[{hi}] is {head.kind}; ahat_exact needs average_hard")
-        if layer.layernorm_attn is not None or layer.layernorm_ffnn is not None:
-            raise EvalModeError(f"layers[{li}] has layernorm; ahat_exact forbids it")
-
+    check_heads(model, "average_hard", "ahat_exact needs average_hard", layernorm=False)
     xs = embed_input(model, w)
-    n = len(xs)
-    trace = EvalTrace(_bits_of(xs), [], [] if keep_snapshots else None)
-
-    for layer in model.layers:
-        per_head = []
-        for head in layer.heads:
-            qs = [_matvec(head.w_q, x) for x in xs]
-            ks = [_matvec(head.w_k, x) for x in xs]
-            vs = [_matvec(head.w_v, x) for x in xs]
-            outs = []
-            for i in range(1, n + 1):
-                js = _attend_positions(head.masking, i, n)
-                row = [_dot(qs[i - 1], ks[j - 1]) for j in js]
-                alphas = ahardmax_weights(row)
-                ctx = [RAT_ZERO] * model.dim
-                for a, j in zip(alphas, js):
-                    if a.num == 0:
-                        continue
-                    for c in range(model.dim):
-                        if vs[j - 1][c].num:
-                            ctx[c] = ctx[c] + a * vs[j - 1][c]
-                outs.append(_matvec(head.w_o, ctx))
-            per_head.append(outs)
-
-        nxt = []
-        for i in range(n):
-            acc = list(xs[i]) if layer.residual_attn else [RAT_ZERO] * model.dim
-            for outs in per_head:
-                acc = _vec_add(acc, outs[i])
-            f = _ffnn_exact(layer.ffnn, acc)
-            nxt.append(_vec_add(acc, f) if layer.residual_ffnn else f)
-        xs = nxt
-        trace.layer_bits.append(_bits_of(xs))
-        if trace.snapshots is not None:
-            trace.snapshots.append([tuple(x) for x in xs])
-
-    value = _dot(model.output_head.weights, xs[-1]) + model.output_head.bias
-    return value, trace
+    backend = exact_backend(lambda scores, layer, head: ahardmax_weights(scores), None)
+    value, states = forward(model, xs, backend)
+    return value, EvalTrace(_bits_of(xs), [_bits_of(s) for s in states])
 
 
 # --------------------------------------------------------------------------
@@ -212,17 +199,6 @@ def _fsum(terms: list[PFloat], p: int) -> PFloat:
     return f_sum_blocks(terms)
 
 
-def _affine_pbit(w_rows, x: list[PFloat], bias: Optional[list[PFloat]], p: int) -> list[PFloat]:
-    """Row dot products with the bias folded into the single n-ary sum."""
-    out = []
-    for r, row in enumerate(w_rows):
-        terms = [f_mul(a, b) for a, b in zip(row, x) if a.m and b.m]
-        if bias is not None and bias[r].m:
-            terms.append(bias[r])
-        out.append(_fsum(terms, p))
-    return out
-
-
 def layernorm_pbit(x: list[PFloat], ln_gamma: list[PFloat], ln_beta: list[PFloat], ln_c: PFloat, p: int) -> list[PFloat]:
     """(x - mean)/sqrt(var + c) * gamma + beta, one float op at a time.
 
@@ -243,147 +219,59 @@ def layernorm_pbit(x: list[PFloat], ln_gamma: list[PFloat], ln_beta: list[PFloat
     return out
 
 
-class _PbitModel:
-    """Model parameters rounded once to p bits."""
+def round_model(model: Model, p: int) -> Model:
+    """The model with every attention, FFNN, layernorm and output-head
+    parameter rounded once to p bits (embeddings are rounded after lookup)."""
+    rv = lambda vec: tuple(round_p(x, p) for x in vec)
+    rm = lambda mat: tuple(rv(row) for row in mat)
 
-    def __init__(self, model: Model, p: int):
-        self.p = p
-        self.dim = model.dim
-        rv = lambda vec: [round_p(x, p) for x in vec]
-        rm = lambda mat: [rv(row) for row in mat]
-        self.heads = [
-            [(rm(h.w_q), rm(h.w_k), rm(h.w_v), rm(h.w_o), h.masking) for h in layer.heads]
-            for layer in model.layers
-        ]
-        self.ffnns = [
-            (rm(l.ffnn.w1), rv(l.ffnn.b1), l.ffnn.activation, rm(l.ffnn.w2), rv(l.ffnn.b2))
-            for l in model.layers
-        ]
-        self.lns = [
-            tuple(
-                None if ln is None else (rv(ln.gamma), rv(ln.beta), round_p(ln.c, p))
-                for ln in (l.layernorm_attn, l.layernorm_ffnn)
-            )
-            for l in model.layers
-        ]
-        self.residuals = [(l.residual_attn, l.residual_ffnn) for l in model.layers]
-        self.head_w = rv(model.output_head.weights)
-        self.head_b = round_p(model.output_head.bias, p)
+    def rln(ln):
+        return None if ln is None else replace(ln, gamma=rv(ln.gamma), beta=rv(ln.beta), c=round_p(ln.c, p))
+
+    def rlayer(layer):
+        heads = tuple(replace(h, w_q=rm(h.w_q), w_k=rm(h.w_k), w_v=rm(h.w_v), w_o=rm(h.w_o)) for h in layer.heads)
+        f = layer.ffnn
+        ffnn = replace(f, w1=rm(f.w1), b1=rv(f.b1), w2=rm(f.w2), b2=rv(f.b2))
+        lns = dict(layernorm_attn=rln(layer.layernorm_attn), layernorm_ffnn=rln(layer.layernorm_ffnn))
+        return replace(layer, heads=heads, ffnn=ffnn, **lns)
+
+    out = model.output_head
+    out = replace(out, weights=rv(out.weights), bias=round_p(out.bias, p))
+    return replace(model, layers=tuple(rlayer(layer) for layer in model.layers), output_head=out)
+
+
+def _pbit_backend(p: int) -> Backend:
+    """p-bit floats: each dot product or sum is one exact-then-rounded sum."""
+    zero = PFloat.zero(p)
+
+    def dot(u: Sequence[PFloat], v: Sequence[PFloat], bias: PFloat | None = None) -> PFloat:
+        terms = [f_mul(a, b) for a, b in zip(u, v) if a.m and b.m]
+        if bias is not None and bias.m:
+            terms.append(bias)
+        return _fsum(terms, p)
+
+    return Backend(
+        zero,
+        dot,
+        lambda terms: _fsum([t for t in terms if t.m], p),
+        f_add,
+        lambda x: x.m > 0,
+        lambda scores, layer, head: softmax_pbit(scores, p),
+        lambda x, ln, layer, site: layernorm_pbit(x, ln.gamma, ln.beta, ln.c, p),
+    )
 
 
 def eval_smat_pbit(model: Model, w: str, p: int) -> PFloat:
     """Softmax-attention evaluation where every primitive is a p-bit op."""
-    for li, layer in enumerate(model.layers):
-        for hi, head in enumerate(layer.heads):
-            if head.kind != "softmax":
-                raise EvalModeError(f"layers[{li}].heads[{hi}] is {head.kind}; smat_pbit needs softmax")
-    pm = _PbitModel(model, p)
+    check_heads(model, "softmax", "smat_pbit needs softmax")
+    rounded = round_model(model, p)
     xs = [[round_p(x, p) for x in vec] for vec in embed_input(model, w)]
-    n = len(xs)
-
-    for li in range(len(model.layers)):
-        per_head = []
-        for w_q, w_k, w_v, w_o, masking in pm.heads[li]:
-            qs = [_affine_pbit(w_q, x, None, p) for x in xs]
-            ks = [_affine_pbit(w_k, x, None, p) for x in xs]
-            vs = [_affine_pbit(w_v, x, None, p) for x in xs]
-            outs = []
-            for i in range(1, n + 1):
-                js = _attend_positions(masking, i, n)
-                row = []
-                for j in js:
-                    terms = [f_mul(a, b) for a, b in zip(qs[i - 1], ks[j - 1]) if a.m and b.m]
-                    row.append(_fsum(terms, p))
-                alphas = softmax_pbit(row, p)
-                ctx = []
-                for c in range(pm.dim):
-                    terms = [f_mul(a, vs[j - 1][c]) for a, j in zip(alphas, js) if a.m and vs[j - 1][c].m]
-                    ctx.append(_fsum(terms, p))
-                outs.append(_affine_pbit(w_o, ctx, None, p))
-            per_head.append(outs)
-
-        res_attn, res_ffnn = pm.residuals[li]
-        ln_attn, ln_ffnn = pm.lns[li]
-        w1, b1, act, w2, b2 = pm.ffnns[li]
-        nxt = []
-        for i in range(n):
-            acc = []
-            for c in range(pm.dim):
-                terms = [outs[i][c] for outs in per_head if outs[i][c].m]
-                if res_attn and xs[i][c].m:
-                    terms.append(xs[i][c])
-                acc.append(_fsum(terms, p))
-            if ln_attn is not None:
-                acc = layernorm_pbit(acc, *ln_attn, p)
-            hidden = _affine_pbit(w1, acc, b1, p)
-            if act == "relu":
-                hidden = [h if h.m > 0 else PFloat.zero(p) for h in hidden]
-            f = _affine_pbit(w2, hidden, b2, p)
-            if res_ffnn:
-                h = [f_add(a, b) for a, b in zip(acc, f)]
-            else:
-                h = f
-            if ln_ffnn is not None:
-                h = layernorm_pbit(h, *ln_ffnn, p)
-            nxt.append(h)
-        xs = nxt
-
-    terms = [f_mul(a, b) for a, b in zip(pm.head_w, xs[-1]) if a.m and b.m]
-    if pm.head_b.m:
-        terms.append(pm.head_b)
-    return _fsum(terms, p)
-
-
-def layernorm_eval(x: Sequence, ln: LayerNorm, regime: str, p: Optional[int] = None, delta: Optional[Rat] = None):
-    """Regime dispatcher for a single layernorm application."""
-    if regime == "smat_pbit":
-        if p is None:
-            raise DomainError("smat_pbit layernorm needs p")
-        gamma = [round_p(g, p) for g in ln.gamma]
-        beta = [round_p(b, p) for b in ln.beta]
-        return layernorm_pbit(list(x), gamma, beta, round_p(ln.c, p), p)
-    if regime == "smat_budgeted":
-        if delta is None:
-            raise DomainError("budgeted layernorm needs a site delta")
-        from .budget import layernorm_budgeted
-
-        return layernorm_budgeted(list(x), ln, delta)
-    raise EvalModeError(f"unknown layernorm regime {regime!r}")
+    return forward(rounded, xs, _pbit_backend(p))[0]
 
 
 # --------------------------------------------------------------------------
-# recognition and measurement
+# measurement
 # --------------------------------------------------------------------------
-
-
-def recognize(model: Model, w: str, ctx: EvalContext) -> Decision:
-    """Sign of the evaluated output; exact zero is a tie."""
-    if ctx.mode == "ahat_exact":
-        value, _ = eval_ahat(model, w)
-        sign = value.sign
-    elif ctx.mode == "smat_pbit":
-        sign = eval_smat_pbit(model, w, ctx.p).sign
-    else:
-        from .budget import eval_budgeted
-
-        sign = eval_budgeted(model, w, ctx.epsilon).sign
-    if sign == 0:
-        raise TieError("output is exactly zero; membership is undefined at strict signs")
-    return Decision.ACCEPT if sign > 0 else Decision.REJECT
-
-
-def margin_recognize(model: Model, w: str, epsilon_margin: Rat) -> Decision:
-    """Budgeted decision: correct whenever the true margin exceeds epsilon."""
-    if epsilon_margin.num <= 0:
-        raise DomainError("margin must be > 0")
-    from .budget import eval_budgeted
-
-    t_hat = eval_budgeted(model, w, epsilon_margin)
-    if t_hat.num > 0:
-        return Decision.ACCEPT
-    if t_hat.num < 0:
-        return Decision.REJECT
-    return Decision.BELOW_MARGIN
 
 
 def bit_growth_trace(model: Model, lengths: Sequence[int]) -> list[dict]:

@@ -1,16 +1,13 @@
-"""Arbitrary-precision integer operations.
+"""Integer helpers over Python's built-in int.
 
-Python's built-in int is the substrate; the wrappers here pin down the exact
-contracts the rest of the library leans on: floor semantics for truncated
-division (also for negative dividends), domain errors instead of silent
-defaults for empty folds, and strict canonical decimal serialization.
+The three-way Ordering that comparisons return, and strict parsing of
+canonical decimal integers (no sign on zero, no leading zeros).
 """
 
 from __future__ import annotations
 
 import re
 from enum import IntEnum
-from typing import Iterable, Sequence
 
 from .errors import DomainError
 
@@ -23,67 +20,8 @@ class Ordering(IntEnum):
     GT = 1
 
 
-def int_add(a: int, b: int) -> int:
-    return a + b
-
-
-def int_mul(a: int, b: int) -> int:
-    return a * b
-
-
-def int_cmp(a: int, b: int) -> Ordering:
-    if a < b:
-        return Ordering.LT
-    if a > b:
-        return Ordering.GT
-    return Ordering.EQ
-
-
-def int_max(xs: Sequence[int]) -> int:
-    if len(xs) == 0:
-        raise DomainError("int_max of an empty list")
-    return max(xs)
-
-
-def int_sum(xs: Iterable[int]) -> int:
-    # Empty sums are legal and return the additive identity.
-    return sum(xs)
-
-
-def int_prod(xs: Iterable[int]) -> int:
-    acc = 1
-    for x in xs:
-        acc *= x
-    return acc
-
-
-def int_floor_log2(x: int) -> int:
-    """Largest k with 2^k <= x.  Requires x >= 1."""
-    if x < 1:
-        raise DomainError(f"floor_log2 needs x >= 1, got {x}")
-    return x.bit_length() - 1
-
-
-def int_ceil_log2(x: int) -> int:
-    """Smallest k with 2^k >= x.  Requires x >= 1."""
-    if x < 1:
-        raise DomainError(f"ceil_log2 needs x >= 1, got {x}")
-    return (x - 1).bit_length()
-
-
-def int_trunc_div(a: int, b: int) -> int:
-    """Floor division a // b with b >= 1; rounds toward -inf for negative a."""
-    if b < 1:
-        raise DomainError(f"trunc_div needs divisor >= 1, got {b}")
-    return a // b
-
-
 def parse_int(text: str) -> int:
     """Parse a canonical decimal integer: no sign on zero, no leading zeros."""
     if not isinstance(text, str) or not _DECIMAL_RE.fullmatch(text) or text == "-0":
         raise DomainError(f"not a canonical decimal integer: {text!r}")
     return int(text)
-
-
-def format_int(x: int) -> str:
-    return str(x)

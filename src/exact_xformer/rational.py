@@ -2,18 +2,17 @@
 
 A value is a pair (num, den) with den >= 1, gcd(|num|, den) = 1, and the sign
 carried on the numerator; zero is 0/1.  Binary operations use plain
-cross-multiplication; the n-ary sum and max rescale every term onto the single
-common denominator prod(den_j) so the whole fold costs one normalization.
+cross-multiplication; the n-ary sum rescales every term onto the single common
+denominator prod(den_j) so the whole fold costs one normalization.
 """
 
 from __future__ import annotations
 
 import re
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DomainError
-from .intkernel import Ordering
 
 _RAT_RE = re.compile(r"(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?\Z")
 
@@ -127,33 +126,6 @@ RAT_ZERO = Rat._raw(0, 1)
 RAT_ONE = Rat._raw(1, 1)
 
 
-def rat_normalize(num: int, den: int) -> Rat:
-    """Canonicalize a raw pair; den <= 0 is a domain error."""
-    return Rat(num, den)
-
-
-def rat_add(x: Rat, y: Rat) -> Rat:
-    return x + y
-
-
-def rat_mul(x: Rat, y: Rat) -> Rat:
-    return x * y
-
-
-def rat_div(x: Rat, y: Rat) -> Rat:
-    return x / y
-
-
-def rat_cmp(x: Rat, y: Rat) -> Ordering:
-    lhs = x.num * y.den
-    rhs = y.num * x.den
-    if lhs < rhs:
-        return Ordering.LT
-    if lhs > rhs:
-        return Ordering.GT
-    return Ordering.EQ
-
-
 def rat_sum(xs: Sequence[Rat]) -> Rat:
     """Exact sum over the common denominator B = prod(den_j)."""
     if len(xs) == 0:
@@ -170,27 +142,10 @@ def rat_sum(xs: Sequence[Rat]) -> Rat:
 
 
 def rat_max(xs: Sequence[Rat]) -> Rat:
-    """Exact max via the same common-denominator rescaling as rat_sum."""
+    """Exact max; Rat comparisons cross-multiply, so no rescaling is needed."""
     if len(xs) == 0:
         raise DomainError("rat_max of an empty list")
-    big = 1
-    for x in xs:
-        big *= x.den
-    best = xs[0].num * (big // xs[0].den)
-    for x in xs[1:]:
-        scaled = x.num * (big // x.den)
-        if scaled > best:
-            best = scaled
-    return Rat(best, big)
-
-
-def rat_prod(xs: Iterable[Rat]) -> Rat:
-    num = 1
-    den = 1
-    for x in xs:
-        num *= x.num
-        den *= x.den
-    return Rat(num, den)
+    return max(xs)
 
 
 def rat_bits(x: Rat) -> tuple[int, int]:

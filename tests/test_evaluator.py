@@ -14,7 +14,6 @@ from exact_xformer import (
     EvalModeError,
     PFloat,
     Rat,
-    TieError,
     ahardmax_weights,
     bit_growth_trace,
     embed_input,
@@ -27,11 +26,9 @@ from exact_xformer import (
     layernorm_pbit,
     load_model,
     margin_recognize,
-    recognize,
     round_p,
     softmax_pbit,
 )
-from exact_xformer.evaluator import MODES, EvalContext
 
 
 @pytest.fixture(scope="module")
@@ -42,27 +39,6 @@ def majority():
 @pytest.fixture(scope="module")
 def uniform():
     return load_model("softmax-uniform")
-
-
-# --- evaluation context ---------------------------------------------------------
-
-
-def test_modes_tuple():
-    assert MODES == ("ahat_exact", "smat_pbit", "smat_budgeted")
-
-
-def test_context_validation():
-    EvalContext("ahat_exact", 4)
-    EvalContext("smat_pbit", 4, p=16)
-    EvalContext("smat_budgeted", 4, epsilon=Rat(1, 8))
-    with pytest.raises(EvalModeError):
-        EvalContext("nope", 4)
-    with pytest.raises(EvalModeError):
-        EvalContext("smat_pbit", 4)  # needs p
-    with pytest.raises(EvalModeError):
-        EvalContext("smat_budgeted", 4)  # needs epsilon
-    with pytest.raises(DomainError):
-        EvalContext("ahat_exact", 0)
 
 
 # --- exact averaging regime --------------------------------------------------------
@@ -78,14 +54,6 @@ def test_majority_value_is_count_margin(majority):
     for w in ("10110", "0001", "111", "01"):
         k, n = w.count("1"), len(w)
         assert eval_ahat(majority, w)[0] == Rat(2 * k - n, 2 * n)
-
-
-def test_recognize_decisions(majority):
-    ctx = EvalContext("ahat_exact", 4)
-    assert recognize(majority, "1101", ctx) is Decision.ACCEPT
-    assert recognize(majority, "100", EvalContext("ahat_exact", 3)) is Decision.REJECT
-    with pytest.raises(TieError):
-        recognize(majority, "10", EvalContext("ahat_exact", 2))
 
 
 def test_margin_recognize(uniform):

@@ -16,16 +16,10 @@ from exact_xformer import (
     RAT_ONE,
     RAT_ZERO,
     DomainError,
-    Ordering,
     Rat,
-    rat_add,
     rat_bits,
-    rat_cmp,
-    rat_div,
     rat_from_string,
     rat_max,
-    rat_mul,
-    rat_prod,
     rat_sum,
     rat_to_string,
 )
@@ -80,29 +74,30 @@ def test_equality_and_hash_on_value():
 
 @given(rats, rats)
 def test_add_mul_sub_match_fraction(a, b):
-    assert _frac(rat_add(a, b)) == _frac(a) + _frac(b)
-    assert _frac(rat_mul(a, b)) == _frac(a) * _frac(b)
+    assert _frac(a + b) == _frac(a) + _frac(b)
+    assert _frac(a * b) == _frac(a) * _frac(b)
     assert _frac(a - b) == _frac(a) - _frac(b)
     assert _frac(-a) == -_frac(a)
 
 
 @given(rats, rats.filter(lambda r: r.num != 0))
 def test_div_matches_fraction(a, b):
-    assert _frac(rat_div(a, b)) == _frac(a) / _frac(b)
+    assert _frac(a / b) == _frac(a) / _frac(b)
 
 
 def test_div_by_zero():
     with pytest.raises(DomainError):
-        rat_div(RAT_ONE, RAT_ZERO)
+        RAT_ONE / RAT_ZERO
 
 
 @given(rats, rats)
 def test_cmp_matches_fraction(a, b):
     fa, fb = _frac(a), _frac(b)
-    expected = Ordering.LT if fa < fb else Ordering.GT if fa > fb else Ordering.EQ
-    assert rat_cmp(a, b) is expected
     assert (a < b) == (fa < fb)
     assert (a <= b) == (fa <= fb)
+    assert (a == b) == (fa == fb)
+    assert (a > b) == (fa > fb)
+    assert (a >= b) == (fa >= fb)
 
 
 @given(rats)
@@ -118,10 +113,7 @@ def test_sign(r):
 def test_folds_match_fraction(xs):
     assert _frac(rat_sum(xs)) == sum(map(_frac, xs), Fraction(0))
     assert _frac(rat_max(xs)) == max(map(_frac, xs))
-    prod = Fraction(1)
-    for x in xs:
-        prod *= _frac(x)
-    assert _frac(rat_prod(xs)) == prod
+    assert rat_max(xs) in xs
 
 
 def test_empty_folds():
@@ -129,7 +121,6 @@ def test_empty_folds():
         rat_sum([])
     with pytest.raises(DomainError):
         rat_max([])
-    assert rat_prod([]) == RAT_ONE
 
 
 # --- string I/O ----------------------------------------------------------------
