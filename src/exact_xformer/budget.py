@@ -299,14 +299,20 @@ def layernorm_budgeted(x: list[Rat], ln: LayerNorm, delta: Rat) -> list[Rat]:
 
 def eval_budgeted(model: Model, w: str, epsilon: Rat) -> Rat:
     """Output within epsilon of the exact real-valued softmax transformer."""
+    return _eval_planned(model, w, epsilon)[0]
+
+
+def _eval_planned(model: Model, w: str, epsilon: Rat) -> tuple[Rat, ErrorBudget]:
+    """eval_budgeted's output together with the one budget planned for it."""
     check_heads(model, "softmax", "the budgeted contract covers softmax heads")
     xs = embed_input(model, w)
-    deltas = plan_budget(model, len(xs), epsilon).site_deltas
+    budget = plan_budget(model, len(xs), epsilon)
+    deltas = budget.site_deltas
     backend = exact_backend(
         lambda scores, li, hi: softmax_budgeted(scores, deltas[("layer", li, "head", hi, "softmax")]),
         lambda x, ln, li, site: layernorm_budgeted(x, ln, deltas[("layer", li, site)]),
     )
-    return forward(model, xs, backend)[0]
+    return forward(model, xs, backend)[0], budget
 
 
 def margin_recognize(model: Model, w: str, epsilon_margin: Rat) -> Decision:

@@ -24,7 +24,7 @@ import sys
 import time
 from typing import Optional
 
-from .budget import eval_budgeted, plan_budget
+from .budget import _eval_planned
 from .errors import DomainError, EvalModeError, FloatRangeError, ModelLoadError, TieError
 from .evaluator import bit_growth_trace, eval_ahat, eval_smat_pbit, fit_loglog_slope
 from .model_ir import BUILTIN_MODELS, load_model
@@ -164,9 +164,8 @@ def _cmd_eval(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             if args.trace:
                 trace_info = {"precision": args.precision}
         else:
-            value = eval_budgeted(model, args.input, eps)
+            value, budget = _eval_planned(model, args.input, eps)
             if args.trace:
-                budget = plan_budget(model, len(args.input), eps)
                 trace_info = {
                     "site_deltas": {
                         _site_key(k): rat_to_string(v) for k, v in budget.site_deltas.items()

@@ -1,18 +1,23 @@
-"""Square root and exponential via exact rational series evaluation.
+"""Square root and exponential on p-bit floats, plus rational variants.
 
-Both functions range-reduce, evaluate a truncated series in exact rational
-arithmetic (no internal rounding anywhere), and reconstruct:
-
-* sqrt: x = r * 2^k with r in [1/4, 1) and k even, then the binomial series
-  for sqrt(r) around 1; the final p-bit result is decided by squaring the
-  candidate breakpoints and comparing with r exactly, so it is the correctly
-  rounded square root.
-* exp: x = k * log2 + r with r in [0, log2), exp(r) by Taylor series, result
-  exp(r) * 2^k; the log2 constant is a truncated series with a proven tail,
-  and k is the exact rational floor of x over that constant, which keeps r
-  inside [0, log2) unconditionally.  The returned float has relative error
-  at most 2^-p (the series runs at roughly 2p bits because the final
+* sqrt: x = r * 2^k with r in [1/4, 1) and k even; then
+  s = isqrt(r * 2^(2p+2)) is floor(sqrt(r) * 2^(p+1)) and (s + 1) >> 1 is
+  sqrt(r) * 2^p rounded to nearest, so the result is the correctly rounded
+  square root.
+* exp: x = k * log2 + r with r in [0, log2), exp(r) by a truncated Taylor
+  series, result exp(r) * 2^k; the log2 constant is a truncated series with
+  a proven tail, and k is the exact rational floor of x over that constant,
+  which keeps r inside [0, log2) unconditionally.  The truncated sum S is
+  enclosed as lo <= S * 2^W <= hi in W-bit fixed point, every term floored
+  (lo) or ceiled (hi) from its predecessor.  When lo and hi round to the same
+  p-bit float, that float is the rounding of S, because rounding is
+  monotone; otherwise S is summed exactly over one common denominator and
+  rounded.  Either way the result is the rounding of S, and it has relative
+  error at most 2^-p (the series runs at roughly 2p bits because the final
   rounding already spends nearly the whole 2^-p allowance).
+
+The rational variants for the error-budgeted evaluator sum the same series
+in exact rational arithmetic, with no rounding anywhere.
 """
 
 from __future__ import annotations
@@ -24,6 +29,14 @@ from functools import lru_cache
 from .errors import DomainError, FloatRangeError
 from .pfloat import PFloat, _round_dyadic, _round_ratio, f_add, float_to_rat
 from .rational import RAT_ONE, Rat
+
+# Fraction bits of the fixed-point exp enclosure beyond the series' working
+# width w = 2p + 8 and the bit length of its term count.  hi - lo stays
+# within about two units per term, and rounding to p bits drops
+# p + 9 + _EXP_GUARD + terms.bit_length() low bits, so lo and hi round apart
+# (and the exact sum decides) on about a 2^-(p + 8 + _EXP_GUARD) share of
+# arguments.
+_EXP_GUARD = 8
 
 
 @dataclass(frozen=True)
@@ -102,6 +115,24 @@ def _exp_series(r: Rat, terms: int) -> Rat:
     return Rat(total, den)
 
 
+def _exp_enclosure(rn: int, rd: int, terms: int, shift: int) -> tuple[int, int]:
+    """lo <= 2^shift * sum_{i<terms} r^i / i! <= hi for r = rn / rd >= 0.
+
+    r is enclosed as a_lo / 2^shift <= r < (a_lo + 1) / 2^shift; each term of
+    lo is floored from the one before and each term of hi ceiled, so every
+    partial sum stays enclosed.
+    """
+    a_lo = (rn << shift) // rd
+    a_hi = a_lo + 1
+    lo = hi = t_lo = t_hi = 1 << shift
+    for i in range(1, terms):
+        t_lo = ((t_lo * a_lo) >> shift) // i
+        t_hi = -(((-t_hi * a_hi) >> shift) // i)
+        lo += t_lo
+        hi += t_hi
+    return lo, hi
+
+
 def _sqrt_series(r: Rat, terms: int) -> Rat:
     """Exact sum_{i<terms} binom(1/2, i) (r-1)^i for r in [1/4, 1)."""
     a, b = r.num, r.den
@@ -135,18 +166,12 @@ def f_sqrt(x: PFloat) -> PFloat:
         raise DomainError("square root of a negative float")
     p = x.p
     r, k = range_reduce_sqrt(x)
-    approx = _sqrt_series(r, sqrt_plan(p).terms)  # within 2^-(p+3) of sqrt(r)
-    m = (approx.num * (1 << p) + approx.den // 2) // approx.den
-    m = min(max(m, 1 << (p - 1)), (1 << p) - 1)
-    # Exact correction: sqrt(r) is never a breakpoint (odd square versus a
-    # dyadic), so comparing breakpoint squares with r settles the rounding.
-    a, b = r.num, r.den
-    rhs = a << (2 * p + 2)  # compare (2m +- 1)^2 * b against r * 2^(2p+2)
-    while m > 1 << (p - 1) and (2 * m - 1) ** 2 * b > rhs:
-        m -= 1
-    while m < (1 << p) - 1 and (2 * m + 1) ** 2 * b < rhs:
-        m += 1
-    return _round_dyadic(m, k // 2 - p, p)
+    # s = floor(sqrt(r) * 2^(p+1)); r's denominator divides 2^(p+1), so the
+    # division is exact.  sqrt(r) * 2^p is never a breakpoint m + 1/2 (that
+    # would make r * 2^(2p+2) an odd square, but it is even), so rounding
+    # s / 2 half up is rounding sqrt(r) * 2^p to nearest.
+    s = math.isqrt((r.num << (2 * p + 2)) // r.den)
+    return _round_dyadic((s + 1) >> 1, k // 2 - p, p)
 
 
 def f_exp(x: PFloat, p: int | None = None) -> PFloat:
@@ -173,8 +198,15 @@ def f_exp(x: PFloat, p: int | None = None) -> PFloat:
     k = (xr.num * lam.den) // (xr.den * lam.num)  # exact floor(x / lam)
     if not -(1 << p) <= k < (1 << p):
         raise FloatRangeError(f"exp scaling k={k} outside [-2^{p}, 2^{p})")
-    r = Rat(xr.num * lam.den - k * lam.num * xr.den, xr.den * lam.den)
-    total = _exp_series(r, exp_plan(w).terms)
+    rn = xr.num * lam.den - k * lam.num * xr.den
+    rd = xr.den * lam.den
+    terms = exp_plan(w).terms
+    shift = w + _EXP_GUARD + terms.bit_length()
+    lo, hi = _exp_enclosure(rn, rd, terms, shift)
+    y = _round_dyadic(lo, k - shift, p)
+    if y == _round_dyadic(hi, k - shift, p):
+        return y
+    total = _exp_series(Rat(rn, rd), terms)
     return _round_ratio(total.num, total.den, k, p)
 
 

@@ -3,13 +3,13 @@
 A value is a pair (num, den) with den >= 1, gcd(|num|, den) = 1, and the sign
 carried on the numerator; zero is 0/1.  Binary operations use plain
 cross-multiplication; the n-ary sum rescales every term onto the single common
-denominator prod(den_j) so the whole fold costs one normalization.
+denominator lcm(den_j) so the whole fold costs one normalization.
 """
 
 from __future__ import annotations
 
 import re
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import DomainError
@@ -127,18 +127,13 @@ RAT_ONE = Rat._raw(1, 1)
 
 
 def rat_sum(xs: Sequence[Rat]) -> Rat:
-    """Exact sum over the common denominator B = prod(den_j)."""
+    """Exact sum over the common denominator B = lcm(den_j)."""
     if len(xs) == 0:
         raise DomainError("rat_sum of an empty list")
     if len(xs) == 1:
         return xs[0]
-    big = 1
-    for x in xs:
-        big *= x.den
-    num = 0
-    for x in xs:
-        num += x.num * (big // x.den)
-    return Rat(num, big)
+    big = lcm(*(x.den for x in xs))
+    return Rat(sum(x.num * (big // x.den) for x in xs), big)
 
 
 def rat_max(xs: Sequence[Rat]) -> Rat:

@@ -5,10 +5,11 @@ errors, 3 range/indeterminate outcomes (overflow, exact tie, below margin).
 """
 
 import json
+import sys
 
 import pytest
 
-from exact_xformer import cli, serialize_model, load_model
+from exact_xformer import budget, cli, serialize_model, load_model
 from exact_xformer.verify import SuiteResult
 
 
@@ -70,6 +71,60 @@ def test_eval_budgeted_with_trace(capsys):
     assert doc["decision"] == "accept"
     assert "site_deltas" in doc["trace"]
     assert "layer.0.head.0.softmax" in doc["trace"]["site_deltas"]
+
+
+# recorded before the CLI and eval_budgeted shared one planned budget
+BUDGETED_TRACE_JSON = """{
+  "command": "eval",
+  "decision": "accept",
+  "epsilon": "1/65536",
+  "input": "1101",
+  "mode": "budgeted",
+  "model": "softmax-uniform",
+  "trace": {
+    "site_deltas": {
+      "layer.0.head.0.softmax": "1/16777216"
+    },
+    "stage_tolerances": {
+      "layer.0.attn_out": "1/131072",
+      "layer.0.ffnn_in": "1/131072",
+      "layer.0.input": "1/262144",
+      "layer.0.out": "1/65536",
+      "output": "1/65536"
+    }
+  },
+  "value": {
+    "decimal_approx": "2.50000000000e-1",
+    "rat": "1/4"
+  }
+}
+"""
+
+
+def test_eval_budgeted_trace_plans_once(capsys, monkeypatch):
+    original = budget.plan_budget
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    # replace every binding in the package, wherever a module imported it
+    for name, module in list(sys.modules.items()):
+        if name == "exact_xformer" or name.startswith("exact_xformer."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counting)
+    code, out, err = run_cli(
+        capsys,
+        *(
+            "eval --model softmax-uniform --input 1101 --mode budgeted "
+            "--epsilon 1/65536 --trace --json"
+        ).split(),
+    )
+    assert (code, err) == (0, "")
+    assert len(calls) == 1
+    assert out == BUDGETED_TRACE_JSON
 
 
 def test_eval_exact_zero_is_tie_exit(capsys):

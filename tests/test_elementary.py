@@ -14,6 +14,7 @@ from exact_xformer import (
     FloatRangeError,
     PFloat,
     Rat,
+    f_add,
     f_exp,
     f_mul,
     f_sqrt,
@@ -23,8 +24,10 @@ from exact_xformer import (
     rat_sqrt_approx,
     round_p,
 )
-from exact_xformer.elementary import exp_plan, range_reduce_sqrt, sqrt_plan
-from exact_xformer.verify import exp_enclosure
+from exact_xformer import elementary
+from exact_xformer.elementary import _exp_series, exp_plan, range_reduce_sqrt, sqrt_plan
+from exact_xformer.pfloat import UnnormFloat, _round_ratio
+from exact_xformer.verify import exp_enclosure, sqrt_round_oracle
 
 # ln(2) to 30 places; any tighter published value agrees to this width
 LOG2_30 = Rat(693147180559945309417232121458, 10**30)
@@ -99,6 +102,94 @@ def test_exp_optional_working_precision():
     assert f_exp(x) == f_exp(x, 8)
 
 
+# --- exp: the fixed-point enclosure returns the exact series' rounding ------------
+
+
+def _exp_reference(x, p=None):
+    """f_exp with the truncated series summed exactly, then rounded once.
+
+    Same range reduction, series length and short cuts as f_exp; only the
+    sum differs, so f_exp must return exactly this float.
+    """
+    p = x.p if p is None else p
+    if x.m == 0:
+        return round_p(Rat(1), p)
+    log_mag = x.e + abs(x.m).bit_length() - 1
+    if log_mag >= p + 1:
+        raise FloatRangeError("k out of range")
+    w = 2 * p + 8
+    if log_mag <= -(2 * p + 16):
+        return f_add(round_p(Rat(1), p), round_p(x, p))
+    lam = log2_const(w + max(2, log_mag + 2) + 8)
+    xr = float_to_rat(x)
+    k = (xr.num * lam.den) // (xr.den * lam.num)
+    if not -(1 << p) <= k < (1 << p):
+        raise FloatRangeError("k out of range")
+    total = _exp_series(xr - Rat(k) * lam, exp_plan(w).terms)
+    return _round_ratio(total.num, total.den, k, p)
+
+
+def _same_exp(x, p=None):
+    try:
+        want = _exp_reference(x, p)
+    except FloatRangeError:
+        with pytest.raises(FloatRangeError):
+            f_exp(x, p)
+        return
+    assert f_exp(x, p) == want, (x, p)
+
+
+def _exp_grid(p):
+    """Every p-bit float whose floor(log2 |x|) runs from below the tiny-argument
+    short cut to above the range guard, both signs."""
+    for m in range(1 << (p - 1), 1 << p):
+        for log_mag in range(-(2 * p + 17), p + 2):
+            for s in (1, -1):
+                yield PFloat(s * m, log_mag - (p - 1), p)
+
+
+@pytest.mark.parametrize("p", range(2, 9))
+def test_exp_matches_exact_series_exhaustive(p):
+    for x in _exp_grid(p):
+        _same_exp(x)
+        _same_exp(x, p + 3)
+        _same_exp(x, max(1, p - 1))
+
+
+@pytest.mark.parametrize("p", [24, 53, 113])
+@given(data=st.data())
+@settings(max_examples=60)
+def test_exp_matches_exact_series(p, data):
+    _same_exp(data.draw(_pfloats(p, -(3 * p + 20), 3)))
+
+
+@given(
+    x=st.sampled_from((24, 53)).flatmap(lambda p: _pfloats(p, -(3 * p + 20), 3)),
+    q=st.sampled_from((8, 24, 53, 113)),
+)
+@settings(max_examples=80)
+def test_exp_at_another_precision_matches_exact_series(x, q):
+    _same_exp(x, q)
+
+
+@pytest.mark.parametrize("p", [5, 8])
+def test_exp_fallback_keeps_exact_series_result(p, monkeypatch):
+    # a guard this negative leaves the enclosure only a few bits beyond p,
+    # so lo and hi often round apart and the exact sum has to decide
+    fallbacks = []
+
+    def counting(r, terms):
+        fallbacks.append(r)
+        return _exp_series(r, terms)
+
+    monkeypatch.setattr(elementary, "_EXP_GUARD", -(p + 8))
+    monkeypatch.setattr(elementary, "_exp_series", counting)
+    cases = list(_exp_grid(p))
+    for x in cases:
+        _same_exp(x)
+    assert 0 < len(fallbacks) < len(cases)
+
+
 # --- log2 constant ---------------------------------------------------------------
 
 
@@ -142,6 +233,26 @@ def test_sqrt_result_brackets_true_root(x):
     bp_lo = (Rat(m) - low_gap) * scale
     bp_hi = (Rat(m) + Rat(1, 2)) * scale
     assert bp_lo * bp_lo <= v <= bp_hi * bp_hi
+
+
+@pytest.mark.parametrize("p", [24, 53, 113])
+@given(data=st.data())
+@settings(max_examples=100)
+def test_sqrt_matches_oracle(p, data):
+    x = data.draw(_pfloats(p, -400, 400))
+    for e in (x.e, x.e + 1):  # both parities of the exponent
+        y = PFloat(abs(x.m), e, p)
+        assert f_sqrt(y) == sqrt_round_oracle(y)
+
+
+@pytest.mark.parametrize("p", [24, 53, 113])
+@given(data=st.data())
+@settings(max_examples=100)
+def test_sqrt_of_perfect_square_is_exact(p, data):
+    a = data.draw(st.integers(min_value=1, max_value=(1 << (p // 2)) - 1))
+    h = data.draw(st.integers(min_value=-200, max_value=200))
+    x = round_p(UnnormFloat(a * a, 2 * h), p)  # a^2 has at most p bits: exact
+    assert f_sqrt(x) == round_p(UnnormFloat(a, h), p) == sqrt_round_oracle(x)
 
 
 @given(_pfloats(4, -20, 20).map(lambda x: PFloat(abs(x.m), x.e, x.p)))
