@@ -344,3 +344,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def main_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, replace
-from functools import reduce
 from typing import Callable, NamedTuple, Sequence
 
 from .elementary import f_exp, f_sqrt
 from .errors import DomainError, EvalModeError
 from .model_ir import Model, position_embedding
 from .pfloat import PFloat, f_add, f_div, f_mul, f_neg, f_sum_blocks, round_p
-from .rational import RAT_ZERO, Rat, rat_max
+from .rational import RAT_ZERO, Rat, _sum_over_lcm, rat_max, rat_sum
 
 
 @dataclass
@@ -120,15 +119,21 @@ def forward(model: Model, xs: list[list], backend: Backend) -> tuple[object, lis
 
 
 def _rat_dot(u: Sequence[Rat], v: Sequence[Rat], bias: Rat | None = None) -> Rat:
-    total = RAT_ZERO
+    """Sum of the unreduced products u[k]*v[k] (plus bias) over the lcm of
+    their denominators, with one gcd at the end; zero products are skipped."""
+    nums, dens = [], []
     for a, b in zip(u, v):
         if a.num and b.num:
-            total = total + a * b
-    return total if bias is None else total + bias
+            nums.append(a.num * b.num)
+            dens.append(a.den * b.den)
+    if bias is not None and bias.num:
+        nums.append(bias.num)
+        dens.append(bias.den)
+    return _sum_over_lcm(nums, dens) if nums else RAT_ZERO
 
 
 def _rat_total(terms: Sequence[Rat]) -> Rat:
-    return reduce(operator.add, terms) if terms else RAT_ZERO
+    return rat_sum(terms) if terms else RAT_ZERO
 
 
 def exact_backend(normalize: Callable, layernorm: Callable) -> Backend:

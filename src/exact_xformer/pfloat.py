@@ -4,14 +4,13 @@ A nonzero float is a pair (m, e) with 2^(p-1) <= |m| < 2^p, denoting
 m * 2^e; zero is (0, 0).  The exponent is an unbounded integer: rounding is
 total on nonzero values and zero is produced only by exact cancellation.
 Every operation here is the correctly rounded exact result: two-ary
-add/mul/div round once, the n-ary product rounds the exact integer product
-once, and the n-ary sum partitions its inputs into exponent blocks, adds
-each block exactly, and rounds the dominant block with the residue's sign
-breaking ties.
+add/mul/div round once, and the n-ary sum partitions its inputs into
+exponent blocks, adds each block exactly, and rounds the dominant block with
+the residue's sign breaking ties.
 
 Layer 1: rounding cores (dyadic and rational).
 Layer 2: two-ary ops and comparison.
-Layer 3: iterated product and block summation.
+Layer 3: block summation.
 """
 
 from __future__ import annotations
@@ -246,23 +245,6 @@ def f_cmp(x: PFloat, y: PFloat) -> Ordering:
 # --------------------------------------------------------------------------
 # Layer 3: iterated operations
 # --------------------------------------------------------------------------
-
-
-def f_prod(xs: Sequence[PFloat]) -> PFloat:
-    """Single rounding of the exact product: (prod m_i) * 2^(sum e_i)."""
-    if len(xs) == 0:
-        raise DomainError("f_prod of an empty list")
-    p = xs[0].p
-    M = 1
-    E = 0
-    for x in xs:
-        if x.p != p:
-            raise DomainError(f"mixed precisions {p} and {x.p}")
-        M *= x.m
-        E += x.e
-    if M == 0:
-        return PFloat(0, 0, p)
-    return _round_dyadic(M, E, p)
 
 
 def block_threshold(p: int, n: int) -> int:

@@ -1,9 +1,13 @@
 """Exact rational arithmetic with explicit bit-cost accounting.
 
 A value is a pair (num, den) with den >= 1, gcd(|num|, den) = 1, and the sign
-carried on the numerator; zero is 0/1.  Binary operations use plain
-cross-multiplication; the n-ary sum rescales every term onto the single common
-denominator lcm(den_j) so the whole fold costs one normalization.
+carried on the numerator; zero is 0/1.  Binary operations keep their gcds on
+the smaller operands (Henrici's method, Knuth TAOCP vol. 2, 4.5.1, as in
+fractions.Fraction): a sum reduces by gcd(den_a, den_b) and then only by a gcd
+with that factor, a product cancels num_a against den_b and num_b against
+den_a.  An n-ary sum, and an exact dot product over its unreduced products,
+rescales every term onto the single common denominator lcm(den_j) and reduces
+once.  Canonical form is unique, so every route gives the same pair.
 """
 
 from __future__ import annotations
@@ -58,23 +62,20 @@ class Rat:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "Rat") -> "Rat":
-        a1, b1, a2, b2 = self.num, self.den, other.num, other.den
-        return Rat(a1 * b2 + b1 * a2, b1 * b2)
+        return _add(self.num, self.den, other.num, other.den)
 
     def __sub__(self, other: "Rat") -> "Rat":
-        a1, b1, a2, b2 = self.num, self.den, other.num, other.den
-        return Rat(a1 * b2 - b1 * a2, b1 * b2)
+        return _add(self.num, self.den, -other.num, other.den)
 
     def __mul__(self, other: "Rat") -> "Rat":
-        return Rat(self.num * other.num, self.den * other.den)
+        return _mul(self.num, self.den, other.num, other.den)
 
     def __truediv__(self, other: "Rat") -> "Rat":
         if other.num == 0:
             raise DomainError("division by zero rational")
-        num, den = self.num * other.den, self.den * other.num
-        if den < 0:
-            num, den = -num, -den
-        return Rat(num, den)
+        if other.num < 0:
+            return _mul(self.num, self.den, -other.den, -other.num)
+        return _mul(self.num, self.den, other.den, other.num)
 
     def __neg__(self) -> "Rat":
         return Rat._raw(-self.num, self.den)
@@ -126,14 +127,49 @@ RAT_ZERO = Rat._raw(0, 1)
 RAT_ONE = Rat._raw(1, 1)
 
 
+def _add(na: int, da: int, nb: int, db: int) -> Rat:
+    """na/da + nb/db for canonical operands."""
+    g = gcd(da, db)
+    if g == 1:
+        return Rat._raw(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)  # t == 0 only when da == db == g, and then this is 0/1
+    if g2 == 1:
+        return Rat._raw(t, s * db)
+    return Rat._raw(t // g2, s * (db // g2))
+
+
+def _mul(na: int, da: int, nb: int, db: int) -> Rat:
+    """(na/da) * (nb/db) for canonical operands (nb/db may be a reciprocal
+    whose sign has been moved onto nb)."""
+    if na == 0 or nb == 0:
+        return RAT_ZERO
+    g1 = gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return Rat._raw(na * nb, da * db)
+
+
+def _sum_over_lcm(nums: Sequence[int], dens: Sequence[int]) -> Rat:
+    """sum(nums[j]/dens[j]) for unreduced pairs (dens[j] >= 1): every term is
+    rescaled onto B = lcm(dens) and the total is reduced once."""
+    big = lcm(*dens)
+    return Rat(sum(n * (big // d) for n, d in zip(nums, dens)), big)
+
+
 def rat_sum(xs: Sequence[Rat]) -> Rat:
     """Exact sum over the common denominator B = lcm(den_j)."""
     if len(xs) == 0:
         raise DomainError("rat_sum of an empty list")
     if len(xs) == 1:
         return xs[0]
-    big = lcm(*(x.den for x in xs))
-    return Rat(sum(x.num * (big // x.den) for x in xs), big)
+    return _sum_over_lcm([x.num for x in xs], [x.den for x in xs])
 
 
 def rat_max(xs: Sequence[Rat]) -> Rat:

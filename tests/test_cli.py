@@ -5,7 +5,10 @@ errors, 3 range/indeterminate outcomes (overflow, exact tie, below margin).
 """
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -327,3 +330,22 @@ def test_no_subcommand_is_usage_error(capsys):
 
 def test_unknown_subcommand_is_usage_error(capsys):
     assert cli.main(["frobnicate"]) == 2
+
+
+def _run_module(*argv):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cmd = [sys.executable, "-m", "exact_xformer.cli", *argv]
+    return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_module_form_runs_the_command():
+    proc = _run_module("verify", "--suite", "exp", "--p", "8", "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["suites"]
+
+
+def test_module_form_usage_error_exits_nonzero():
+    proc = _run_module("verify", "--suite", "bogus")
+    assert proc.returncode == 2

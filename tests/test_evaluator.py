@@ -6,7 +6,13 @@ through its stated precision, plus exact special cases where every float
 step happens to be lossless.
 """
 
+import math
+import operator
+from fractions import Fraction
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from exact_xformer import (
     Decision,
@@ -29,6 +35,7 @@ from exact_xformer import (
     round_p,
     softmax_pbit,
 )
+from exact_xformer.evaluator import _rat_dot, _rat_total
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +92,49 @@ def test_ahardmax_invariances():
     assert ahardmax_weights(base) == ahardmax_weights(scaled)
     with pytest.raises(DomainError):
         ahardmax_weights([])
+
+
+# Shared small-prime factors make the products' denominators overlap, so the
+# lcm is smaller than their product and the one final reduction has work to do.
+smooth = st.lists(st.sampled_from((2, 3, 5, 7)), max_size=8).map(math.prod)
+rats = st.builds(
+    Rat,
+    st.one_of(st.just(0), st.builds(operator.mul, st.integers(-99, 99), smooth), st.integers(-(1 << 2000), 1 << 2000)),
+    st.one_of(smooth, st.builds(operator.mul, st.integers(1, 1 << 2000), smooth)),
+)
+
+
+def _frac(r: Rat) -> Fraction:
+    return Fraction(r.num, r.den)
+
+
+def _same_pair(x: Rat, f: Fraction) -> None:
+    assert (x.num, x.den) == (f.numerator, f.denominator)
+
+
+@given(st.lists(st.tuples(rats, rats), max_size=8), rats)
+def test_rat_dot_returns_canonical_pair(pairs, bias):
+    u, v = [a for a, _ in pairs], [b for _, b in pairs]
+    want = sum((_frac(a) * _frac(b) for a, b in pairs), Fraction(0))
+    _same_pair(_rat_dot(u, v), want)
+    _same_pair(_rat_dot(u, v, bias), want + _frac(bias))
+
+
+def test_rat_dot_zero_and_empty_vectors():
+    zeros = [Rat(0)] * 3
+    u = [Rat(1, 6), Rat(-5, 4), Rat(7, 10)]
+    _same_pair(_rat_dot(zeros, u), Fraction(0))
+    _same_pair(_rat_dot(u, zeros, Rat(0)), Fraction(0))
+    _same_pair(_rat_dot(zeros, zeros, Rat(-3, 8)), Fraction(-3, 8))
+    _same_pair(_rat_dot([], []), Fraction(0))
+    _same_pair(_rat_dot([], [], Rat(5, 6)), Fraction(5, 6))
+    # the nonzero products cancel: 1/6*3/2 - 5/4*1/5 = 0
+    _same_pair(_rat_dot([Rat(1, 6), Rat(0), Rat(-5, 4)], [Rat(3, 2), Rat(9), Rat(1, 5)]), Fraction(0))
+
+
+@given(st.lists(rats, max_size=8))
+def test_rat_total_returns_canonical_pair(terms):
+    _same_pair(_rat_total(terms), sum(map(_frac, terms), Fraction(0)))
 
 
 def test_softmax_pbit_symmetric_scores_are_exact_halves():

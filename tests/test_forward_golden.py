@@ -84,6 +84,11 @@ BUDGETED = {
 }
 
 
+# Budgeted at eps = 2^-64: the exp approximations carry denominators of about
+# 12k bits, so the context and FFNN dot products sum multi-thousand-bit terms.
+BUDGETED_WIDE = ("cbab", "055154ff68683302c3c617dabd866321765b5b4f0464c2fed6a0d348911a2093")  # sha256 of repr(value)
+
+
 @pytest.mark.parametrize("word", sorted(AHAT))
 def test_ahat_two_layers_mixed_masks(word):
     value, trace = eval_ahat(_model(15, "average_hard", 2, False), word)
@@ -100,3 +105,9 @@ def test_smat_two_layers_with_layernorm(word, p):
 def test_budgeted_one_layer_mixed_masks(word):
     value = eval_budgeted(_model(13, "softmax", 1, False), word, Rat(1, 1 << 16))
     assert hashlib.sha256(str(value).encode()).hexdigest() == BUDGETED[word]
+
+
+def test_budgeted_one_layer_wide_epsilon():
+    word, digest = BUDGETED_WIDE
+    value = eval_budgeted(_model(13, "softmax", 1, False), word, Rat(1, 1 << 64))
+    assert hashlib.sha256(repr(value).encode()).hexdigest() == digest

@@ -23,7 +23,6 @@ from exact_xformer import (
     f_div,
     f_mul,
     f_neg,
-    f_prod,
     float_to_rat,
     round_p,
 )
@@ -175,7 +174,6 @@ def test_round_midpoints_go_even(x):
 def test_frozen_binary_examples():
     assert f_add(PFloat(5, 0, 3), PFloat(7, -3, 3)) == PFloat(6, 0, 3)
     assert f_div(PFloat(5, 0, 3), PFloat(5, 0, 3)) == PFloat(4, -2, 3)
-    assert f_prod([PFloat(4, 0, 3), PFloat(4, 0, 3)]) == PFloat(4, 2, 3)
     assert f_add(PFloat(-5, 0, 3), PFloat(-7, -3, 3)) == PFloat(-6, 0, 3)
 
 
@@ -247,23 +245,6 @@ def test_cmp_matches_rational_order(pair):
     fx, fy = _frac(x), _frac(y)
     expected = Ordering.LT if fx < fy else Ordering.GT if fx > fy else Ordering.EQ
     assert f_cmp(x, y) is expected
-
-
-# --- iterated product --------------------------------------------------------------
-
-
-@given(st.lists(_pfloats(8, -12, 12), min_size=1, max_size=10))
-def test_prod_rounds_exact_product_once(xs):
-    exact = Fraction(1)
-    for x in xs:
-        exact *= _frac(x)
-    assert f_prod(xs) == _round_ref(exact, 8)
-
-
-def test_prod_singleton_and_zero():
-    x = PFloat(-5, 3, 3)
-    assert f_prod([x]) == x
-    assert f_prod([x, PFloat.zero(3)]) == PFloat.zero(3)
 
 
 # --- block threshold ----------------------------------------------------------------

@@ -6,6 +6,7 @@ positive denominator) after every operation.
 """
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,23 @@ rats = st.builds(
 
 def _frac(r: Rat) -> Fraction:
     return Fraction(r.num, r.den)
+
+
+def _same_pair(x: Rat, f: Fraction) -> None:
+    """x is f's canonical pair, not merely equal to f in value."""
+    assert (x.num, x.den) == (f.numerator, f.denominator)
+
+
+# Denominators and numerators built from shared small primes, so that operand
+# denominators share factors and results need reducing; some of them thousands
+# of bits wide.
+smooth = st.lists(st.sampled_from((2, 3, 5, 7)), max_size=10).map(math.prod)
+wide = st.integers(min_value=1, max_value=1 << 3000)
+shared_rats = st.builds(
+    Rat,
+    st.one_of(st.just(0), st.builds(operator.mul, st.integers(-99, 99), smooth), st.builds(operator.mul, wide, smooth)),
+    st.one_of(smooth, st.builds(operator.mul, wide, smooth)),
+)
 
 
 # --- canonical form ----------------------------------------------------------
@@ -85,6 +103,34 @@ def test_div_matches_fraction(a, b):
     assert _frac(a / b) == _frac(a) / _frac(b)
 
 
+@given(shared_rats, shared_rats)
+def test_binary_ops_return_canonical_pairs(a, b):
+    fa, fb = _frac(a), _frac(b)
+    _same_pair(a + b, fa + fb)
+    _same_pair(a - b, fa - fb)
+    _same_pair(a * b, fa * fb)
+    if b:
+        _same_pair(a / b, fa / fb)
+        _same_pair(a / -abs(b), fa / -abs(fb))  # negative divisor
+
+
+@given(shared_rats)
+def test_zero_results_are_zero_over_one(a):
+    for x in (a - a, a + -a, RAT_ZERO * a, a * RAT_ZERO):
+        assert (x.num, x.den) == (0, 1)
+    if a:
+        assert ((RAT_ZERO / a).num, (RAT_ZERO / a).den) == (0, 1)
+
+
+def test_wide_operands_with_shared_factors():
+    big = 3**2000 + 2
+    a = Rat(big * 35, (1 << 3000) * 3**7 * 11)
+    b = Rat(-(big + 1) * 22, (1 << 2500) * 3**4 * 35)
+    fa, fb = _frac(a), _frac(b)
+    for x, f in ((a + b, fa + fb), (a - b, fa - fb), (a * b, fa * fb), (a / b, fa / fb), (b / a, fb / fa)):
+        _same_pair(x, f)
+
+
 def test_div_by_zero():
     with pytest.raises(DomainError):
         RAT_ONE / RAT_ZERO
@@ -114,6 +160,11 @@ def test_folds_match_fraction(xs):
     assert _frac(rat_sum(xs)) == sum(map(_frac, xs), Fraction(0))
     assert _frac(rat_max(xs)) == max(map(_frac, xs))
     assert rat_max(xs) in xs
+
+
+@given(st.lists(shared_rats, min_size=1, max_size=8))
+def test_sum_returns_canonical_pair(xs):
+    _same_pair(rat_sum(xs), sum(map(_frac, xs), Fraction(0)))
 
 
 def test_empty_folds():
