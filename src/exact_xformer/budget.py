@@ -2,10 +2,14 @@
 
 Everything in the budgeted regime is exact rational arithmetic except two
 kinds of sites, exp (inside softmax) and inverse square root (inside
-layernorm), each approximated to a site tolerance delta.  plan_budget walks
-the computation graph backward from the requested output error epsilon,
-dividing by Lipschitz constants through exact stages and applying the two
-closed-form translations at approximated sites:
+layernorm), each approximated by a dyadic to a site tolerance delta (a
+softmax term far below its row maximum is flushed to zero inside that
+delta; see softmax_budgeted), and the output, which is rounded to the
+2^-g grid with 2^-g <= epsilon when its denominator exceeds 2^g.  That
+rounding costs at most epsilon/2, so plan_budget walks the computation
+graph backward from epsilon/2, dividing by Lipschitz constants through
+exact stages and applying the two closed-form translations at
+approximated sites:
 
     softmax       delta = min(1/2, eps/16)
     inverse sqrt  delta = min(c/2, c*sqrt(c)/((2c+1)*sqrt(2)) * eps)
@@ -30,7 +34,7 @@ from .elementary import rat_exp_approx, rat_floor_log2, rat_sqrt_approx
 from .errors import DomainError
 from .evaluator import check_heads, embed_input, exact_backend, forward
 from .model_ir import LayerNorm, Model
-from .rational import RAT_ZERO, Rat, rat_max, rat_sum
+from .rational import RAT_ZERO, Rat, _sum_over_lcm, rat_max, rat_sum
 
 Tol = Optional[Rat]  # None = unconstrained (the stage's output is exact)
 
@@ -89,12 +93,10 @@ def invsqrt_delta(c: Rat, eps: Rat) -> Rat:
 
 
 def _inf_norm(mat: Sequence[Sequence[Rat]]) -> Rat:
+    """Largest row sum of |entries|, each row summed over one lcm denominator."""
     best = RAT_ZERO
     for row in mat:
-        total = RAT_ZERO
-        for x in row:
-            total = total + abs(x)
-        best = max(best, total)
+        best = max(best, _sum_over_lcm([abs(x.num) for x in row], [x.den for x in row]))
     return best
 
 
@@ -139,7 +141,9 @@ def _forward_bounds(model: Model) -> list[dict]:
     """Per-layer magnitude bounds on every stage the backward walk divides by.
 
     Bounds are inflated by the +1 slacks the walk's quadratic error terms
-    assume (input errors are capped at 1 when tolerances are planned).
+    assume (input errors are capped at 1 when tolerances are planned).  The
+    operator norms of every weight matrix are kept alongside ("n_" keys), so
+    the walk computes none of them again.
     """
     c_in = max((_vec_inf(v) for v in model.token_embeddings.values()), default=RAT_ZERO)
     c_in = c_in + _position_bound(model)
@@ -149,11 +153,12 @@ def _forward_bounds(model: Model) -> list[dict]:
         heads = []
         attn_sum = c_in if layer.residual_attn else RAT_ZERO
         for head in layer.heads:
-            c_q = _inf_norm(head.w_q) * c_in
-            c_k = _inf_norm(head.w_k) * c_in
-            c_v = _inf_norm(head.w_v) * c_in
-            c_o = _inf_norm(head.w_o) * c_v
-            heads.append({"c_q": c_q, "c_k": c_k, "c_v": c_v, "c_o": c_o})
+            n_q, n_k, n_v, n_o = (_inf_norm(w) for w in (head.w_q, head.w_k, head.w_v, head.w_o))
+            c_v = n_v * c_in
+            c_o = n_o * c_v
+            heads.append(
+                {"c_q": n_q * c_in, "c_k": n_k * c_in, "c_v": c_v, "c_o": c_o, "n_q": n_q, "n_k": n_k, "n_v": n_v, "n_o": n_o}
+            )
             attn_sum = attn_sum + c_o
         info["heads"] = heads
         info["attn_out"] = attn_sum
@@ -162,8 +167,10 @@ def _forward_bounds(model: Model) -> list[dict]:
             cur = _ln_bound(cur, layer.layernorm_attn)
         info["ffnn_in"] = cur
         ffnn = layer.ffnn
-        c_hidden = _inf_norm(ffnn.w1) * cur + _vec_inf(ffnn.b1)
-        c_f = _inf_norm(ffnn.w2) * c_hidden + _vec_inf(ffnn.b2)
+        info["n_w1"] = _inf_norm(ffnn.w1)
+        info["n_w2"] = _inf_norm(ffnn.w2)
+        c_hidden = info["n_w1"] * cur + _vec_inf(ffnn.b1)
+        c_f = info["n_w2"] * c_hidden + _vec_inf(ffnn.b2)
         cur = (cur + c_f) if layer.residual_ffnn else c_f
         info["pre_ln_ffnn"] = cur
         if layer.layernorm_ffnn is not None:
@@ -206,7 +213,11 @@ def _ln_walk(tol: Tol, c_bound: Rat, ln: LayerNorm, site: tuple, budget: ErrorBu
 
 
 def plan_budget(model: Model, n: int, epsilon: Rat) -> ErrorBudget:
-    """Backward tolerance walk from a target output error epsilon."""
+    """Backward tolerance walk from a target output error epsilon.
+
+    The walk starts from epsilon/2: the other half pays for rounding the
+    output to the epsilon grid (see _eval_planned).
+    """
     if epsilon.num <= 0:
         raise DomainError("epsilon must be > 0")
     if n < 1:
@@ -218,7 +229,7 @@ def plan_budget(model: Model, n: int, epsilon: Rat) -> ErrorBudget:
     for x in model.output_head.weights:
         rho_head = rho_head + abs(x)
     budget.stage_tolerances[("output",)] = epsilon
-    tol: Tol = _t_div(epsilon, rho_head)
+    tol: Tol = _t_div(epsilon * RAT_HALF, rho_head)
 
     for li in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[li]
@@ -231,7 +242,7 @@ def plan_budget(model: Model, n: int, epsilon: Rat) -> ErrorBudget:
             t_ffnn = _t_half(tol)
         else:
             t_resid, t_ffnn = None, tol
-        rho_ffnn = _inf_norm(layer.ffnn.w2) * _inf_norm(layer.ffnn.w1)
+        rho_ffnn = info["n_w2"] * info["n_w1"]
         tol = _t_min(t_resid, _t_div(t_ffnn, rho_ffnn))
         budget.stage_tolerances[("layer", li, "ffnn_in")] = tol
         if layer.layernorm_attn is not None:
@@ -241,21 +252,19 @@ def plan_budget(model: Model, n: int, epsilon: Rat) -> ErrorBudget:
         shares = len(layer.heads) + (1 if layer.residual_attn else 0)
         slice_tol = None if tol is None else tol / Rat(shares)
         t_x = slice_tol if layer.residual_attn else None
-        for hi, head in enumerate(layer.heads):
-            hb = bounds[li]["heads"][hi]
-            rho_o = _inf_norm(head.w_o)
-            t_u = _t_div(slice_tol, rho_o)
+        for hi, hb in enumerate(info["heads"]):
+            t_u = _t_div(slice_tol, hb["n_o"])
             # context error <= n * dalpha * c_v + dvalue (weights sum to exactly 1)
             eps_alpha = None
             if t_u is not None and hb["c_v"].num != 0:
                 eps_alpha = _t_half(t_u) / (Rat(n) * hb["c_v"])
             delta_sm = softmax_delta(eps_alpha) if eps_alpha is not None else RAT_HALF
             budget.site_deltas[("layer", li, "head", hi, "softmax")] = delta_sm
-            rho_score = Rat(model.dim) * (hb["c_q"] * _inf_norm(head.w_k) + hb["c_k"] * _inf_norm(head.w_q))
+            rho_score = Rat(model.dim) * (hb["c_q"] * hb["n_k"] + hb["c_k"] * hb["n_q"])
             if rho_score.num != 0:
                 rho_score = rho_score + RAT_ONE  # absorbs the second-order dq*dk term
             t_x_score = _t_div(delta_sm if eps_alpha is not None else None, rho_score)
-            t_x_value = _t_div(_t_half(t_u), _inf_norm(head.w_v))
+            t_x_value = _t_div(_t_half(t_u), hb["n_v"])
             t_x = _t_min(t_x, t_x_score, t_x_value)
         tol = _t_min(t_x, RAT_ONE)
         budget.stage_tolerances[("layer", li, "input")] = tol
@@ -276,12 +285,27 @@ def softmax_budgeted(scores: Sequence[Rat], delta: Rat) -> list[Rat]:
 
     Scores are shifted by the row maximum first (an exact identity on the
     softmax), so tiny deltas never force exp of large-magnitude arguments.
+
+    A term with exp(s - top) <= 2^-T, T = bits + n.bit_length() and
+    2^-bits <= delta, is flushed to zero (tested as 10*(s - top) <= -7*T,
+    since log 2 < 7/10); otherwise its exp would carry a 2^|k| denominator,
+    k ~ (s - top)/log 2, into every weight of the row.  The top term is
+    exactly 1, so the row total stays >= 1 and flushing moves each weight
+    by less than n * 2^-T <= delta.  With score and exp relative errors
+    within delta, the unflushed weights deviate at most
+    e^(2 delta) (1 + delta)/(1 - delta) - 1 <= 4.6 delta for delta <= 1/16,
+    so every weight stays within 16*delta of the true softmax; for
+    delta > 1/16, 16*delta exceeds any deviation of a weight in [0, 1].
     """
     if len(scores) == 0:
         raise DomainError("softmax of an empty score row")
     bits = _bits_for(delta)
     top = rat_max(scores)
-    nums = [rat_exp_approx(s - top, bits) for s in scores]
+    cut = 7 * (bits + len(scores).bit_length())
+    nums = []
+    for s in scores:
+        x = s - top
+        nums.append(RAT_ZERO if 10 * x.num <= -cut * x.den else rat_exp_approx(x, bits))
     total = rat_sum(nums)
     return [e / total for e in nums]
 
@@ -302,8 +326,22 @@ def eval_budgeted(model: Model, w: str, epsilon: Rat) -> Rat:
     return _eval_planned(model, w, epsilon)[0]
 
 
+def _round_to_grid(x: Rat, g: int) -> Rat:
+    """x unchanged if its denominator is at most 2^g, else the nearest
+    multiple of 2^-g (ties up), within 2^-(g+1) of x."""
+    if x.den <= 1 << g:
+        return x
+    return Rat(((x.num << (g + 1)) + x.den) // (2 * x.den), 1 << g)
+
+
 def _eval_planned(model: Model, w: str, epsilon: Rat) -> tuple[Rat, ErrorBudget]:
-    """eval_budgeted's output together with the one budget planned for it."""
+    """eval_budgeted's output together with the one budget planned for it.
+
+    The exact forward value is within epsilon/2 of the truth (the planned
+    share); rounding it to the 2^-g grid, 2^-g <= epsilon, costs at most
+    another 2^-(g+1) <= epsilon/2 and bounds the output's width by g bits
+    below the point.
+    """
     check_heads(model, "softmax", "the budgeted contract covers softmax heads")
     xs = embed_input(model, w)
     budget = plan_budget(model, len(xs), epsilon)
@@ -312,7 +350,7 @@ def _eval_planned(model: Model, w: str, epsilon: Rat) -> tuple[Rat, ErrorBudget]
         lambda scores, li, hi: softmax_budgeted(scores, deltas[("layer", li, "head", hi, "softmax")]),
         lambda x, ln, li, site: layernorm_budgeted(x, ln, deltas[("layer", li, site)]),
     )
-    return forward(model, xs, backend)[0], budget
+    return _round_to_grid(forward(model, xs, backend)[0], _bits_for(epsilon)), budget
 
 
 def margin_recognize(model: Model, w: str, epsilon_margin: Rat) -> Decision:

@@ -16,8 +16,10 @@
   error at most 2^-p (the series runs at roughly 2p bits because the final
   rounding already spends nearly the whole 2^-p allowance).
 
-The rational variants for the error-budgeted evaluator sum the same series
-in exact rational arithmetic, with no rounding anywhere.
+The rational variants for the error-budgeted evaluator return dyadics with
+a stated relative error: exp is the floored fixed-point enclosure, sqrt an
+integer square root, each at a few bits beyond the requested precision, so
+their width is set by that precision and not by the argument's.
 """
 
 from __future__ import annotations
@@ -46,21 +48,6 @@ class SeriesPlan:
     terms: int
     work_bits: int
     remainder_bound: Rat
-
-
-@lru_cache(maxsize=None)
-def sqrt_plan(bits: int) -> SeriesPlan:
-    """Fewest binomial terms with tail 4*(3/4)^N <= 2^-(bits+3)."""
-    if bits < 1:
-        raise DomainError("sqrt_plan needs bits >= 1")
-    n = 1
-    pow3, pow4 = 3, 4
-    scale = 1 << (bits + 5)
-    while pow3 * scale > pow4:
-        n += 1
-        pow3 *= 3
-        pow4 *= 4
-    return SeriesPlan(n, bits, Rat(4 * pow3, pow4))
 
 
 @lru_cache(maxsize=None)
@@ -133,21 +120,6 @@ def _exp_enclosure(rn: int, rd: int, terms: int, shift: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _sqrt_series(r: Rat, terms: int) -> Rat:
-    """Exact sum_{i<terms} binom(1/2, i) (r-1)^i for r in [1/4, 1)."""
-    a, b = r.num, r.den
-    u_num = a - b  # (r - 1) has denominator b; nonpositive here
-    term_num = 1
-    total = 1
-    den = 1
-    for i in range(terms - 1):
-        term_num = term_num * u_num * (1 - 2 * i)
-        step = 2 * b * (i + 1)
-        total = total * step + term_num
-        den *= step
-    return Rat(total, den)
-
-
 def range_reduce_sqrt(x: PFloat) -> tuple[Rat, int]:
     """Write x = r * 2^k exactly with r in [1/4, 1) and k even."""
     if x.m <= 0:
@@ -212,8 +184,8 @@ def f_exp(x: PFloat, p: int | None = None) -> PFloat:
 
 # --------------------------------------------------------------------------
 # Rational-valued variants used by the error-budgeted evaluator.  Same
-# series machinery, but the result stays rational with a stated relative
-# error instead of being rounded to a float.
+# machinery, but the result is a dyadic with a stated relative error
+# instead of a float rounded to p bits.
 # --------------------------------------------------------------------------
 
 
@@ -228,10 +200,18 @@ def rat_floor_log2(x: Rat) -> int:
 
 
 def rat_exp_approx(x: Rat, rel_bits: int) -> Rat:
-    """A rational y with |y / exp(x) - 1| <= 2^-rel_bits.
+    """A dyadic y with |y / exp(x) - 1| <= 2^-rel_bits.
 
-    Materializes 2^|k| for k ~ x/log2, so callers keep |x| moderate (the
-    budgeted evaluator shifts softmax scores by the row max first).
+    Same range reduction as f_exp at working width w = rel_bits + 4, and
+    y = lo * 2^(k - shift) with lo the floored fixed-point enclosure of the
+    truncated series.  Three relative errors add up: the series tail
+    (<= 2^-(w+2)), the enclosure (below 4 * terms * 2^-shift <= 2^-(w+6),
+    as shift = w + _EXP_GUARD + terms.bit_length()) and the log2 constant
+    (about |k| * 2^-bits <= 2^-(w+8)); together they stay below
+    2^-(w+1) = 2^-(rel_bits+3).  y has about shift + 1 significant bits,
+    whatever the width of x.  Materializes 2^|k| for k ~ x/log2, so callers
+    keep |x| moderate (the budgeted evaluator shifts softmax scores by the
+    row max first and flushes terms far below it).
     """
     if rel_bits < 1:
         raise DomainError("rel_bits must be >= 1")
@@ -239,33 +219,38 @@ def rat_exp_approx(x: Rat, rel_bits: int) -> Rat:
         return RAT_ONE
     w = rel_bits + 4
     log_mag = rat_floor_log2(x)
-    if log_mag <= -(w + 8):
-        return RAT_ONE + x
     bits = w + max(2, log_mag + 2) + 8
     lam = log2_const(bits)
     k = (x.num * lam.den) // (x.den * lam.num)
-    r = Rat(x.num * lam.den - k * lam.num * x.den, x.den * lam.den)
-    total = _exp_series(r, exp_plan(w).terms)
-    if k >= 0:
-        return Rat(total.num << k, total.den)
-    return Rat(total.num, total.den << -k)
+    rn = x.num * lam.den - k * lam.num * x.den
+    rd = x.den * lam.den
+    terms = exp_plan(w).terms
+    shift = w + _EXP_GUARD + terms.bit_length()
+    lo, _ = _exp_enclosure(rn, rd, terms, shift)
+    return _dyadic(lo, k - shift)
 
 
 def rat_sqrt_approx(x: Rat, rel_bits: int) -> Rat:
-    """A rational y with |y / sqrt(x) - 1| <= 2^-rel_bits, for x > 0."""
+    """A dyadic y with |y / sqrt(x) - 1| < 2^-(rel_bits+2), for x > 0.
+
+    With m = rel_bits + 2 - floor(floor_log2(x) / 2), X = x * 4^m is at
+    least 4^(rel_bits+2), and y = isqrt(floor(X)) / 2^m lies within one unit
+    below sqrt(X) / 2^m.
+    """
     if rel_bits < 1:
         raise DomainError("rel_bits must be >= 1")
     if x.num <= 0:
         raise DomainError("square root of a nonpositive rational")
-    log_mag = rat_floor_log2(x)
-    k = log_mag + 1 if log_mag % 2 else log_mag + 2
-    # r = x * 2^-k lands in [1/4, 1), k even
-    if k >= 0:
-        r = Rat(x.num, x.den << k)
+    m = rel_bits + 2 - (rat_floor_log2(x) >> 1)
+    if m >= 0:
+        scaled = (x.num << (2 * m)) // x.den
     else:
-        r = Rat(x.num << -k, x.den)
-    total = _sqrt_series(r, sqrt_plan(rel_bits + 2).terms)
-    half_k = k // 2
-    if half_k >= 0:
-        return Rat(total.num << half_k, total.den)
-    return Rat(total.num, total.den << -half_k)
+        scaled = x.num // (x.den << (-2 * m))
+    return _dyadic(math.isqrt(scaled), -m)
+
+
+def _dyadic(m: int, e: int) -> Rat:
+    """m * 2^e as a canonical Rat."""
+    if e >= 0:
+        return Rat._raw(m << e, 1)
+    return Rat(m, 1 << -e)

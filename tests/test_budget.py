@@ -8,6 +8,8 @@ negligible against every epsilon used here.
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exact_xformer import (
     DomainError,
@@ -23,7 +25,7 @@ from exact_xformer import (
     softmax_budgeted,
     sqrt_bounds,
 )
-from exact_xformer.budget import softmax_delta
+from exact_xformer.budget import _inf_norm, softmax_delta
 from exact_xformer.model_ir import LayerNorm
 
 EPS16 = Rat(1, 1 << 16)
@@ -107,6 +109,31 @@ def test_sqrt_bounds_invariants(x):
     assert (hi - lo) * Rat(1 << 90) < hi  # relative width well under 2^-90
 
 
+def _inf_norm_fold(mat):
+    """Largest row sum of |entries|, folded one Rat addition at a time."""
+    best = Rat(0)
+    for row in mat:
+        total = Rat(0)
+        for x in row:
+            total = total + abs(x)
+        best = max(best, total)
+    return best
+
+
+_entries = st.builds(
+    Rat,
+    st.integers(min_value=-(1 << 80), max_value=1 << 80),
+    st.one_of(st.integers(min_value=1, max_value=1 << 80), st.sampled_from((1, 2, 3, 4, 6, 12, 1 << 40))),
+)
+
+
+@given(st.lists(st.lists(_entries, max_size=6), max_size=5))
+@settings(max_examples=200)
+def test_inf_norm_matches_rat_fold(mat):
+    got, want = _inf_norm(mat), _inf_norm_fold(mat)
+    assert (got.num, got.den) == (want.num, want.den)
+
+
 # --- the budget plan --------------------------------------------------------------
 
 
@@ -150,6 +177,32 @@ def test_softmax_budgeted_near_true_weights():
     lo = e_lo / (e_hi + Rat(1))
     hi = e_hi / (e_lo + Rat(1))
     assert lo - Rat(17) * delta <= w[0] <= hi + Rat(17) * delta
+
+
+def test_softmax_budgeted_flushes_only_terms_below_threshold():
+    # delta = 2^-20 and n = 3 give T = 22: a term is flushed iff
+    # 10*(s - top) <= -154, and exp(-15.4) < 2^-22 < exp(-15)
+    delta = Rat(1, 1 << 20)
+    kept = softmax_budgeted([Rat(0), Rat(-15), Rat(-1, 2)], delta)
+    flushed = softmax_budgeted([Rat(0), Rat(-77, 5), Rat(-1, 2)], delta)
+    assert kept[1] > Rat(0)
+    assert flushed[1] == Rat(0)
+    assert sum(flushed, Rat(0)) == Rat(1)
+
+
+def test_softmax_budgeted_far_term_is_narrow_and_within_bound():
+    # exp(-10^6) as a dyadic would carry a ~1.44M-bit denominator into every
+    # weight; flushed, the row stays narrow and within 16*delta of the truth
+    import mpmath
+
+    delta = Rat(1, 1 << 20)
+    scores = [Rat(1, 3), Rat(-10**6), Rat(-2, 7)]
+    w = softmax_budgeted(scores, delta)
+    assert max(x.den.bit_length() for x in w) < 200
+    with mpmath.workprec(256):
+        ex = [mpmath.exp(mpmath.mpf(s.num) / s.den) for s in scores]
+        for wi, ei in zip(w, ex):
+            assert abs(mpmath.mpf(wi.num) / wi.den - ei / sum(ex)) <= 16 * mpmath.mpf(delta.num) / delta.den
 
 
 def test_layernorm_budgeted_tracks_exact_form():

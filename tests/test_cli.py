@@ -6,13 +6,14 @@ errors, 3 range/indeterminate outcomes (overflow, exact tie, below margin).
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from exact_xformer import budget, cli, serialize_model, load_model
+from exact_xformer import Rat, budget, cli, serialize_model, load_model
 from exact_xformer.verify import SuiteResult
 
 
@@ -76,7 +77,8 @@ def test_eval_budgeted_with_trace(capsys):
     assert "layer.0.head.0.softmax" in doc["trace"]["site_deltas"]
 
 
-# recorded before the CLI and eval_budgeted shared one planned budget
+# the planned tolerances start from epsilon/2; the other half pays for
+# rounding the output to the epsilon grid
 BUDGETED_TRACE_JSON = """{
   "command": "eval",
   "decision": "accept",
@@ -86,13 +88,13 @@ BUDGETED_TRACE_JSON = """{
   "model": "softmax-uniform",
   "trace": {
     "site_deltas": {
-      "layer.0.head.0.softmax": "1/16777216"
+      "layer.0.head.0.softmax": "1/33554432"
     },
     "stage_tolerances": {
-      "layer.0.attn_out": "1/131072",
-      "layer.0.ffnn_in": "1/131072",
-      "layer.0.input": "1/262144",
-      "layer.0.out": "1/65536",
+      "layer.0.attn_out": "1/262144",
+      "layer.0.ffnn_in": "1/262144",
+      "layer.0.input": "1/524288",
+      "layer.0.out": "1/131072",
       "output": "1/65536"
     }
   },
@@ -128,6 +130,26 @@ def test_eval_budgeted_trace_plans_once(capsys, monkeypatch):
     assert (code, err) == (0, "")
     assert len(calls) == 1
     assert out == BUDGETED_TRACE_JSON
+
+
+def test_eval_budgeted_fine_epsilon_prints_value(capsys, tmp_path):
+    # a 1-layer softmax model from the benchmark zoo; at eps = 2^-128 the
+    # unrounded output has more digits than str(int) converts by default
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        import zoo
+    finally:
+        sys.path.pop(0)
+    doc = zoo.random_model(random.Random("cli-wide"), "softmax", 1, "mixed", False)
+    path = tmp_path / "wide.json"
+    path.write_text(zoo.to_text(doc))
+    code, out, err = run_cli(
+        capsys,
+        *f"eval --model {path} --input 1101 --mode budgeted --epsilon 1/{1 << 128} --json".split(),
+    )
+    assert (code, err) == (0, "")
+    value = Rat.from_string(json.loads(out)["value"]["rat"])
+    assert value.den <= 1 << 128
 
 
 def test_eval_exact_zero_is_tie_exit(capsys):

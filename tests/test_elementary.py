@@ -1,4 +1,4 @@
-"""exp and sqrt on p-bit floats, plus their rational series cores.
+"""exp and sqrt on p-bit floats, plus their dyadic variants for budgets.
 
 f_exp carries a relative-error contract (within 2^-p of the true value);
 f_sqrt is correctly rounded outright.  The checks here use interval
@@ -25,7 +25,7 @@ from exact_xformer import (
     round_p,
 )
 from exact_xformer import elementary
-from exact_xformer.elementary import _exp_series, exp_plan, range_reduce_sqrt, sqrt_plan
+from exact_xformer.elementary import _exp_series, exp_plan, range_reduce_sqrt
 from exact_xformer.pfloat import UnnormFloat, _round_ratio
 from exact_xformer.verify import exp_enclosure, sqrt_round_oracle
 
@@ -271,8 +271,6 @@ def test_range_reduce_sqrt_identity(x):
 def test_series_plan_tail_bounds(bits):
     ep = exp_plan(bits)
     assert ep.remainder_bound <= Rat(1, 1 << (bits + 2))
-    sp = sqrt_plan(bits)
-    assert sp.remainder_bound <= Rat(1, 1 << (bits + 3))
 
 
 @pytest.mark.parametrize(
@@ -293,3 +291,72 @@ def test_rat_sqrt_approx_square_near_argument(x):
     y = rat_sqrt_approx(x, bits)
     # |y/sqrt(x) - 1| <= 2^-bits implies |y^2/x - 1| <= 3*2^-bits
     assert abs(y * y - x) <= x * Rat(3, 1 << bits)
+
+
+# --- dyadic sites for the budgeted evaluator ----------------------------------------
+
+REL_BITS = st.sampled_from((1, 4, 16, 40, 70, 130))
+
+
+def _is_dyadic(y):
+    return y.den & (y.den - 1) == 0
+
+
+def _significant_bits(y):
+    """Bit length of the odd part of y's numerator."""
+    return (y.num >> ((y.num & -y.num).bit_length() - 1)).bit_length()
+
+
+@st.composite
+def _wide_rats(draw, log_min, log_max):
+    """Positive rationals in [2^mag, 2^(mag+1)), mag in [log_min, log_max],
+    over odd or power-of-two denominators of up to about 1000 bits."""
+    den = draw(
+        st.one_of(
+            st.integers(min_value=1, max_value=1000).map(lambda b: 1 << b),
+            st.integers(min_value=1, max_value=1 << 1000).map(lambda v: 2 * v + 1),
+        )
+    )
+    frac = draw(st.integers(min_value=1 << 32, max_value=(1 << 33) - 1))  # x / 2^mag in [1, 2)
+    num = (den * frac >> 32) | 1
+    mag = draw(st.integers(min_value=log_min, max_value=log_max))
+    return Rat(num << mag, den) if mag >= 0 else Rat(num, den << -mag)
+
+
+def _exp_args():
+    """Arguments of both signs with up to ~1000-bit denominators: moderate
+    ones, and tiny ones below the old 1 + x cut at 2^-(rel_bits + 12)."""
+    magnitudes = st.one_of(_wide_rats(-8, 3), _wide_rats(-400, -150))
+    return st.tuples(magnitudes, st.sampled_from((1, -1))).map(lambda t: Rat(t[0].num * t[1], t[0].den))
+
+
+@given(x=_exp_args(), rel_bits=REL_BITS)
+@settings(max_examples=150)
+def test_rat_exp_approx_dyadic_within_enclosure(x, rel_bits):
+    y = rat_exp_approx(x, rel_bits)
+    assert _is_dyadic(y)
+    # the width follows rel_bits, not the argument's thousand-bit denominator
+    assert _significant_bits(y) <= rel_bits + 24
+    lo, hi = exp_enclosure(x, rel_bits + 16)
+    tol = Rat(1, 1 << rel_bits)
+    assert lo * (Rat(1) - tol) <= y <= hi * (Rat(1) + tol)
+
+
+@given(x=_wide_rats(-300, 300), rel_bits=REL_BITS)
+@settings(max_examples=150)
+def test_rat_sqrt_approx_dyadic_square_near_argument(x, rel_bits):
+    y = rat_sqrt_approx(x, rel_bits)
+    assert _is_dyadic(y)
+    assert _significant_bits(y) <= rel_bits + 3
+    # |y/sqrt(x) - 1| <= 2^-rel_bits implies |y^2/x - 1| <= 3*2^-rel_bits
+    assert abs(y * y - x) <= x * Rat(3, 1 << rel_bits)
+
+
+def test_rat_sites_validate_arguments():
+    with pytest.raises(DomainError):
+        rat_exp_approx(Rat(1), 0)
+    with pytest.raises(DomainError):
+        rat_sqrt_approx(Rat(1), 0)
+    with pytest.raises(DomainError):
+        rat_sqrt_approx(Rat(0), 8)
+    assert rat_exp_approx(Rat(0), 8) == Rat(1)
