@@ -9,18 +9,8 @@ below sits at half the usual distance; the demo ends on such a case.
 Run:  python3 demos/02_pbit_floats.py
 """
 
-from exact_xformer import (
-    PFloat,
-    Rat,
-    block_threshold,
-    decimal_str,
-    f_add,
-    f_sum_blocks,
-    float_to_rat,
-    partition_blocks,
-    rat_to_string,
-    round_p,
-)
+from exact_xformer import PFloat, Rat, f_add, f_sum_blocks, round_p
+from exact_xformer.pfloat import block_threshold, decimal_str, float_to_rat, partition_blocks
 
 
 def show(tag: str, x: PFloat) -> None:
@@ -50,7 +40,7 @@ def main() -> None:
     # far block supplies -35/512, which is enough to cross it.
     xs = [PFloat(5, 0, p), PFloat(-4, 0, p)] + [PFloat(-7, -9, p)] * 5
     exact = sum((float_to_rat(v) for v in xs), Rat(0))
-    print(f"\ncorner case exact sum = {rat_to_string(exact)}")
+    print(f"\ncorner case exact sum = {exact}")
     show("f_sum_blocks     ", f_sum_blocks(xs))
     show("round_p of exact ", round_p(exact, p))
     print("(the far block dragged the result across the lower breakpoint)")

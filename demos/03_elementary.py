@@ -4,19 +4,10 @@ bound, sqrt correctly rounded, plus the rational enclosures behind them.
 Run:  python3 demos/03_elementary.py
 """
 
-from exact_xformer import (
-    FloatRangeError,
-    PFloat,
-    Rat,
-    decimal_str,
-    f_exp,
-    f_mul,
-    f_sqrt,
-    log2_const,
-    rat_to_string,
-    round_p,
-    sqrt_bounds,
-)
+from exact_xformer import FloatRangeError, PFloat, Rat, f_exp, f_mul, f_sqrt, round_p
+from exact_xformer.budget import sqrt_bounds
+from exact_xformer.elementary import log2_const
+from exact_xformer.pfloat import decimal_str
 
 
 def main() -> None:
@@ -46,9 +37,9 @@ def main() -> None:
 
     # The rational layer underneath: certified enclosures, width ~ 2^-bits.
     lo, hi = sqrt_bounds(Rat(2), bits=64)
-    print(f"sqrt(2) in [{rat_to_string(lo)[:30]}..., {rat_to_string(hi)[:30]}...]")
+    print(f"sqrt(2) in [{str(lo)[:30]}..., {str(hi)[:30]}...]")
     print(f"enclosure width < 2^-60: {hi - lo < Rat(1, 1 << 60)}")
-    print(f"log2 to 96 bits: {rat_to_string(log2_const(96))[:40]}...")
+    print(f"log2 to 96 bits: {str(log2_const(96))[:40]}...")
 
 
 if __name__ == "__main__":

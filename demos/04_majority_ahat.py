@@ -5,13 +5,8 @@ the intermediate operands get as inputs lengthen.
 Run:  python3 demos/04_majority_ahat.py
 """
 
-from exact_xformer import (
-    bit_growth_trace,
-    eval_ahat,
-    fit_loglog_slope,
-    load_model,
-    rat_to_string,
-)
+from exact_xformer import eval_ahat, load_model
+from exact_xformer.evaluator import bit_growth_trace, fit_loglog_slope
 
 
 def main() -> None:
@@ -21,7 +16,7 @@ def main() -> None:
         value, trace = eval_ahat(maj, w)
         decision = {1: "accept", -1: "reject", 0: "tie"}[value.sign]
         widest = max(max(b) for b in [trace.embedding_bits] + trace.layer_bits)
-        print(f"w={w!r:13} score={rat_to_string(value):8} -> {decision}"
+        print(f"w={w!r:13} score={str(value):8} -> {decision}"
               f"  (max intermediate: {widest} bits)")
 
     # Operand width over input length.  Majority's averages reduce to tiny

@@ -8,15 +8,13 @@ Run:  python3 demos/05_softmax_budgeted.py
 
 from exact_xformer import (
     Rat,
-    decimal_str,
     eval_budgeted,
     eval_smat_pbit,
-    float_to_rat,
     load_model,
     margin_recognize,
     plan_budget,
-    rat_to_string,
 )
+from exact_xformer.pfloat import decimal_str, float_to_rat
 
 
 def main() -> None:
@@ -24,12 +22,12 @@ def main() -> None:
     w = "1101"
     # Uniform attention makes the score (ones/length - 1/2) in closed form.
     truth = Rat(2 * w.count("1") - len(w), 2 * len(w))
-    print(f"w={w!r}: true score = {rat_to_string(truth)}")
+    print(f"w={w!r}: true score = {truth}")
 
     for p in (8, 24, 53):
         v = eval_smat_pbit(m, w, p)
         err = abs(float_to_rat(v) - truth)
-        print(f"  p={p:2} float: {decimal_str(v):18}  |error| = {rat_to_string(err)}")
+        print(f"  p={p:2} float: {decimal_str(v):18}  |error| = {err}")
 
     print("\nbudgeted mode: pick epsilon, get a rational within epsilon, certified")
     for k in (8, 32, 128):

@@ -1,168 +1,72 @@
 """Exact and precision-tracked evaluation of small transformer models.
 
-Three arithmetic regimes share one model format:
+Three arithmetic regimes share one model format and one forward pass:
 
 * exact rationals for average-hard-attention models (``eval_ahat``),
 * ``p``-bit correctly rounded floats for softmax models (``eval_smat_pbit``),
 * exact rationals with certified approximation sites whose error budgets
-  are planned backward from a requested output tolerance (``eval_budgeted``).
+  are planned backward from a requested output tolerance (``eval_budgeted``,
+  planned by ``plan_budget``; ``margin_recognize`` turns the output into a
+  ``Decision``).
 
-The float layer (``PFloat``, ``round_p``, ``f_add`` ... ``f_sum_blocks``) and
-the correctly rounded ``f_exp`` / ``f_sqrt`` are usable on their own.
+Models come from ``load_model`` (a builtin name or a JSON file path),
+``parse_model`` and ``serialize_model`` (the JSON form), or the fixtures
+``build_majority_model``, ``build_softmax_uniform_model`` and
+``build_inverse_index_model``.  Values are ``Rat`` (exact rationals) and
+``PFloat`` (``p``-bit floats).  The float layer (``round_p``, ``f_add``,
+``f_mul``, ``f_div``, ``f_sum_blocks``) and the correctly rounded ``f_exp`` /
+``f_sqrt`` are usable on their own, and ``run_suite`` runs one of the verify
+suites.  Failures raise ``DomainError``, ``EvalModeError``,
+``FloatRangeError`` or ``ModelLoadError``.
+
+These names are the public API; everything else is imported from its module
+(``exact_xformer.evaluator``, ``exact_xformer.verify``, ...).  The package
+uses nothing outside the standard library.
 """
 
-from .budget import (
-    Decision,
-    ErrorBudget,
-    eval_budgeted,
-    invsqrt_delta,
-    layernorm_budgeted,
-    margin_recognize,
-    plan_budget,
-    softmax_budgeted,
-    sqrt_bounds,
-)
-from .elementary import (
-    f_exp,
-    f_sqrt,
-    log2_const,
-    rat_exp_approx,
-    rat_sqrt_approx,
-)
-from .errors import (
-    DomainError,
-    EvalModeError,
-    FloatRangeError,
-    ModelLoadError,
-    TieError,
-)
-from .evaluator import (
-    EvalTrace,
-    ahardmax_weights,
-    bit_growth_trace,
-    embed_input,
-    eval_ahat,
-    eval_smat_pbit,
-    fit_loglog_slope,
-    layernorm_pbit,
-    softmax_pbit,
-)
-from .intkernel import Ordering
+from .budget import Decision, eval_budgeted, margin_recognize, plan_budget
+from .elementary import f_exp, f_sqrt
+from .errors import DomainError, EvalModeError, FloatRangeError, ModelLoadError
+from .evaluator import eval_ahat, eval_smat_pbit
 from .model_ir import (
-    BUILTIN_MODELS,
-    AttentionHead,
-    FFNN,
-    Layer,
-    LayerNorm,
-    Model,
-    OutputHead,
-    PositionRule,
     build_inverse_index_model,
     build_majority_model,
     build_softmax_uniform_model,
     load_model,
     parse_model,
-    position_embedding,
     serialize_model,
 )
-from .pfloat import (
-    PFloat,
-    block_threshold,
-    decimal_str,
-    f_add,
-    f_cmp,
-    f_div,
-    f_mul,
-    f_neg,
-    f_sum_blocks,
-    f_sum_oracle,
-    float_to_rat,
-    partition_blocks,
-    round_p,
-)
-from .rational import (
-    RAT_ONE,
-    RAT_ZERO,
-    Rat,
-    rat_bits,
-    rat_from_string,
-    rat_max,
-    rat_sum,
-    rat_to_string,
-)
-from .verify import SUITES, CaseFailure, SuiteResult, run_all, run_suite
+from .pfloat import PFloat, f_add, f_div, f_mul, f_sum_blocks, round_p
+from .rational import Rat
+from .verify import run_suite
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttentionHead",
-    "BUILTIN_MODELS",
-    "CaseFailure",
     "Decision",
     "DomainError",
-    "ErrorBudget",
     "EvalModeError",
-    "EvalTrace",
-    "FFNN",
     "FloatRangeError",
-    "Layer",
-    "LayerNorm",
-    "Model",
     "ModelLoadError",
-    "Ordering",
-    "OutputHead",
     "PFloat",
-    "PositionRule",
-    "RAT_ONE",
-    "RAT_ZERO",
     "Rat",
-    "SUITES",
-    "SuiteResult",
-    "TieError",
-    "ahardmax_weights",
-    "bit_growth_trace",
-    "block_threshold",
     "build_inverse_index_model",
     "build_majority_model",
     "build_softmax_uniform_model",
-    "decimal_str",
-    "embed_input",
     "eval_ahat",
     "eval_budgeted",
     "eval_smat_pbit",
     "f_add",
-    "f_cmp",
     "f_div",
     "f_exp",
     "f_mul",
-    "f_neg",
     "f_sqrt",
     "f_sum_blocks",
-    "f_sum_oracle",
-    "fit_loglog_slope",
-    "float_to_rat",
-    "invsqrt_delta",
-    "layernorm_budgeted",
-    "layernorm_pbit",
     "load_model",
-    "log2_const",
     "margin_recognize",
     "parse_model",
-    "partition_blocks",
     "plan_budget",
-    "position_embedding",
-    "rat_bits",
-    "rat_exp_approx",
-    "rat_from_string",
-    "rat_max",
-    "rat_sqrt_approx",
-    "rat_sum",
-    "rat_to_string",
     "round_p",
-    "run_all",
     "run_suite",
     "serialize_model",
-    "softmax_budgeted",
-    "softmax_pbit",
-    "sqrt_bounds",
 ]

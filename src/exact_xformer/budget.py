@@ -34,13 +34,12 @@ from .elementary import rat_exp_approx, rat_floor_log2, rat_sqrt_approx
 from .errors import DomainError
 from .evaluator import check_heads, embed_input, exact_backend, forward
 from .model_ir import LayerNorm, Model
-from .rational import RAT_ZERO, Rat, _sum_over_lcm, rat_max, rat_sum
+from .rational import RAT_ONE, RAT_ZERO, Rat, _sum_over_lcm, rat_max, rat_sum
 
 Tol = Optional[Rat]  # None = unconstrained (the stage's output is exact)
 
 SQRT2_UPPER = Rat(665857, 470832)  # 665857^2 = 2*470832^2 + 1, so this exceeds sqrt(2)
 
-RAT_ONE = Rat(1)
 RAT_HALF = Rat(1, 2)
 
 

@@ -25,11 +25,11 @@ import time
 from typing import Optional
 
 from .budget import _eval_planned
-from .errors import DomainError, EvalModeError, FloatRangeError, ModelLoadError, TieError
+from .errors import DomainError, EvalModeError, FloatRangeError, ModelLoadError
 from .evaluator import bit_growth_trace, eval_ahat, eval_smat_pbit, fit_loglog_slope
 from .model_ir import BUILTIN_MODELS, load_model
 from .pfloat import PFloat, decimal_str, round_p
-from .rational import Rat, rat_from_string, rat_to_string
+from .rational import Rat
 from .verify import SUITES, run_all, run_suite
 
 ENV_SEED = "EXACT_XFORMER_SEED"
@@ -51,13 +51,13 @@ def _value_json(value) -> dict:
         d = value.to_json_dict()
         d["decimal_approx"] = decimal_str(value)
         return d
-    return {"rat": rat_to_string(value), "decimal_approx": _decimal_of_rat(value)}
+    return {"rat": str(value), "decimal_approx": _decimal_of_rat(value)}
 
 
 def _value_human(value) -> str:
     if isinstance(value, PFloat):
         return f"<{value.m}|{value.e}> at p={value.p} (~ {decimal_str(value)})"
-    return f"{rat_to_string(value)} (~ {_decimal_of_rat(value)})"
+    return f"{value} (~ {_decimal_of_rat(value)})"
 
 
 def _site_key(key: tuple) -> str:
@@ -66,7 +66,7 @@ def _site_key(key: tuple) -> str:
 
 def _parse_rat_arg(parser: argparse.ArgumentParser, text: str, flag: str) -> Rat:
     try:
-        return rat_from_string(text)
+        return Rat.from_string(text)
     except (ValueError, DomainError):
         parser.error(f"{flag} expects a rational like 3/4, got {text!r}")
 
@@ -168,17 +168,17 @@ def _cmd_eval(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             if args.trace:
                 trace_info = {
                     "site_deltas": {
-                        _site_key(k): rat_to_string(v) for k, v in budget.site_deltas.items()
+                        _site_key(k): str(v) for k, v in budget.site_deltas.items()
                     },
                     "stage_tolerances": {
-                        _site_key(k): (None if v is None else rat_to_string(v))
+                        _site_key(k): (None if v is None else str(v))
                         for k, v in budget.stage_tolerances.items()
                     },
                 }
     except (EvalModeError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FloatRangeError, TieError) as exc:
+    except FloatRangeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RANGE
     elapsed = time.perf_counter() - started
@@ -202,7 +202,7 @@ def _cmd_eval(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         if args.mode == "smat":
             payload["precision"] = args.precision
         if args.mode == "budgeted":
-            payload["epsilon"] = rat_to_string(eps)
+            payload["epsilon"] = str(eps)
         if trace_info is not None:
             payload["trace"] = trace_info
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -213,7 +213,7 @@ def _cmd_eval(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         if args.mode == "smat":
             print(f"precision: {args.precision}")
         if args.mode == "budgeted":
-            print(f"epsilon: {rat_to_string(eps)}")
+            print(f"epsilon: {eps}")
         print(f"value: {_value_human(value)}")
         print(f"decision: {decision}")
         if trace_info is not None:
@@ -296,10 +296,10 @@ def _cmd_bitgrowth(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
     started = time.perf_counter()
     try:
         rows = bit_growth_trace(model, lengths)
+        slope = fit_loglog_slope(rows)
     except (EvalModeError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    slope = fit_loglog_slope(rows)
     elapsed = time.perf_counter() - started
 
     if args.json:
@@ -315,7 +315,7 @@ def _cmd_bitgrowth(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
                 }
                 for row in rows
             ],
-            "slope": float(slope),
+            "slope": slope,
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -323,7 +323,7 @@ def _cmd_bitgrowth(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
         print(f"{'n':>6}  {'max_bits':>9}  layer_bits")
         for row in rows:
             print(f"{row['n']:>6}  {row['max_bits']:>9}  {row['layer_bits']}")
-        print(f"log-log slope: {float(slope):.4f}")
+        print(f"log-log slope: {slope:.4f}")
         print(f"elapsed: {elapsed:.3f}s")
     return EXIT_OK
 

@@ -25,7 +25,6 @@ their width is set by that precision and not by the argument's.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, FloatRangeError
@@ -41,18 +40,9 @@ from .rational import RAT_ONE, Rat
 _EXP_GUARD = 8
 
 
-@dataclass(frozen=True)
-class SeriesPlan:
-    """A truncation choice: take `terms` terms, trust `remainder_bound`."""
-
-    terms: int
-    work_bits: int
-    remainder_bound: Rat
-
-
 @lru_cache(maxsize=None)
-def exp_plan(work_bits: int) -> SeriesPlan:
-    """Fewest Taylor terms with tail 2*(3/4)^N / N! <= 2^-(work_bits+2).
+def exp_plan(work_bits: int) -> int:
+    """Fewest Taylor terms N with tail 2*(3/4)^N / N! <= 2^-(work_bits+2).
 
     Valid for arguments in [0, log 2): the tail of sum r^i/i! after N terms
     is below 2 * r^N / N! once N >= 1, and r < 3/4.
@@ -67,7 +57,7 @@ def exp_plan(work_bits: int) -> SeriesPlan:
         pow3 *= 3
         pow4 *= 4
         fact *= n
-    return SeriesPlan(n, work_bits, Rat(2 * pow3, pow4 * fact))
+    return n
 
 
 @lru_cache(maxsize=None)
@@ -120,6 +110,24 @@ def _exp_enclosure(rn: int, rd: int, terms: int, shift: int) -> tuple[int, int]:
     return lo, hi
 
 
+def _exp_reduced(x: Rat, w: int, log_mag: int) -> tuple[int, int, int, int, int, int]:
+    """The range reduction and enclosure shared by f_exp and rat_exp_approx.
+
+    With log_mag = floor(log2 |x|) and lam = log2_const(w + max(2, log_mag + 2)
+    + 8) <= log 2, x = k * lam + rn / rd exactly with k = floor(x / lam), and
+    lo <= S * 2^shift <= hi encloses S, the exp_plan(w)-term Taylor sum of
+    exp(rn / rd).  Returns (k, rn, rd, shift, lo, hi).
+    """
+    lam = log2_const(w + max(2, log_mag + 2) + 8)
+    k = (x.num * lam.den) // (x.den * lam.num)  # exact floor(x / lam)
+    rn = x.num * lam.den - k * lam.num * x.den
+    rd = x.den * lam.den
+    terms = exp_plan(w)
+    shift = w + _EXP_GUARD + terms.bit_length()
+    lo, hi = _exp_enclosure(rn, rd, terms, shift)
+    return k, rn, rd, shift, lo, hi
+
+
 def range_reduce_sqrt(x: PFloat) -> tuple[Rat, int]:
     """Write x = r * 2^k exactly with r in [1/4, 1) and k even."""
     if x.m <= 0:
@@ -164,21 +172,13 @@ def f_exp(x: PFloat, p: int | None = None) -> PFloat:
     if log_mag <= -(2 * p + 16):
         # exp(x) = 1 + x up to a relative 2^(2*log_mag + 2) <= 2^-(4p+30)
         return f_add(_round_dyadic(1, 0, p), _round_dyadic(x.m, x.e, p))
-    bits = w + max(2, log_mag + 2) + 8
-    lam = log2_const(bits)
-    xr = float_to_rat(x)
-    k = (xr.num * lam.den) // (xr.den * lam.num)  # exact floor(x / lam)
+    k, rn, rd, shift, lo, hi = _exp_reduced(float_to_rat(x), w, log_mag)
     if not -(1 << p) <= k < (1 << p):
         raise FloatRangeError(f"exp scaling k={k} outside [-2^{p}, 2^{p})")
-    rn = xr.num * lam.den - k * lam.num * xr.den
-    rd = xr.den * lam.den
-    terms = exp_plan(w).terms
-    shift = w + _EXP_GUARD + terms.bit_length()
-    lo, hi = _exp_enclosure(rn, rd, terms, shift)
     y = _round_dyadic(lo, k - shift, p)
     if y == _round_dyadic(hi, k - shift, p):
         return y
-    total = _exp_series(Rat(rn, rd), terms)
+    total = _exp_series(Rat(rn, rd), exp_plan(w))
     return _round_ratio(total.num, total.den, k, p)
 
 
@@ -217,16 +217,7 @@ def rat_exp_approx(x: Rat, rel_bits: int) -> Rat:
         raise DomainError("rel_bits must be >= 1")
     if x.num == 0:
         return RAT_ONE
-    w = rel_bits + 4
-    log_mag = rat_floor_log2(x)
-    bits = w + max(2, log_mag + 2) + 8
-    lam = log2_const(bits)
-    k = (x.num * lam.den) // (x.den * lam.num)
-    rn = x.num * lam.den - k * lam.num * x.den
-    rd = x.den * lam.den
-    terms = exp_plan(w).terms
-    shift = w + _EXP_GUARD + terms.bit_length()
-    lo, _ = _exp_enclosure(rn, rd, terms, shift)
+    k, _, _, shift, lo, _ = _exp_reduced(x, rel_bits + 4, rat_floor_log2(x))
     return _dyadic(lo, k - shift)
 
 

@@ -9,10 +9,6 @@ class FloatRangeError(ArithmeticError):
     """A result needs an exponent outside the representable range [-2^p, 2^p)."""
 
 
-class TieError(ArithmeticError):
-    """A recognizer output is exactly zero, so acceptance is undefined."""
-
-
 class EvalModeError(ValueError):
     """A model's structure does not fit the requested evaluation mode."""
 

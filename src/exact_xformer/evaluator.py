@@ -21,8 +21,10 @@ positive output accepts, negative rejects, exact zero is a tie.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from .elementary import f_exp, f_sqrt
@@ -304,14 +306,15 @@ def bit_growth_trace(model: Model, lengths: Sequence[int]) -> list[dict]:
 
 
 def fit_loglog_slope(rows: Sequence[dict]) -> float:
-    """Least-squares slope of log2(max_bits) against log2(n)."""
-    import math
+    """Least-squares slope of log2(max_bits) against log2(n).
 
-    import numpy as np
-
-    if len(rows) < 2:
-        raise DomainError("slope fit needs at least two lengths")
-    xs = np.array([math.log2(r["n"]) for r in rows])
-    ys = np.array([math.log2(r["max_bits"]) for r in rows])
-    slope, _ = np.polyfit(xs, ys, 1)
-    return float(slope)
+    The closed form runs exactly in Fractions over the float logarithms,
+    so the one rounding is the final conversion to a float.
+    """
+    xs = [Fraction(math.log2(r["n"])) for r in rows]
+    ys = [Fraction(math.log2(r["max_bits"])) for r in rows]
+    k, sx, sy = len(rows), sum(xs), sum(ys)
+    spread = k * sum(x * x for x in xs) - sx * sx
+    if spread == 0:
+        raise DomainError("slope fit needs at least two distinct lengths")
+    return float((k * sum(x * y for x, y in zip(xs, ys)) - sx * sy) / spread)

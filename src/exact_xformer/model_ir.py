@@ -450,5 +450,9 @@ def load_model(source: str) -> Model:
         return BUILTIN_MODELS[source]()
     if not os.path.exists(source):
         raise ModelLoadError("", f"no such model file or builtin fixture: {source!r}")
-    with open(source, "r", encoding="utf-8") as fh:
-        return parse_model(fh.read())
+    try:
+        with open(source, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ModelLoadError("", f"cannot read model file {source!r}: {exc}") from None
+    return parse_model(text)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .errors import DomainError
-from .intkernel import Ordering, parse_int
 from .rational import Rat, rat_sum
 
 
@@ -54,13 +53,6 @@ class PFloat:
 
     def to_json_dict(self) -> dict:
         return {"m": str(self.m), "e": str(self.e), "p": self.p}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "PFloat":
-        m, e = d["m"], d["e"]
-        if not isinstance(m, str) or not isinstance(e, str):
-            raise DomainError("m and e must be canonical decimal strings")
-        return cls(parse_int(m), parse_int(e), d["p"])
 
 
 @dataclass(frozen=True)
@@ -217,19 +209,19 @@ def f_neg(x: PFloat) -> PFloat:
     return PFloat(-x.m, x.e, x.p)
 
 
-def f_cmp(x: PFloat, y: PFloat) -> Ordering:
-    """Exact comparison; never materializes 2^|e1 - e2|."""
+def f_cmp(x: PFloat, y: PFloat) -> int:
+    """Exact comparison: -1, 0 or 1; never materializes 2^|e1 - e2|."""
     _check_pair(x, y)
     sx, sy = x.sign, y.sign
     if sx != sy:
-        return Ordering.GT if sx > sy else Ordering.LT
+        return 1 if sx > sy else -1
     if sx == 0:
-        return Ordering.EQ
+        return 0
     # same nonzero sign: compare magnitudes via their top-bit positions first
     lx = x.e + abs(x.m).bit_length()
     ly = y.e + abs(y.m).bit_length()
     if lx != ly:
-        mag = Ordering.GT if lx > ly else Ordering.LT
+        mag = 1 if lx > ly else -1
     else:
         # equal scale: |e gap| is at most the significand width
         if x.e >= y.e:
@@ -237,9 +229,9 @@ def f_cmp(x: PFloat, y: PFloat) -> Ordering:
         else:
             ax, ay = abs(x.m), abs(y.m) << (y.e - x.e)
         if ax == ay:
-            return Ordering.EQ
-        mag = Ordering.GT if ax > ay else Ordering.LT
-    return mag if sx > 0 else Ordering(-mag)
+            return 0
+        mag = 1 if ax > ay else -1
+    return mag * sx
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Exact rational arithmetic with explicit bit-cost accounting.
+"""Exact rational arithmetic in canonical form.
 
 A value is a pair (num, den) with den >= 1, gcd(|num|, den) = 1, and the sign
 carried on the numerator; zero is 0/1.  Binary operations keep their gcds on
@@ -177,16 +177,3 @@ def rat_max(xs: Sequence[Rat]) -> Rat:
     if len(xs) == 0:
         raise DomainError("rat_max of an empty list")
     return max(xs)
-
-
-def rat_bits(x: Rat) -> tuple[int, int]:
-    """(numerator bits, denominator bits); zero reports (0, 1)."""
-    return (abs(x.num).bit_length(), x.den.bit_length())
-
-
-def rat_from_string(text: str) -> Rat:
-    return Rat.from_string(text)
-
-
-def rat_to_string(x: Rat) -> str:
-    return str(x)

@@ -266,9 +266,9 @@ def _run_round(p: int) -> SuiteResult:
         grid = [ra, mid - step, mid, mid + step, rb]
         outs = [round_p(v, p) for v in grid]
         for u, v in zip(outs, outs[1:]):
-            if f_cmp(u, v).value > 0:
+            if f_cmp(u, v) > 0:
                 res.failures.append(CaseFailure("not-monotone", f"{p}:{ra}", f"{u} > {v}"))
-        if prev_out is not None and f_cmp(prev_out, outs[0]).value > 0:
+        if prev_out is not None and f_cmp(prev_out, outs[0]) > 0:
             res.failures.append(CaseFailure("not-monotone", f"{p}:{ra}", "across gaps"))
         prev_out = outs[-1]
     return res
@@ -327,8 +327,8 @@ def _run_exp(p: int, cases: int, seed: int) -> SuiteResult:
             res.failures.append(CaseFailure("rel-error", tag, f"exp({x}) = {y} deviates"))
         if idx % 8 == 0:
             x2 = PFloat(_rand_sig(rng, p), rng.randint(-p - 2, 6 - p), p)
-            a, b = (x, x2) if f_cmp(x, x2).value <= 0 else (x2, x)
-            if f_cmp(f_exp(a), f_exp(b)).value > 0:
+            a, b = (x, x2) if f_cmp(x, x2) <= 0 else (x2, x)
+            if f_cmp(f_exp(a), f_exp(b)) > 0:
                 res.failures.append(CaseFailure("not-monotone", tag, f"exp({a}) > exp({b})"))
     return res
 

@@ -17,17 +17,16 @@ from exact_xformer import (
     Decision,
     PFloat,
     Rat,
-    bit_growth_trace,
     eval_ahat,
     eval_budgeted,
     f_add,
     f_div,
     f_mul,
-    fit_loglog_slope,
     load_model,
     margin_recognize,
     run_suite,
 )
+from exact_xformer.evaluator import bit_growth_trace, fit_loglog_slope
 from exact_xformer.verify import _case_rng
 
 pytestmark = pytest.mark.slow

@@ -16,17 +16,20 @@ from exact_xformer import (
     Rat,
     eval_budgeted,
     eval_smat_pbit,
-    float_to_rat,
-    invsqrt_delta,
-    layernorm_budgeted,
     load_model,
     parse_model,
     plan_budget,
+)
+from exact_xformer.budget import (
+    _inf_norm,
+    invsqrt_delta,
+    layernorm_budgeted,
     softmax_budgeted,
+    softmax_delta,
     sqrt_bounds,
 )
-from exact_xformer.budget import _inf_norm, softmax_delta
 from exact_xformer.model_ir import LayerNorm
+from exact_xformer.pfloat import float_to_rat
 
 EPS16 = Rat(1, 1 << 16)
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from exact_xformer import Rat, budget, cli, serialize_model, load_model
+from exact_xformer import Rat, budget, cli
 from exact_xformer.verify import SuiteResult
 
 
@@ -343,6 +343,19 @@ def test_bitgrowth_missing_model_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["eval", "bitgrowth"])
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_model_path_is_load_error(capsys, tmp_path, command, kind):
+    path = tmp_path
+    if kind == "not-utf8":
+        path = tmp_path / "model.json"
+        path.write_bytes(b'\xff\xfe{"format_version": 1}')
+    rest = ["--input", "1", "--mode", "ahat"] if command == "eval" else ["--lengths", "4,8"]
+    code, out, err = run_cli(capsys, command, "--model", str(path), *rest)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read model file {str(path)!r}")
+
+
 # --- top level ---------------------------------------------------------------------
 
 
@@ -354,12 +367,15 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert cli.main(["frobnicate"]) == 2
 
 
-def _run_module(*argv):
+def _run_python(*args):
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    cmd = [sys.executable, "-m", "exact_xformer.cli", *argv]
-    return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+def _run_module(*argv):
+    return _run_python("-m", "exact_xformer.cli", *argv)
 
 
 def test_module_form_runs_the_command():
@@ -371,3 +387,19 @@ def test_module_form_runs_the_command():
 def test_module_form_usage_error_exits_nonzero():
     proc = _run_module("verify", "--suite", "bogus")
     assert proc.returncode == 2
+
+
+# Blocks every import of numpy, then runs the CLI in the same interpreter.
+WITHOUT_NUMPY = "import sys; sys.modules['numpy'] = None; from exact_xformer import cli; sys.exit(cli.main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "bitgrowth --model inverse-index --lengths 4,8,16 --json",
+        "eval --model softmax-uniform --input 1101 --mode budgeted --epsilon 1/65536 --json",
+    ],
+)
+def test_runs_without_numpy(argv):
+    proc = _run_python("-c", WITHOUT_NUMPY, *argv.split())
+    assert proc.returncode == 0, proc.stderr

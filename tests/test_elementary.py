@@ -5,6 +5,8 @@ f_sqrt is correctly rounded outright.  The checks here use interval
 enclosures and squared-integer comparisons, never a binary float library.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,19 +16,21 @@ from exact_xformer import (
     FloatRangeError,
     PFloat,
     Rat,
+    elementary,
     f_add,
     f_exp,
-    f_mul,
     f_sqrt,
-    float_to_rat,
-    log2_const,
-    rat_exp_approx,
-    rat_sqrt_approx,
     round_p,
 )
-from exact_xformer import elementary
-from exact_xformer.elementary import _exp_series, exp_plan, range_reduce_sqrt
-from exact_xformer.pfloat import UnnormFloat, _round_ratio
+from exact_xformer.elementary import (
+    _exp_series,
+    exp_plan,
+    log2_const,
+    range_reduce_sqrt,
+    rat_exp_approx,
+    rat_sqrt_approx,
+)
+from exact_xformer.pfloat import UnnormFloat, _round_ratio, float_to_rat
 from exact_xformer.verify import exp_enclosure, sqrt_round_oracle
 
 # ln(2) to 30 places; any tighter published value agrees to this width
@@ -125,7 +129,7 @@ def _exp_reference(x, p=None):
     k = (xr.num * lam.den) // (xr.den * lam.num)
     if not -(1 << p) <= k < (1 << p):
         raise FloatRangeError("k out of range")
-    total = _exp_series(xr - Rat(k) * lam, exp_plan(w).terms)
+    total = _exp_series(xr - Rat(k) * lam, exp_plan(w))
     return _round_ratio(total.num, total.den, k, p)
 
 
@@ -269,8 +273,12 @@ def test_range_reduce_sqrt_identity(x):
 
 @pytest.mark.parametrize("bits", [8, 16, 48, 96])
 def test_series_plan_tail_bounds(bits):
-    ep = exp_plan(bits)
-    assert ep.remainder_bound <= Rat(1, 1 << (bits + 2))
+    def tail(n):  # the bound 2 * (3/4)^n / n! on the series tail after n terms
+        return Rat(2 * 3**n, 4**n * math.factorial(n))
+
+    n = exp_plan(bits)
+    assert tail(n) <= Rat(1, 1 << (bits + 2))
+    assert n == 1 or tail(n - 1) > Rat(1, 1 << (bits + 2))
 
 
 @pytest.mark.parametrize(

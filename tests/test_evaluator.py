@@ -8,6 +8,7 @@ step happens to be lossless.
 
 import math
 import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,22 +21,25 @@ from exact_xformer import (
     EvalModeError,
     PFloat,
     Rat,
-    ahardmax_weights,
-    bit_growth_trace,
-    embed_input,
     eval_ahat,
     eval_smat_pbit,
     f_div,
     f_sqrt,
-    fit_loglog_slope,
-    float_to_rat,
-    layernorm_pbit,
     load_model,
     margin_recognize,
     round_p,
+)
+from exact_xformer.evaluator import (
+    _rat_dot,
+    _rat_total,
+    ahardmax_weights,
+    bit_growth_trace,
+    embed_input,
+    fit_loglog_slope,
+    layernorm_pbit,
     softmax_pbit,
 )
-from exact_xformer.evaluator import _rat_dot, _rat_total
+from exact_xformer.pfloat import float_to_rat
 
 
 @pytest.fixture(scope="module")
@@ -218,3 +222,29 @@ def test_fit_loglog_slope_needs_two_rows(majority):
     rows = bit_growth_trace(majority, [4])
     with pytest.raises(DomainError):
         fit_loglog_slope(rows)
+    with pytest.raises(DomainError):  # two rows, one length: no slope
+        fit_loglog_slope([{"n": 8, "max_bits": 3}, {"n": 8, "max_bits": 5}])
+
+
+def _centered_slope(rows) -> Fraction:
+    """sum (x - mean x)(y - mean y) / sum (x - mean x)^2, exact over the float logs."""
+    xs = [Fraction(math.log2(r["n"])) for r in rows]
+    ys = [Fraction(math.log2(r["max_bits"])) for r in rows]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
+
+
+DEFAULT_LENGTHS = [4, 8, 16, 32, 64, 128, 256]
+
+
+def test_fit_loglog_slope_is_the_exact_least_squares_slope(majority):
+    flat = bit_growth_trace(majority, DEFAULT_LENGTHS)
+    assert len({r["max_bits"] for r in flat}) == 1
+    assert fit_loglog_slope(flat) == 0.0  # a flat fit is exactly zero
+    growing = bit_growth_trace(load_model("inverse-index"), DEFAULT_LENGTHS)
+    assert fit_loglog_slope(growing) == float(_centered_slope(growing)) == 0.9925024140255357
+    rng = random.Random(11)
+    for _ in range(200):
+        rows = [{"n": rng.randint(1, 1 << 20), "max_bits": rng.randint(1, 1 << 20)} for _ in range(rng.randint(2, 9))]
+        if len({r["n"] for r in rows}) > 1:
+            assert fit_loglog_slope(rows) == float(_centered_slope(rows))

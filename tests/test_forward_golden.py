@@ -10,18 +10,15 @@ import random
 
 import pytest
 
-from exact_xformer import (
-    FFNN,
+from exact_xformer import Rat, eval_ahat, eval_budgeted, eval_smat_pbit
+from exact_xformer.model_ir import (
     AttentionHead,
+    FFNN,
     Layer,
     LayerNorm,
     Model,
     OutputHead,
     PositionRule,
-    Rat,
-    eval_ahat,
-    eval_budgeted,
-    eval_smat_pbit,
 )
 
 DIM = 3

@@ -9,17 +9,8 @@ import json
 
 import pytest
 
-from exact_xformer import (
-    BUILTIN_MODELS,
-    DomainError,
-    ModelLoadError,
-    Rat,
-    load_model,
-    parse_model,
-    position_embedding,
-    serialize_model,
-)
-from exact_xformer.model_ir import PositionRule
+from exact_xformer import DomainError, ModelLoadError, Rat, load_model, parse_model, serialize_model
+from exact_xformer.model_ir import BUILTIN_MODELS, PositionRule, position_embedding
 
 
 @pytest.fixture()

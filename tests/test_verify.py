@@ -7,17 +7,8 @@ enclosure and the squared-integer sqrt rounder.
 
 import pytest
 
-from exact_xformer import (
-    SUITES,
-    DomainError,
-    PFloat,
-    Rat,
-    SuiteResult,
-    f_sqrt,
-    run_all,
-    run_suite,
-)
-from exact_xformer.verify import exp_enclosure, sqrt_round_oracle
+from exact_xformer import DomainError, PFloat, Rat, f_sqrt, run_suite
+from exact_xformer.verify import SUITES, SuiteResult, exp_enclosure, run_all, sqrt_round_oracle
 
 
 # --- oracle machinery ----------------------------------------------------------
