@@ -1,10 +1,11 @@
 """p-bit floats: correct rounding for single ops and for n-ary sums.
 
 The n-ary sum is the interesting part.  Terms are grouped into exponent
-blocks separated by gaps wide enough that trailing blocks can normally only
-nudge the leading block's rounding at a breakpoint.  The exception is a
-leading sum at the very bottom of its binade, where the nearest breakpoint
-below sits at half the usual distance; the demo ends on such a case.
+blocks separated by gaps wide enough that trailing blocks can only nudge
+the leading block's rounding at an exact breakpoint.  The gap carries one
+guard bit for a leading sum at the very bottom of its binade, where the
+nearest breakpoint below sits at half the usual distance; the demo ends on
+such a case, whose terms fall in one block.
 
 Run:  python3 demos/02_pbit_floats.py
 """
@@ -35,15 +36,17 @@ def main() -> None:
     print(f"partition: {partition_blocks(xs)}")
     show("f_sum_blocks     ", f_sum_blocks(xs))
 
-    # Corner case: leading block sums to 1 = <4|-2>, the bottom of its binade.
-    # The breakpoint below is only 2^-4 away (half the usual spacing), and the
-    # far block supplies -35/512, which is enough to cross it.
+    # Binade bottom: the first pair sums to 1 = <4|-2>, whose breakpoint below
+    # is only 2^-4 away (half the usual spacing), and the small terms supply
+    # -35/512, enough to cross it.  Their gap of 9 is below the threshold of
+    # 10 for n=7, so all seven terms form one block, summed exactly.
     xs = [PFloat(5, 0, p), PFloat(-4, 0, p)] + [PFloat(-7, -9, p)] * 5
     exact = sum((float_to_rat(v) for v in xs), Rat(0))
-    print(f"\ncorner case exact sum = {exact}")
+    print(f"\nbinade-bottom case exact sum = {exact}")
+    print(f"partition: {partition_blocks(xs)}")
     show("f_sum_blocks     ", f_sum_blocks(xs))
     show("round_p of exact ", round_p(exact, p))
-    print("(the far block dragged the result across the lower breakpoint)")
+    print("(the small terms dragged the result across the lower breakpoint)")
 
 
 if __name__ == "__main__":

@@ -67,7 +67,7 @@ def _site_key(key: tuple) -> str:
 def _parse_rat_arg(parser: argparse.ArgumentParser, text: str, flag: str) -> Rat:
     try:
         return Rat.from_string(text)
-    except (ValueError, DomainError):
+    except DomainError:
         parser.error(f"{flag} expects a rational like 3/4, got {text!r}")
 
 
@@ -244,10 +244,14 @@ def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
         parser.error("--p must be a positive integer")
 
     started = time.perf_counter()
-    if args.suite == "all":
-        results = run_all(p=args.p, cases=args.cases, seed=seed)
-    else:
-        results = [run_suite(args.suite, p=args.p, cases=args.cases, seed=seed)]
+    try:
+        if args.suite == "all":
+            results = run_all(p=args.p, cases=args.cases, seed=seed)
+        else:
+            results = [run_suite(args.suite, p=args.p, cases=args.cases, seed=seed)]
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     elapsed = time.perf_counter() - started
     total_failures = sum(len(r.failures) for r in results)
 

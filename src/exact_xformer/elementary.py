@@ -28,7 +28,7 @@ import math
 from functools import lru_cache
 
 from .errors import DomainError, FloatRangeError
-from .pfloat import PFloat, _round_dyadic, _round_ratio, f_add, float_to_rat
+from .pfloat import PFloat, _round_dyadic, _round_ratio, float_to_rat
 from .rational import RAT_ONE, Rat
 
 # Fraction bits of the fixed-point exp enclosure beyond the series' working
@@ -162,16 +162,15 @@ def f_exp(x: PFloat, p: int | None = None) -> PFloat:
     and keeps results inside the exponent budget callers size p for.
     """
     p = x.p if p is None else p
-    if x.m == 0:
-        return _round_dyadic(1, 0, p)
     log_mag = x.e + abs(x.m).bit_length() - 1  # floor(log2 |x|)
+    if x.m == 0 or log_mag <= -(2 * p + 16):
+        # |exp(x) - 1| < 2|x| < 2^-(2p+14), far below the 2^-(p+1) from 1 to
+        # its nearest breakpoint, so exp(x) rounds to 1
+        return _round_dyadic(1, 0, p)
     if log_mag >= p + 1:
         # |x| >= 2^(p+1) forces |k| >= 2^(p+1)/log2 > 2^p
         raise FloatRangeError(f"exp argument magnitude 2^{log_mag} puts k outside [-2^{p}, 2^{p})")
     w = 2 * p + 8
-    if log_mag <= -(2 * p + 16):
-        # exp(x) = 1 + x up to a relative 2^(2*log_mag + 2) <= 2^-(4p+30)
-        return f_add(_round_dyadic(1, 0, p), _round_dyadic(x.m, x.e, p))
     k, rn, rd, shift, lo, hi = _exp_reduced(float_to_rat(x), w, log_mag)
     if not -(1 << p) <= k < (1 << p):
         raise FloatRangeError(f"exp scaling k={k} outside [-2^{p}, 2^{p})")

@@ -5,10 +5,10 @@ m * 2^e; zero is (0, 0).  The exponent is an unbounded integer: rounding is
 total on nonzero values and zero is produced only by exact cancellation.
 Every operation here is the correctly rounded exact result: two-ary
 add/mul/div round once, and the n-ary sum partitions its inputs into
-exponent blocks, adds each block exactly, and rounds the dominant block with
-the residue's sign breaking ties.
+exponent blocks, adds the dominant nonzero block exactly, and rounds it once
+with the next nonzero block's sign breaking an exact tie.
 
-Layer 1: rounding cores (dyadic and rational).
+Layer 1: the rounding core (dyadic; ratios reach it through a sticky bit).
 Layer 2: two-ary ops and comparison.
 Layer 3: block summation.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterator, Sequence
 
 from .errors import DomainError
 from .rational import Rat, rat_sum
@@ -55,28 +55,17 @@ class PFloat:
         return {"m": str(self.m), "e": str(self.e), "p": self.p}
 
 
-@dataclass(frozen=True)
-class UnnormFloat:
-    """A raw (m, e) pair with no normalization constraint, value m * 2^e."""
-
-    m: int
-    e: int
-
-
-Roundable = Union[Rat, UnnormFloat, PFloat, int]
-
-
 # --------------------------------------------------------------------------
-# Layer 1: rounding cores
+# Layer 1: rounding core
 #
-# Both cores perform round-to-nearest with ties to the even significand,
-# unless tie_dir forces a direction on the value axis (used by block
-# summation, where the discarded residue's sign is known but its magnitude
-# is never materialized).
+# _round_dyadic is pfloat's one round-to-nearest, ties-to-even.  An inexact
+# value reaches it as a dyadic stand-in with a sticky low bit, placed
+# strictly between the same two adjacent rounding breakpoints as the value,
+# so both round alike.
 # --------------------------------------------------------------------------
 
 
-def _round_dyadic(M: int, E: int, p: int, tie_dir: int = 0) -> PFloat:
+def _round_dyadic(M: int, E: int, p: int) -> PFloat:
     """Round the dyadic value M * 2^E to p bits."""
     if M == 0:
         return PFloat(0, 0, p)
@@ -85,21 +74,11 @@ def _round_dyadic(M: int, E: int, p: int, tie_dir: int = 0) -> PFloat:
     shift = A.bit_length() - p
     if shift <= 0:
         return PFloat(s * (A << -shift), E + shift, p)
-    base = A >> shift
+    m = A >> shift
     low = A & ((1 << shift) - 1)
     half = 1 << (shift - 1)
-    if low < half:
-        m = base
-    elif low > half:
-        m = base + 1
-    else:
-        d = tie_dir * s
-        if d > 0:
-            m = base + 1
-        elif d < 0:
-            m = base
-        else:
-            m = base if base % 2 == 0 else base + 1
+    if low > half or (low == half and m % 2 == 1):
+        m += 1
     e = E + shift
     if m == 1 << p:
         m >>= 1
@@ -107,44 +86,27 @@ def _round_dyadic(M: int, E: int, p: int, tie_dir: int = 0) -> PFloat:
     return PFloat(s * m, e, p)
 
 
-def _round_ratio(a: int, b: int, e2: int, p: int, tie_dir: int = 0) -> PFloat:
-    """Round the value (a / b) * 2^e2 to p bits; b >= 1."""
-    if a == 0:
-        return PFloat(0, 0, p)
-    s = 1 if a > 0 else -1
+def _round_ratio(a: int, b: int, e2: int, p: int) -> PFloat:
+    """Round the value (a / b) * 2^e2 to p bits; b >= 1.
+
+    The quotient q = floor(|a| * 2^sh / b) has at least p + 1 bits, so every
+    rounding breakpoint is an integer multiple of q's unit.  With a nonzero
+    remainder the exact ratio and q + 1/2 (2q plus a sticky bit) lie
+    strictly between q and q + 1, and round alike.
+    """
     A = abs(a)
-    q = A.bit_length() - b.bit_length()
-    if q >= 0:
-        ge = A >= b << q
+    sh = p + 1 + b.bit_length() - A.bit_length()
+    if sh >= 0:
+        q, r = divmod(A << sh, b)
     else:
-        ge = A << -q >= b
-    t_log = q if ge else q - 1  # floor(log2(A / b))
-    e_rel = t_log - (p - 1)
-    if e_rel <= 0:
-        num, den = A << -e_rel, b
-    else:
-        num, den = A, b << e_rel
-    m, r = divmod(num, den)
-    r2 = 2 * r
-    if r2 > den:
-        m += 1
-    elif r2 == den:
-        d = tie_dir * s
-        if d > 0:
-            m += 1
-        elif d == 0 and m % 2 == 1:
-            m += 1
-    if m == 1 << p:
-        m >>= 1
-        e_rel += 1
-    return PFloat(s * m, e_rel + e2, p)
+        q, r = divmod(A, b << -sh)
+    M = 2 * q + (r != 0)
+    return _round_dyadic(M if a > 0 else -M, e2 - sh - 1, p)
 
 
-def round_p(x: Roundable, p: int) -> PFloat:
-    """Round a rational, raw pair, float, or int to the nearest p-bit float."""
+def round_p(x: Rat | PFloat | int, p: int) -> PFloat:
+    """Round a rational, float, or int to the nearest p-bit float."""
     if isinstance(x, PFloat):
-        return _round_dyadic(x.m, x.e, p)
-    if isinstance(x, UnnormFloat):
         return _round_dyadic(x.m, x.e, p)
     if isinstance(x, Rat):
         return _round_ratio(x.num, x.den, 0, p)
@@ -239,11 +201,34 @@ def f_cmp(x: PFloat, y: PFloat) -> int:
 # --------------------------------------------------------------------------
 
 
+def _common_p(xs: Sequence[PFloat], what: str) -> int:
+    """The shared precision of a nonempty list of floats."""
+    if len(xs) == 0:
+        raise DomainError(f"{what} of an empty list")
+    p = xs[0].p
+    for x in xs:
+        if x.p != p:
+            raise DomainError(f"mixed precisions {p} and {x.p}")
+    return p
+
+
 def block_threshold(p: int, n: int) -> int:
-    """Exponent gap at or above which summands cannot interact: 2p + ceil(log2 n)."""
+    """Exponent gap at or above which n summands cannot interact: 2p + ceil(log2 n) + 1.
+
+    Let the dominant nonzero block sum exactly to S * 2^a, with a its least
+    exponent.  Every summand outside it lies in a block that cancels to zero
+    or has exponent at most a - theta and magnitude below 2^(a - theta + p);
+    there are fewer than 2^ceil(log2 n) of them, so their total R has
+    |R| < 2^(a - p - 1).  A nonzero multiple of 2^a lies at least 2^(a-p-1)
+    from every rounding breakpoint other than itself (the extreme is a
+    one-bit S at the bottom of its binade, whose breakpoint below is at half
+    the usual spacing).  So S + R rounds like S, except that when S is itself
+    a breakpoint the sign of R, which is the sign of the next nonzero block,
+    decides the tie.
+    """
     if n < 1:
         raise DomainError("threshold needs n >= 1")
-    return 2 * p + (n - 1).bit_length()
+    return 2 * p + (n - 1).bit_length() + 1
 
 
 def partition_blocks(xs: Sequence[PFloat]) -> list[list[int]]:
@@ -254,15 +239,15 @@ def partition_blocks(xs: Sequence[PFloat]) -> list[list[int]]:
     the block's exact sum has polynomial width.  Blocks are returned in
     descending exponent order (dominant block first).
     """
-    if len(xs) == 0:
-        raise DomainError("partition_blocks of an empty list")
-    p = xs[0].p
+    p = _common_p(xs, "partition_blocks")
     for x in xs:
-        if x.p != p:
-            raise DomainError(f"mixed precisions {p} and {x.p}")
         if x.m == 0:
             raise DomainError("partition_blocks requires nonzero inputs")
-    theta = block_threshold(p, len(xs))
+    return _partition(xs, block_threshold(p, len(xs)))
+
+
+def _partition(xs: Sequence[PFloat], theta: int) -> list[list[int]]:
+    """partition_blocks on inputs already checked, with its threshold given."""
     order = sorted(range(len(xs)), key=lambda i: xs[i].e)
     blocks = [[order[0]]]
     for prev, idx in zip(order, order[1:]):
@@ -274,84 +259,37 @@ def partition_blocks(xs: Sequence[PFloat]) -> list[list[int]]:
     return blocks
 
 
-def _block_sums(xs: Sequence[PFloat], blocks: list[list[int]]) -> list[UnnormFloat]:
-    """Exact per-block sums, each anchored at its block's minimum exponent."""
-    sums = []
+def _block_sums(xs: Sequence[PFloat], blocks: list[list[int]]) -> Iterator[tuple[int, int]]:
+    """Exact per-block sums (m, e), each anchored at its block's minimum exponent."""
     for block in blocks:
         anchor = min(xs[i].e for i in block)
         total = 0
         for i in block:
             total += xs[i].m << (xs[i].e - anchor)
-        sums.append(UnnormFloat(total, anchor))
-    return sums
-
-
-def _sign_blocks_vs_dyadic(sums: list[UnnormFloat], start: int, sgn: int, tm: int, te: int) -> int:
-    """Sign of (sgn * sum of sums[start:] - tm * 2^te), with tm > 0.
-
-    Blocks arrive in descending anchor order, so once the running difference
-    dominates everything still unprocessed (each remaining block plus its own
-    tail is below twice its magnitude bound) the sign is settled without
-    aligning astronomically separated exponents.  Exact alignment only
-    happens when scales overlap to within their bit widths.
-    """
-    dm, de = -tm, te
-    for s in sums[start:]:
-        s_m = sgn * s.m
-        s_e = s.e
-        blk_hi = s_e + abs(s_m).bit_length()  # |s_j| < 2^blk_hi; tail after j < 2^s_e
-        if dm != 0:
-            d_lo = de + abs(dm).bit_length() - 1
-            if d_lo > blk_hi + 1:
-                return 1 if dm > 0 else -1
-            d_hi = de + abs(dm).bit_length()
-            if d_hi < s_e - 1:
-                return 1 if s_m > 0 else -1
-        shift = de - s_e
-        if shift >= 0:
-            dm = (dm << shift) + s_m
-            de = s_e
-        else:
-            dm += s_m << -shift
-    return (dm > 0) - (dm < 0)
+        yield total, anchor
 
 
 def f_sum_blocks(xs: Sequence[PFloat]) -> PFloat:
     """Correctly rounded n-ary sum via exponent-block decomposition.
 
-    Blocks are scale-separated, so a nonzero higher block dominates every
-    lower block combined; rounding the dominant block's exact sum with the
-    sign of the next nonzero block settles exact breakpoints.  One corner
-    needs more than the sign: a lead block cancelled down to exactly one
-    bit sits at the bottom of its binade, where the breakpoint below is at
-    distance 2^(e-p-1) while the remainder is only bounded by 2^(e-p); a
-    remainder pulling toward zero can cross it, so that case compares the
-    remainder's magnitude against the breakpoint distance directly.
+    Blocks are separated by block_threshold, so everything below the
+    dominant nonzero block totals less than the distance from that block's
+    exact sum to its nearest other breakpoint.  The result is that sum
+    rounded once, with the next nonzero block's sign as a sticky bit p + 2
+    places below the sum's anchor, which only an exact tie can feel.
     """
-    if len(xs) == 0:
-        raise DomainError("f_sum_blocks of an empty list")
-    p = xs[0].p
-    for x in xs:
-        if x.p != p:
-            raise DomainError(f"mixed precisions {p} and {x.p}")
+    p = _common_p(xs, "f_sum_blocks")
     nonzero = [x for x in xs if x.m != 0]
     if not nonzero:
         return PFloat(0, 0, p)
-    blocks = partition_blocks(nonzero)
-    sums = [s for s in _block_sums(nonzero, blocks) if s.m != 0]
+    blocks = _partition(nonzero, block_threshold(p, len(nonzero)))
+    sums = [(m, e) for m, e in _block_sums(nonzero, blocks) if m != 0]
     if not sums:
         return PFloat(0, 0, p)
-    lead = sums[0]
-    tie_dir = 0
+    m, e = sums[0]
     if len(sums) > 1:
-        tie_dir = 1 if sums[1].m > 0 else -1
-        lead_sign = 1 if lead.m > 0 else -1
-        if lead.m in (1, -1) and tie_dir == -lead_sign:
-            c = _sign_blocks_vs_dyadic(sums, 1, tie_dir, 1, lead.e - p - 1)
-            if c > 0:
-                return PFloat(lead_sign * ((1 << p) - 1), lead.e - p, p)
-            return PFloat(lead_sign * (1 << (p - 1)), lead.e - p + 1, p)
-    return _round_dyadic(lead.m, lead.e, p, tie_dir)
+        m, e = (m << (p + 2)) + (1 if sums[1][0] > 0 else -1), e - p - 2
+    return _round_dyadic(m, e, p)
 
 
 def f_sum_oracle(xs: Sequence[PFloat]) -> PFloat:
@@ -360,14 +298,8 @@ def f_sum_oracle(xs: Sequence[PFloat]) -> PFloat:
     Materializes 2^|e|, so it is meant for moderate exponents (tests and
     verification suites), not for the full exponent range.
     """
-    if len(xs) == 0:
-        raise DomainError("f_sum_oracle of an empty list")
-    p = xs[0].p
-    for x in xs:
-        if x.p != p:
-            raise DomainError(f"mixed precisions {p} and {x.p}")
-    total = rat_sum([float_to_rat(x) for x in xs])
-    return _round_ratio(total.num, total.den, 0, p)
+    p = _common_p(xs, "f_sum_oracle")
+    return round_p(rat_sum([float_to_rat(x) for x in xs]), p)
 
 
 def float_to_rat(x: PFloat) -> Rat:

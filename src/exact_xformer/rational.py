@@ -52,8 +52,10 @@ class Rat:
         m = _RAT_RE.fullmatch(text) if isinstance(text, str) else None
         if m is None or m.group(1) == "-0":
             raise DomainError(f"not a rational literal: {text!r}")
-        num = int(m.group(1))
-        den = int(m.group(2)) if m.group(2) else 1
+        try:
+            num, den = int(m.group(1)), int(m.group(2) or 1)
+        except ValueError:  # past the interpreter's int-string digit limit
+            raise DomainError(f"rational literal too long to parse ({len(text)} characters)") from None
         return cls(num, den)
 
     def __setattr__(self, name, value):

@@ -188,9 +188,11 @@ def _sum_case(rng: random.Random, p: int) -> list[PFloat]:
         return xs
     if kind < 23:
         # binade-bottom straddle: lead pair cancels to one bit, far mass lands
-        # within a few units of the lower breakpoint distance 2^(e-p-1); with
-        # a deep third block the far mass hits it exactly and the third block
-        # settles which side
+        # within a few units of the lower breakpoint distance 2^(e-p-1), or
+        # (deep) exactly on it with one more term below to settle the side.
+        # Each gap is 2p + ceil(log2 n), one bit under block_threshold, so
+        # the list sums as one exact block; without that guard bit it would
+        # split at the straddle
         big_l = rng.randint(3, 5)
         deep = rng.randrange(3) == 0
         n_far = rng.randint((1 << (big_l - 1)) + 1, (1 << big_l) - (3 if deep else 2))
@@ -285,7 +287,8 @@ def _run_sum(p: int, cases: int, seed: int) -> SuiteResult:
         if got != want:
             res.failures.append(CaseFailure("mismatch", tag, f"blocks={got} oracle={want}"))
         # remainder gap bound: all non-leading blocks together stay below
-        # a quarter ulp of the leading block-sum's anchor scale
+        # 2^(e1-p-1), the least distance from the leading block-sum to any
+        # other rounding breakpoint
         nonzero = [x for x in xs if x.m != 0]
         if not nonzero:
             continue
@@ -305,20 +308,21 @@ def _run_sum(p: int, cases: int, seed: int) -> SuiteResult:
                 continue
             for i in block:
                 rest = rest + float_to_rat(nonzero[i])
-        bound = Rat(1, 1 << (p - e1)) if e1 < p else Rat(1 << (e1 - p))
+        bound = Rat(1, 1 << (p + 1 - e1)) if e1 < p + 1 else Rat(1 << (e1 - p - 1))
         if not abs(rest) < bound:
-            res.failures.append(CaseFailure("gap", tag, f"|r|={rest} !< 2^({e1}-{p})"))
+            res.failures.append(CaseFailure("gap", tag, f"|r|={rest} !< 2^({e1}-{p}-1)"))
     return res
 
 
 def _run_exp(p: int, cases: int, seed: int) -> SuiteResult:
     res = SuiteResult("exp", p, cases)
     tol = Rat(1, 1 << p)
+    top = min(6 - p, -1)  # |x| < 2^min(6, p-1), inside f_exp's range
     for idx in range(cases):
         rng = _case_rng(seed, "exp", idx)
         tag = f"{seed}:exp:{idx}"
         m = _rand_sig(rng, p)
-        x = PFloat(m, rng.randint(-p - 2, 6 - p), p)  # values within about [-64, 64]
+        x = PFloat(m, rng.randint(-p - 2, top), p)
         y = f_exp(x)
         fy = float_to_rat(y)
         lo, hi = exp_enclosure(float_to_rat(x), 4 * p)
@@ -326,7 +330,7 @@ def _run_exp(p: int, cases: int, seed: int) -> SuiteResult:
         if not worst <= tol * lo:
             res.failures.append(CaseFailure("rel-error", tag, f"exp({x}) = {y} deviates"))
         if idx % 8 == 0:
-            x2 = PFloat(_rand_sig(rng, p), rng.randint(-p - 2, 6 - p), p)
+            x2 = PFloat(_rand_sig(rng, p), rng.randint(-p - 2, top), p)
             a, b = (x, x2) if f_cmp(x, x2) <= 0 else (x2, x)
             if f_cmp(f_exp(a), f_exp(b)) > 0:
                 res.failures.append(CaseFailure("not-monotone", tag, f"exp({a}) > exp({b})"))
@@ -440,6 +444,11 @@ def run_suite(name: str, p: Optional[int] = None, cases: Optional[int] = None, s
         cases = DEFAULT_CASES[name]
     if p is None:
         p = DEFAULT_P.get(name)
+    if name == "round" and not 2 <= p <= 16:
+        # 17 * 2^(p-1) floats are enumerated; every 1-bit significand is odd
+        raise DomainError(f"the round suite needs 2 <= p <= 16, got {p}")
+    if name == "sum" and p < 2:
+        raise DomainError(f"the sum suite needs p >= 2, got {p}")
     if name == "round":
         return _run_round(p)
     if name == "sum":

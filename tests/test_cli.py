@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from exact_xformer import Rat, budget, cli
-from exact_xformer.verify import SuiteResult
+from exact_xformer.verify import SUITES, SuiteResult
 
 
 def run_cli(capsys, *argv):
@@ -207,9 +207,9 @@ def test_eval_malformed_model_file(tmp_path, capsys):
     assert code == 2
 
 
-def test_eval_overflow_exit(tmp_path, capsys):
-    # score 64 at p=3 puts the exp scaling exponent outside [-8, 8)
-    doc = {
+def _one_softmax_head_doc(bias="0"):
+    """A one-letter, one-layer softmax model as a model-file document."""
+    return {
         "format_version": 1,
         "alphabet": ["a"],
         "dim": 1,
@@ -240,8 +240,13 @@ def test_eval_overflow_exit(tmp_path, capsys):
                 "residual_ffnn": True,
             }
         ],
-        "output_head": {"weights": ["1"], "bias": "0"},
+        "output_head": {"weights": ["1"], "bias": bias},
     }
+
+
+def test_eval_overflow_exit(tmp_path, capsys):
+    # score 64 at p=3 puts the exp scaling exponent outside [-8, 8)
+    doc = _one_softmax_head_doc()
     f = tmp_path / "hot.json"
     f.write_text(json.dumps(doc))
     code, _, err = run_cli(
@@ -250,6 +255,14 @@ def test_eval_overflow_exit(tmp_path, capsys):
     )
     assert code == 3
     assert err != ""
+
+
+def test_model_literal_past_int_digit_limit_is_load_error(tmp_path, capsys):
+    f = tmp_path / "long.json"
+    f.write_text(json.dumps(_one_softmax_head_doc(bias="1" * 5001)))
+    code, _, err = run_cli(capsys, "eval", "--model", str(f), "--input", "a", "--mode", "ahat")
+    assert code == 2
+    assert "output_head.bias" in err and "too long" in err
 
 
 def test_eval_json_is_byte_deterministic(capsys):
@@ -304,6 +317,14 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--suite", "exp", "--cases", "1", "--json")
     assert code == 1
     assert json.loads(out)["suites"][0]["passed"] is False
+
+
+@pytest.mark.parametrize(
+    "suite, p", [(suite, p) for suite in SUITES for p in range(1, 8)] + [("round", 17)]
+)
+def test_verify_any_precision_passes_or_is_usage_error(capsys, suite, p):
+    code, _, err = run_cli(capsys, "verify", "--suite", suite, "--p", str(p), "--cases", "40")
+    assert code == 0 or (code == 2 and err.startswith("error: ")), err
 
 
 def test_verify_unknown_suite_usage_error(capsys):

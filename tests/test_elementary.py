@@ -30,7 +30,7 @@ from exact_xformer.elementary import (
     rat_exp_approx,
     rat_sqrt_approx,
 )
-from exact_xformer.pfloat import UnnormFloat, _round_ratio, float_to_rat
+from exact_xformer.pfloat import _round_dyadic, _round_ratio, float_to_rat
 from exact_xformer.verify import exp_enclosure, sqrt_round_oracle
 
 # ln(2) to 30 places; any tighter published value agrees to this width
@@ -255,8 +255,8 @@ def test_sqrt_matches_oracle(p, data):
 def test_sqrt_of_perfect_square_is_exact(p, data):
     a = data.draw(st.integers(min_value=1, max_value=(1 << (p // 2)) - 1))
     h = data.draw(st.integers(min_value=-200, max_value=200))
-    x = round_p(UnnormFloat(a * a, 2 * h), p)  # a^2 has at most p bits: exact
-    assert f_sqrt(x) == round_p(UnnormFloat(a, h), p) == sqrt_round_oracle(x)
+    x = _round_dyadic(a * a, 2 * h, p)  # a^2 has at most p bits: exact
+    assert f_sqrt(x) == _round_dyadic(a, h, p) == sqrt_round_oracle(x)
 
 
 @given(_pfloats(4, -20, 20).map(lambda x: PFloat(abs(x.m), x.e, x.p)))

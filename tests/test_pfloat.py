@@ -222,6 +222,6 @@ def test_cmp_matches_rational_order(pair):
 
 
 def test_block_threshold_values():
-    assert block_threshold(3, 2) == 7
-    assert block_threshold(3, 10) == 10
-    assert block_threshold(8, 64) == 22
+    assert block_threshold(3, 2) == 8
+    assert block_threshold(3, 10) == 11
+    assert block_threshold(8, 64) == 23

@@ -184,7 +184,9 @@ def test_string_forms():
     "text",
     ["1/0", "-0/3", "2/-4", "1/+2", "", "1.5", "1 /2"]
     # integer literals: no sign on zero, no leading zeros, nothing int() alone would accept
-    + ["-0", "007", "+5", " 5", "5 ", "1_0", "0x10", "3.0", "--2"],
+    + ["-0", "007", "+5", " 5", "5 ", "1_0", "0x10", "3.0", "--2"]
+    # past the int-string digit limit (4300 by default), where int() itself raises
+    + [pytest.param("1" * 5001, id="long-num"), pytest.param("1/" + "1" * 5001, id="long-den")],
 )
 def test_string_rejects_malformed(text):
     with pytest.raises(DomainError):

@@ -2,9 +2,12 @@
 
 f_sum_oracle (convert to rationals, sum, round once) is the semantics;
 f_sum_blocks must reproduce it without ever materializing cross-block
-exponent gaps.  The directed cases at the bottom pin the corner where the
-dominant block cancels to a single bit and the far remainder straddles the
-half-spacing breakpoint just below the binade boundary.
+exponent gaps.  The directed cases pin the binade-bottom corner: a lead
+pair that cancels to a single bit, with far addends straddling the
+half-spacing breakpoint just below the binade boundary.  Their gap is
+2p + ceil(log2 n), one bit under block_threshold, so they sum as one exact
+block; a threshold without the guard bit would split them and round the
+single bit alone.
 """
 
 from fractions import Fraction
@@ -104,10 +107,11 @@ def test_sum_identity_and_degenerate():
 
 # --- the binade-bottom corner ------------------------------------------------------
 #
-# Seven addends, theta = 9: the dominant block <5|0> + <-4|0> cancels to
-# exactly 1 = <4|-2>, whose breakpoint below lies at distance 2^-4, HALF the
-# usual spacing.  Five far addends of -7/512 pull the true sum to 477/512,
-# across that breakpoint, so the correct answer drops into the binade below.
+# Seven addends, theta = 10: <5|0> + <-4|0> cancels to exactly 1 = <4|-2>,
+# whose breakpoint below lies at distance 2^-4, HALF the usual spacing.  Five
+# addends of -7/512 pull the true sum to 477/512, across that breakpoint, so
+# the correct answer drops into the binade below.  Their gap of 9 is one
+# under theta, so all seven form one block and are summed exactly.
 
 
 def test_corner_remainder_crosses_lower_breakpoint():
@@ -117,15 +121,15 @@ def test_corner_remainder_crosses_lower_breakpoint():
 
 
 def test_corner_remainder_stays_inside():
-    # four far addends: 28/512 < 2^-4, the lead survives
+    # four small addends: 28/512 < 2^-4, the lead survives
     xs = [_pf(5, 0), _pf(-4, 0)] + [_pf(-7, -9)] * 4
     assert f_sum_blocks(xs) == _pf(4, -2)
     assert f_sum_oracle(xs) == _pf(4, -2)
 
 
 def test_corner_exact_tie_rounds_even():
-    # far block sums to exactly -2^-4: the true sum lands on the breakpoint
-    # and the tie goes to the even significand, the binade boundary itself
+    # the small addends sum to exactly -2^-4: the true sum lands on the
+    # breakpoint and the tie goes to the even significand, the binade boundary
     xs = [_pf(5, 0), _pf(-4, 0)] + [_pf(-7, -9)] * 4 + [_pf(-4, -9)]
     exact = sum(Fraction(x.m) * Fraction(2) ** x.e for x in xs)
     assert exact == Fraction(15, 16)
@@ -141,7 +145,7 @@ def test_corner_negated_mirror():
 
 
 def test_corner_tie_broken_by_third_block():
-    # exactly on the breakpoint after two blocks; a third block far below
+    # the lead block sums exactly to the breakpoint; a second block far below
     # decides the direction instead of the even-tie rule
     base = [_pf(5, 0), _pf(-4, 0)] + [_pf(-7, -9)] * 4 + [_pf(-4, -9)]
     push_down = base + [_pf(-4, -40)]
@@ -151,8 +155,8 @@ def test_corner_tie_broken_by_third_block():
 
 
 def test_corner_away_from_zero_is_never_special():
-    # remainder pushing away from zero: the nearest breakpoint above is at
-    # the regular spacing, so the plain sign rule suffices
+    # small addends pushing away from zero, toward the breakpoint above at
+    # the regular spacing
     xs = [_pf(5, 0), _pf(-4, 0)] + [_pf(7, -9)] * 5
     assert f_sum_blocks(xs) == f_sum_oracle(xs) == _pf(4, -2)
 
@@ -170,7 +174,8 @@ def test_blocks_equal_oracle(xs):
 @settings(max_examples=300)
 def test_remainder_gap_bound(xs):
     """Everything outside the leading nonzero block stays strictly below
-    2^(anchor - p) of that block's anchor exponent."""
+    2^(anchor - p - 1), the least distance from that block's sum to another
+    rounding breakpoint."""
     idx_blocks = partition_blocks(xs)
     p = xs[0].p
     sums = []
@@ -188,4 +193,4 @@ def test_remainder_gap_bound(xs):
     rest = sum(
         (s for k, (s, _, _) in enumerate(sums) if k != lead_at), Fraction(0)
     )
-    assert abs(rest) < Fraction(2) ** (anchor - p)
+    assert abs(rest) < Fraction(2) ** (anchor - p - 1)
