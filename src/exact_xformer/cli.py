@@ -134,6 +134,11 @@ def _cmd_eval(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             parser.error("--precision is required with --mode smat")
         if args.precision < 1:
             parser.error("--precision must be a positive integer")
+        # a p-bit significand prints in at most `limit` digits iff 2^p < 10^limit
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and args.precision >= (10**limit).bit_length():
+            print(f"error: --precision {args.precision} is past the {limit}-digit int-string limit", file=sys.stderr)
+            return EXIT_USAGE
     if args.mode == "budgeted":
         if args.epsilon is None:
             parser.error("--epsilon is required with --mode budgeted")

@@ -9,7 +9,8 @@ ahat_exact    exact rationals end to end; attention is average-hard (equal
               weight on all score maximizers); forbids layernorm.
 smat_pbit     every primitive is a p-bit float operation: two-ary ops and
               exp/sqrt correctly rounded or relative-error bounded, n-ary
-              sums exact-then-rounded-once.
+              sums exact-then-rounded-once, and a dot product one such sum
+              of products each rounded once.
 smat_budgeted exact rationals except exp and inverse-sqrt, each approximated
               to a per-site tolerance planned in budget.py so the output
               lands within a caller-chosen epsilon of the exact real value.
@@ -30,7 +31,7 @@ from typing import Callable, NamedTuple, Sequence
 from .elementary import f_exp, f_sqrt
 from .errors import DomainError, EvalModeError
 from .model_ir import Model, position_embedding
-from .pfloat import PFloat, f_add, f_div, f_mul, f_neg, f_sum_blocks, round_p
+from .pfloat import PFloat, f_add, f_div, f_dot, f_mul, f_neg, f_sum_blocks, round_p
 from .rational import RAT_ZERO, Rat, _sum_over_lcm, rat_max, rat_sum
 
 
@@ -216,8 +217,7 @@ def layernorm_pbit(x: list[PFloat], ln_gamma: list[PFloat], ln_beta: list[PFloat
     n_f = round_p(d, p)
     mean = f_div(_fsum(list(x), p), n_f)
     devs = [f_add(xi, f_neg(mean)) for xi in x]
-    sqs = [f_mul(dv, dv) for dv in devs]
-    var = f_div(_fsum(sqs, p), n_f)
+    var = f_div(f_dot(devs, devs, p), n_f)
     scale = f_sqrt(f_add(var, ln_c))
     out = []
     for dv, g, b in zip(devs, ln_gamma, ln_beta):
@@ -248,19 +248,13 @@ def round_model(model: Model, p: int) -> Model:
 
 
 def _pbit_backend(p: int) -> Backend:
-    """p-bit floats: each dot product or sum is one exact-then-rounded sum."""
-    zero = PFloat.zero(p)
-
-    def dot(u: Sequence[PFloat], v: Sequence[PFloat], bias: PFloat | None = None) -> PFloat:
-        terms = [f_mul(a, b) for a, b in zip(u, v) if a.m and b.m]
-        if bias is not None and bias.m:
-            terms.append(bias)
-        return _fsum(terms, p)
-
+    """p-bit floats.  A dot product is f_dot: each nonzero product rounded
+    once, then one block sum with the bias.  A sum is one f_sum_blocks.
+    Every rounding is pfloat's _round_pair, its one ties-to-even."""
     return Backend(
-        zero,
-        dot,
-        lambda terms: _fsum([t for t in terms if t.m], p),
+        PFloat.zero(p),
+        lambda u, v, bias=None: f_dot(u, v, p, bias),
+        lambda terms: _fsum(terms, p),
         f_add,
         lambda x: x.m > 0,
         lambda scores, layer, head: softmax_pbit(scores, p),

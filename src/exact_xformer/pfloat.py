@@ -6,18 +6,19 @@ total on nonzero values and zero is produced only by exact cancellation.
 Every operation here is the correctly rounded exact result: two-ary
 add/mul/div round once, and the n-ary sum partitions its inputs into
 exponent blocks, adds the dominant nonzero block exactly, and rounds it once
-with the next nonzero block's sign breaking an exact tie.
+with the next nonzero block's sign breaking an exact tie.  A dot product
+rounds each nonzero product once and sums the rounded products that way.
 
-Layer 1: the rounding core (dyadic; ratios reach it through a sticky bit).
+Layer 1: the rounding core, _round_pair, the one ties-to-even.
 Layer 2: two-ary ops and comparison.
-Layer 3: block summation.
+Layer 3: block summation and dot products, on plain (m, e) integer pairs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import DomainError
 from .rational import Rat, rat_sum
@@ -58,32 +59,37 @@ class PFloat:
 # --------------------------------------------------------------------------
 # Layer 1: rounding core
 #
-# _round_dyadic is pfloat's one round-to-nearest, ties-to-even.  An inexact
-# value reaches it as a dyadic stand-in with a sticky low bit, placed
-# strictly between the same two adjacent rounding breakpoints as the value,
-# so both round alike.
+# _round_pair is pfloat's one round-to-nearest, ties-to-even; _round_dyadic
+# wraps its (m, e) in a PFloat.  An inexact value reaches it as a dyadic
+# stand-in with a sticky low bit, placed strictly between the same two
+# adjacent rounding breakpoints as the value, so both round alike.
 # --------------------------------------------------------------------------
 
 
-def _round_dyadic(M: int, E: int, p: int) -> PFloat:
-    """Round the dyadic value M * 2^E to p bits."""
+def _round_pair(M: int, E: int, p: int) -> tuple[int, int]:
+    """The p-bit (m, e) nearest to the dyadic value M * 2^E; (0, 0) for zero."""
     if M == 0:
-        return PFloat(0, 0, p)
-    s = 1 if M > 0 else -1
+        return 0, 0
     A = abs(M)
     shift = A.bit_length() - p
     if shift <= 0:
-        return PFloat(s * (A << -shift), E + shift, p)
+        return M << -shift, E + shift
     m = A >> shift
     low = A & ((1 << shift) - 1)
     half = 1 << (shift - 1)
-    if low > half or (low == half and m % 2 == 1):
+    if low > half or (low == half and m & 1):
         m += 1
     e = E + shift
     if m == 1 << p:
         m >>= 1
         e += 1
-    return PFloat(s * m, e, p)
+    return (m if M > 0 else -m), e
+
+
+def _round_dyadic(M: int, E: int, p: int) -> PFloat:
+    """Round the dyadic value M * 2^E to p bits."""
+    m, e = _round_pair(M, E, p)
+    return PFloat(m, e, p)
 
 
 def _round_ratio(a: int, b: int, e2: int, p: int) -> PFloat:
@@ -243,15 +249,15 @@ def partition_blocks(xs: Sequence[PFloat]) -> list[list[int]]:
     for x in xs:
         if x.m == 0:
             raise DomainError("partition_blocks requires nonzero inputs")
-    return _partition(xs, block_threshold(p, len(xs)))
+    return _partition([x.e for x in xs], block_threshold(p, len(xs)))
 
 
-def _partition(xs: Sequence[PFloat], theta: int) -> list[list[int]]:
-    """partition_blocks on inputs already checked, with its threshold given."""
-    order = sorted(range(len(xs)), key=lambda i: xs[i].e)
+def _partition(es: Sequence[int], theta: int) -> list[list[int]]:
+    """partition_blocks over the exponents alone, with its threshold given."""
+    order = sorted(range(len(es)), key=es.__getitem__)
     blocks = [[order[0]]]
     for prev, idx in zip(order, order[1:]):
-        if xs[idx].e - xs[prev].e >= theta:
+        if es[idx] - es[prev] >= theta:
             blocks.append([idx])
         else:
             blocks[-1].append(idx)
@@ -259,37 +265,68 @@ def _partition(xs: Sequence[PFloat], theta: int) -> list[list[int]]:
     return blocks
 
 
-def _block_sums(xs: Sequence[PFloat], blocks: list[list[int]]) -> Iterator[tuple[int, int]]:
-    """Exact per-block sums (m, e), each anchored at its block's minimum exponent."""
-    for block in blocks:
-        anchor = min(xs[i].e for i in block)
-        total = 0
-        for i in block:
-            total += xs[i].m << (xs[i].e - anchor)
-        yield total, anchor
-
-
-def f_sum_blocks(xs: Sequence[PFloat]) -> PFloat:
-    """Correctly rounded n-ary sum via exponent-block decomposition.
+def _sum_pairs(ms: list[int], es: list[int], p: int) -> tuple[int, int]:
+    """The p-bit (m, e) nearest to the sum of the nonzero ms[k] * 2^es[k].
 
     Blocks are separated by block_threshold, so everything below the
     dominant nonzero block totals less than the distance from that block's
     exact sum to its nearest other breakpoint.  The result is that sum
     rounded once, with the next nonzero block's sign as a sticky bit p + 2
-    places below the sum's anchor, which only an exact tie can feel.
+    places below the sum's anchor, which only an exact tie can feel.  When
+    all exponents lie within one threshold there is one block, summed
+    without sorting.
     """
+    if not ms:
+        return 0, 0
+    theta = block_threshold(p, len(ms))
+    low = min(es)
+    if max(es) - low < theta:
+        total = 0
+        for m, e in zip(ms, es):
+            total += m << (e - low)
+        return _round_pair(total, low, p)
+    lead = None
+    for block in _partition(es, theta):
+        anchor = min(es[i] for i in block)
+        total = 0
+        for i in block:
+            total += ms[i] << (es[i] - anchor)
+        if total == 0:
+            continue
+        if lead is not None:
+            m, e = lead
+            return _round_pair((m << (p + 2)) + (1 if total > 0 else -1), e - p - 2, p)
+        lead = total, anchor
+    return _round_pair(*lead, p) if lead else (0, 0)
+
+
+def f_sum_blocks(xs: Sequence[PFloat]) -> PFloat:
+    """Correctly rounded n-ary sum via exponent-block decomposition."""
     p = _common_p(xs, "f_sum_blocks")
-    nonzero = [x for x in xs if x.m != 0]
-    if not nonzero:
-        return PFloat(0, 0, p)
-    blocks = _partition(nonzero, block_threshold(p, len(nonzero)))
-    sums = [(m, e) for m, e in _block_sums(nonzero, blocks) if m != 0]
-    if not sums:
-        return PFloat(0, 0, p)
-    m, e = sums[0]
-    if len(sums) > 1:
-        m, e = (m << (p + 2)) + (1 if sums[1][0] > 0 else -1), e - p - 2
-    return _round_dyadic(m, e, p)
+    nonzero = [x for x in xs if x.m]
+    m, e = _sum_pairs([x.m for x in nonzero], [x.e for x in nonzero], p)
+    return PFloat(m, e, p)
+
+
+def f_dot(u: Sequence[PFloat], v: Sequence[PFloat], p: int, bias: PFloat | None = None) -> PFloat:
+    """f_sum_blocks([f_mul(a, b) for nonzero pairs] + [bias]), zero at p when
+    no term is nonzero; the products stay (m, e) pairs, so one PFloat is built."""
+    ms, es = [], []
+    for a, b in zip(u, v):
+        if a.p != p or b.p != p:
+            raise DomainError(f"mixed precisions {p} and {b.p if a.p == p else a.p}")
+        if a.m and b.m:
+            m, e = _round_pair(a.m * b.m, a.e + b.e, p)
+            ms.append(m)
+            es.append(e)
+    if bias is not None:
+        if bias.p != p:
+            raise DomainError(f"mixed precisions {p} and {bias.p}")
+        if bias.m:
+            ms.append(bias.m)
+            es.append(bias.e)
+    m, e = _sum_pairs(ms, es, p)
+    return PFloat(m, e, p)
 
 
 def f_sum_oracle(xs: Sequence[PFloat]) -> PFloat:

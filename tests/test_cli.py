@@ -265,6 +265,18 @@ def test_model_literal_past_int_digit_limit_is_load_error(tmp_path, capsys):
     assert "output_head.bias" in err and "too long" in err
 
 
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_smat_precision_past_int_digit_limit_is_usage_error(capsys, json_flag):
+    # the widest p whose significands the interpreter can still print: 2^p < 10^limit
+    widest = (10 ** sys.get_int_max_str_digits()).bit_length() - 1
+    argv = ("eval", "--model", "softmax-uniform", "--input", "1101", "--mode", "smat") + json_flag
+    code, out, err = run_cli(capsys, *argv, "--precision", str(widest))
+    assert code == 0 and err == ""
+    code, out, err = run_cli(capsys, *argv, "--precision", str(widest + 1))
+    assert code == 2 and out == ""
+    assert err.startswith("error: --precision") and err.count("\n") == 1
+
+
 def test_eval_json_is_byte_deterministic(capsys):
     args = (
         "eval --model softmax-uniform --input 1101 --mode budgeted "
@@ -325,6 +337,16 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 def test_verify_any_precision_passes_or_is_usage_error(capsys, suite, p):
     code, _, err = run_cli(capsys, "verify", "--suite", suite, "--p", str(p), "--cases", "40")
     assert code == 0 or (code == 2 and err.startswith("error: ")), err
+
+
+@pytest.mark.parametrize("p, defaulted", [(24, {"round": 3}), (1, {"round": 3, "sum": 3})], ids=["p24", "p1"])
+def test_verify_all_runs_out_of_range_suites_at_their_default(capsys, p, defaulted):
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--p", str(p), "--cases", "5", "--json")
+    assert (code, err) == (0, "")
+    ran_at = {s["suite"]: s["p"] for s in json.loads(out)["suites"]}
+    assert list(ran_at) == list(SUITES)
+    precision_free = {"softmax-delta": None, "invsqrt-delta": None}
+    assert ran_at == {name: p for name in SUITES} | precision_free | defaulted
 
 
 def test_verify_unknown_suite_usage_error(capsys):

@@ -73,6 +73,42 @@ SMAT = {
     ("cabbac", 53): (-8146354737207753, -52),
 }
 
+# p = 256 and 1024 on five-letter words: poly(n)-bit precision, where
+# f_exp rather than the dot products dominates the run.
+SMAT_WIDE = {
+    # (word, p): (hex digits of |m|, sign of m, e)
+    ("abcca", 256): (
+        "e78913027a9e3233b79060b35cc9ee13bdce400837623d6242c15172760b111b",
+        -1,
+        -255,
+    ),
+    ("abcca", 1024): (
+        (
+            "e78913027a9e3233b79060b35cc9ee13bdce400837623d6242c15172760b111d"
+            "600684f974a36e8ca424dc0c2ee5cc644ef8a0b9d1466be80fa00fdfe9685ad8"
+            "05f90d5f459f2a67e55258cf6f9db59c3a6efab16ca252debd10ef6af9d31790"
+            "e9f7b0df61343cb54db1c53afef84c1721ed48205812a387b6effdb55c3d6322"
+        ),
+        -1,
+        -1023,
+    ),
+    ("cbaac", 256): (
+        "e7888c3136165121ff04012713d3927a27a014d6a45595d8dc6a32aef272b598",
+        -1,
+        -255,
+    ),
+    ("cbaac", 1024): (
+        (
+            "e7888c3136165121ff04012713d3927a27a014d6a45595d8dc6a32aef272b598"
+            "bda946cb8ec6bde9ee9ec98afc2dce950503050174f4ab51ea6fefcbe9465dc1"
+            "e99141c569967f183bb8ee96577014ec47625464fc1f59e7d0abf867f004352d"
+            "2a151d3ae23036d6866adafd75f69a249667774e478e34eb81cef9354deaeb7b"
+        ),
+        -1,
+        -1023,
+    ),
+}
+
 # Budgeted at eps = 2^-16 and 2^-64: each output is rounded to the epsilon
 # grid; both lie within eps of an mpmath pass at 4*log2(1/eps) + 256 bits.
 BUDGETED = {
@@ -93,6 +129,13 @@ def test_ahat_two_layers_mixed_masks(word):
 def test_smat_two_layers_with_layernorm(word, p):
     value = eval_smat_pbit(_model(12, "softmax", 2, True), word, p)
     assert (value.m, value.e, value.p) == SMAT[word, p] + (p,)
+
+
+@pytest.mark.parametrize("word, p", sorted(SMAT_WIDE))
+def test_smat_two_layers_with_layernorm_wide(word, p):
+    value = eval_smat_pbit(_model(12, "softmax", 2, True), word, p)
+    digits, sign, e = SMAT_WIDE[word, p]
+    assert (value.m, value.e, value.p) == (sign * int(digits, 16), e, p)
 
 
 @pytest.mark.parametrize("word", sorted(BUDGETED))

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from exact_xformer import DomainError, PFloat, Rat, f_add, f_div, f_mul, round_p
-from exact_xformer.pfloat import block_threshold, decimal_str, f_cmp, f_neg, float_to_rat
+from exact_xformer import DomainError, PFloat, Rat, f_add, f_div, f_mul, f_sum_blocks, round_p
+from exact_xformer.pfloat import block_threshold, decimal_str, f_cmp, f_dot, f_neg, f_sum_oracle, float_to_rat
 
 
 def _frac(x: PFloat) -> Fraction:
@@ -225,3 +225,52 @@ def test_block_threshold_values():
     assert block_threshold(3, 2) == 8
     assert block_threshold(3, 10) == 11
     assert block_threshold(8, 64) == 23
+
+
+# --- dot products ---------------------------------------------------------------
+
+
+def _dot_cases(p: int):
+    """(u, v, bias) with zero factors, and exponents spread over [-spread,
+    spread], so the rounded products fall into one block or several
+    (block_threshold is 2p + ceil(log2 n) + 1)."""
+
+    def build(spread):
+        factor = st.one_of(st.just(PFloat.zero(p)), _pfloats(p, -spread, spread))
+        bias = st.one_of(st.none(), st.just(PFloat.zero(p)), _pfloats(p, -2 * spread, 2 * spread))
+        pairs = st.lists(st.tuples(factor, factor), max_size=8)
+        return st.tuples(pairs, bias).map(lambda c: ([a for a, _ in c[0]], [b for _, b in c[0]], c[1]))
+
+    return st.integers(min_value=0, max_value=3 * p).flatmap(build)
+
+
+@given(st.sampled_from((2, 3, 8, 24, 53, 113)).flatmap(lambda p: st.tuples(st.just(p), _dot_cases(p))))
+def test_dot_equals_sum_of_rounded_products(case):
+    p, (u, v, bias) = case
+    terms = [f_mul(a, b) for a, b in zip(u, v) if a.m and b.m] + ([bias] if bias is not None else [])
+    got = f_dot(u, v, p, bias)
+    if not terms:
+        assert got == PFloat.zero(p)
+        return
+    assert got == f_sum_blocks(terms) == f_sum_oracle(terms)
+
+
+def test_dot_of_empty_vectors_is_zero_at_p():
+    assert f_dot([], [], 5) == PFloat.zero(5)
+    assert f_dot([], [], 5, PFloat.zero(5)) == PFloat.zero(5)
+    assert f_dot([], [], 5, PFloat(-17, 3, 5)) == PFloat(-17, 3, 5)
+
+
+@pytest.mark.parametrize(
+    "u, v, bias",
+    [
+        ([PFloat(5, 0, 3)], [PFloat(9, 0, 4)], None),
+        ([PFloat(9, 0, 4)], [PFloat(5, 0, 3)], None),
+        ([PFloat(5, 0, 3)], [PFloat.zero(4)], None),
+        ([PFloat(5, 0, 3)], [PFloat(5, 0, 3)], PFloat(9, 0, 4)),
+    ],
+    ids=["left", "right", "zero-factor", "bias"],
+)
+def test_dot_rejects_mixed_precisions(u, v, bias):
+    with pytest.raises(DomainError, match="mixed precisions 3 and 4"):
+        f_dot(u, v, 3, bias)

@@ -50,6 +50,37 @@ def _clustered_lists(p: int):
     )
 
 
+@st.composite
+def _straddle_list(draw, p: int):
+    """A lead pair cancelling to one bit at the bottom of its binade, with far
+    mass within a few units of the half-spacing breakpoint below it, or
+    (deep) exactly on it with one more term below to settle the side.  Each
+    gap is 2p + ceil(log2 n), one bit under block_threshold, so the list is
+    one exact block; without the guard bit it would split at the straddle.
+    This mirrors the binade-bottom family of the verify sum suite."""
+    big_l = draw(st.integers(min_value=3, max_value=5))
+    deep = draw(st.booleans())
+    units = (1 << (p + big_l - 1)) + (0 if deep else draw(st.integers(min_value=-3, max_value=3)))
+    # n = n_far + 2 (+1 if deep) with ceil(log2 n) = big_l, and units / n_far
+    # split into p-bit significands
+    counts = range((1 << (big_l - 1)) + 1, (1 << big_l) - (3 if deep else 2) + 1)
+    n_far = draw(st.sampled_from([k for k in counts if (1 << (p - 1)) * k <= units <= ((1 << p) - 1) * k]))
+    theta = 2 * p + big_l
+    e = draw(st.integers(min_value=-8, max_value=8))
+    sign = draw(st.sampled_from((1, -1)))
+    m1 = draw(st.integers(min_value=(1 << (p - 1)) + 1, max_value=(1 << p) - 1))
+    xs = [PFloat(sign * m1, e, p), PFloat(-sign * (m1 - 1), e, p)]
+    base, extra = divmod(units, n_far)
+    xs += [PFloat(-sign * c, e - theta, p) for c in [base + 1] * extra + [base] * (n_far - extra)]
+    if deep:
+        xs.append(PFloat(draw(st.sampled_from((1, -1))) * (1 << (p - 1)), e - 2 * theta, p))
+    return draw(st.permutations(xs))
+
+
+def _sum_lists(p: int):
+    return st.one_of(_clustered_lists(p), _straddle_list(p))
+
+
 # --- partition ---------------------------------------------------------------
 
 
@@ -164,13 +195,13 @@ def test_corner_away_from_zero_is_never_special():
 # --- equivalence with the oracle ------------------------------------------------------
 
 
-@given(st.sampled_from((3, 8)).flatmap(_clustered_lists))
+@given(st.sampled_from((3, 8)).flatmap(_sum_lists))
 @settings(max_examples=300)
 def test_blocks_equal_oracle(xs):
     assert f_sum_blocks(xs) == f_sum_oracle(xs)
 
 
-@given(st.sampled_from((3, 8)).flatmap(_clustered_lists))
+@given(st.sampled_from((3, 8)).flatmap(_sum_lists))
 @settings(max_examples=300)
 def test_remainder_gap_bound(xs):
     """Everything outside the leading nonzero block stays strictly below
