@@ -18,38 +18,53 @@ smat_budgeted exact rationals except exp and inverse-sqrt, each approximated
 This module holds the first two; budget.py builds the third on `forward`
 and `exact_backend`.  Recognition follows the strict-sign convention:
 positive output accepts, negative rejects, exact zero is a tie.
+
+A backend's `attend` step turns one query into its context vector.  Every
+position of an unmasked head sees the same keys and values, so `forward`
+attends once per distinct query vector; in the majority fixture every query
+is zero.  smat and budgeted attend through `attend_by`: the score dots, the
+normalizer, then the context dots, in the order the bits depend on.  ahat
+picks the maximizers and averages their values directly, and an all-zero
+query ties every key without a score dot.
+
+ahat runs on `compile_rows(model)`, its counterpart of smat's
+`round_model`: each weight row becomes its nonzero (index, integer
+numerator) pairs over the row's lcm denominator, so a zero row multiplies
+nothing and a unit row hands back its input coordinate.  Budgeted mode
+keeps the model's own rows under `_rat_dot`: compiling a 1-layer
+benchmark-zoo model costs about 190 us per evaluation, near a tenth of a
+typical budgeted run, and its dense rows save no multiplication.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Callable, NamedTuple, Sequence
 
 from .elementary import f_exp, f_sqrt
 from .errors import DomainError, EvalModeError
-from .model_ir import Model, position_embedding
+from .model_ir import FFNN, AttentionHead, Layer, LayerNorm, Model, OutputHead, position_embedding
 from .pfloat import PFloat, f_add, f_div, f_dot, f_mul, f_neg, f_sum_blocks, round_p
 from .rational import RAT_ZERO, Rat, _sum_over_lcm, rat_max, rat_sum
-
-
-@dataclass
-class EvalTrace:
-    embedding_bits: tuple[int, int]
-    layer_bits: list[tuple[int, int]]  # (max numerator bits, max denominator bits)
 
 
 class Backend(NamedTuple):
     """The arithmetic `forward` runs on.
 
-    dot(u, v, bias=None)   sum of u[k]*v[k] (plus bias), zero products skipped
-    total(terms)           sum of the terms
-    add(a, b)              a + b
-    positive(x)            x > 0 (the ReLU test)
-    normalize(scores, layer, head)       attention weights of one score row
-    layernorm(x, ln, layer, site)        site is "ln_attn" or "ln_ffnn"
+    dot(row, v, bias=None)  sum of row[k]*v[k] (plus bias), zero products
+                            skipped; row is a weight row of the model that
+                            `forward` is given, prepared for this backend
+                            (round_model, compile_rows) or as parsed
+    total(terms)            sum of the terms
+    add(a, b)               a + b
+    positive(x)             x > 0 (the ReLU test)
+    attend(q, ks, vs, layer, head)  the context vector of query q over the
+                            keys ks and values vs it sees (a causal head
+                            passes the prefix up to the query's position)
+    layernorm(x, ln, layer, site)   site is "ln_attn" or "ln_ffnn"
     """
 
     zero: object
@@ -57,7 +72,7 @@ class Backend(NamedTuple):
     total: Callable
     add: Callable
     positive: Callable
-    normalize: Callable
+    attend: Callable
     layernorm: Callable
 
 
@@ -75,8 +90,7 @@ def check_heads(model: Model, kind: str, reason: str, layernorm: bool = True) ->
 def forward(model: Model, xs: list[list], backend: Backend) -> tuple[object, list[list[list]]]:
     """The encoder over embedded inputs `xs`; returns the output value and
     each layer's output vectors."""
-    dot, total, add, zero, positive = backend.dot, backend.total, backend.add, backend.zero, backend.positive
-    n = len(xs)
+    zero, dot, total, add, positive, attend, layernorm = backend
     states = []
     for li, layer in enumerate(model.layers):
         per_head = []
@@ -84,12 +98,20 @@ def forward(model: Model, xs: list[list], backend: Backend) -> tuple[object, lis
             qs = [[dot(row, x) for row in head.w_q] for x in xs]
             ks = [[dot(row, x) for row in head.w_k] for x in xs]
             vs = [[dot(row, x) for row in head.w_v] for x in xs]
-            outs = []
-            for i in range(n):
-                js = range(i + 1) if head.masking == "causal" else range(n)
-                alphas = backend.normalize([dot(qs[i], ks[j]) for j in js], li, hi)
-                ctx = [dot(alphas, [vs[j][c] for j in js]) for c in range(model.dim)]
-                outs.append([dot(row, ctx) for row in head.w_o])
+            if head.masking == "causal":
+                ctxs = (attend(q, ks[: i + 1], vs[: i + 1], li, hi) for i, q in enumerate(qs))
+                outs = [[dot(row, ctx) for row in head.w_o] for ctx in ctxs]
+            else:
+                # Every position sees the same keys and values, so equal
+                # queries have equal outputs: attend once per distinct query.
+                seen: dict = {}
+                outs = []
+                for q in qs:
+                    out = seen.get(key := tuple(q))
+                    if out is None:
+                        ctx = attend(q, ks, vs, li, hi)
+                        out = seen[key] = [dot(row, ctx) for row in head.w_o]
+                    outs.append(out)
             per_head.append(outs)
 
         ffnn = layer.ffnn
@@ -100,7 +122,7 @@ def forward(model: Model, xs: list[list], backend: Backend) -> tuple[object, lis
                 for c in range(model.dim)
             ]
             if layer.layernorm_attn is not None:
-                acc = backend.layernorm(acc, layer.layernorm_attn, li, "ln_attn")
+                acc = layernorm(acc, layer.layernorm_attn, li, "ln_attn")
             hidden = [dot(row, acc, b) for row, b in zip(ffnn.w1, ffnn.b1)]
             if ffnn.activation == "relu":
                 hidden = [h if positive(h) else zero for h in hidden]
@@ -108,12 +130,41 @@ def forward(model: Model, xs: list[list], backend: Backend) -> tuple[object, lis
             if layer.residual_ffnn:
                 h = [add(a, b) for a, b in zip(acc, h)]
             if layer.layernorm_ffnn is not None:
-                h = backend.layernorm(h, layer.layernorm_ffnn, li, "ln_ffnn")
+                h = layernorm(h, layer.layernorm_ffnn, li, "ln_ffnn")
             nxt.append(h)
         xs = nxt
         states.append(xs)
 
     return dot(model.output_head.weights, xs[-1], model.output_head.bias), states
+
+
+def _same(x):
+    return x
+
+
+def _map_params(model: Model, row: Callable, vec: Callable, scalar: Callable) -> Model:
+    """The model with each weight row (the output head's weights included)
+    mapped by `row`, each bias and layernorm vector by `vec`, and each
+    scalar parameter by `scalar`; embeddings are left as they are.  It calls
+    the constructors directly: ahat maps its model on every evaluation, and
+    dataclasses.replace costs about 40% more."""
+
+    def mat(rows):
+        return tuple(map(row, rows))
+
+    def norm(ln):
+        return None if ln is None else LayerNorm(vec(ln.gamma), vec(ln.beta), scalar(ln.c))
+
+    def mapped(layer):
+        heads = tuple(AttentionHead(mat(h.w_q), mat(h.w_k), mat(h.w_v), mat(h.w_o), h.kind, h.masking) for h in layer.heads)
+        f = layer.ffnn
+        ffnn = FFNN(mat(f.w1), vec(f.b1), f.activation, mat(f.w2), vec(f.b2))
+        lns = norm(layer.layernorm_attn), norm(layer.layernorm_ffnn)
+        return Layer(heads, ffnn, *lns, layer.residual_attn, layer.residual_ffnn)
+
+    out = OutputHead(row(model.output_head.weights), scalar(model.output_head.bias))
+    layers = tuple(map(mapped, model.layers))
+    return Model(model.alphabet, model.dim, model.token_embeddings, model.position_rule, layers, out, model.param_bits)
 
 
 # --------------------------------------------------------------------------
@@ -139,9 +190,88 @@ def _rat_total(terms: Sequence[Rat]) -> Rat:
     return rat_sum(terms) if terms else RAT_ZERO
 
 
+def _rat_add(a: Rat, b: Rat) -> Rat:
+    """a + b; a zero operand gives the other one back as it is."""
+    if not b.num:
+        return a
+    return a + b if a.num else b
+
+
+def _rat_positive(x: Rat) -> bool:
+    return x.num > 0
+
+
+def attend_by(dot: Callable, normalize: Callable) -> Callable:
+    """The attend step of a normalizer: every score dot q.k, then the weights
+    normalize(scores, layer, head), then one weights-by-values dot per
+    context coordinate."""
+
+    def attend(q, ks, vs, layer, head):
+        alphas = normalize([dot(q, k) for k in ks], layer, head)
+        return [dot(alphas, col) for col in zip(*vs)]
+
+    return attend
+
+
 def exact_backend(normalize: Callable, layernorm: Callable) -> Backend:
-    """Exact rationals around the given attention and layernorm steps."""
-    return Backend(RAT_ZERO, _rat_dot, _rat_total, operator.add, lambda x: x.num > 0, normalize, layernorm)
+    """Exact rationals on the model's own rows, around the given attention
+    normalizer and layernorm steps."""
+    return Backend(RAT_ZERO, _rat_dot, _rat_total, _rat_add, _rat_positive, attend_by(_rat_dot, normalize), layernorm)
+
+
+_ZERO_ROW = (1, (), None)
+
+
+def _compile_row(row: Sequence[Rat]) -> tuple:
+    """(den, pairs, unit): the row's nonzero entries as (index, integer
+    numerator) pairs over den, the lcm of their denominators; unit is the
+    index k when the row is the k-th unit vector, else None."""
+    nz = [(k, x) for k, x in enumerate(row) if x.num]
+    if not nz:
+        return _ZERO_ROW
+    den = lcm(*[x.den for _, x in nz])
+    pairs = tuple((k, x.num * (den // x.den)) for k, x in nz)
+    unit = pairs[0][0] if den == 1 and len(pairs) == 1 and pairs[0][1] == 1 else None
+    return den, pairs, unit
+
+
+def _row_dot(row: tuple, v: Sequence[Rat], bias: Rat | None = None) -> Rat:
+    """_rat_dot of a compiled row: integer numerators times v's, over the lcm
+    of v's denominators times the row's; a zero row is the bias (or zero),
+    and a unit row without bias is v's coordinate itself."""
+    den, pairs, unit = row
+    if bias is not None and bias.num:
+        nums, dens = [bias.num], [bias.den]
+    elif unit is not None:
+        return v[unit]
+    else:
+        nums, dens = [], []
+    for k, a in pairs:
+        x = v[k]
+        if x.num:
+            nums.append(a * x.num)
+            dens.append(x.den * den)
+    return _sum_over_lcm(nums, dens) if nums else RAT_ZERO
+
+
+class EvalTrace:
+    """Operand widths of an exact run, as (max numerator bits, max denominator
+    bits): of the embedded inputs and of each layer's outputs.  Each is
+    computed when first read."""
+
+    def __init__(self, inputs: list[list[Rat]], states: list[list[list[Rat]]]):
+        self._inputs, self._states = inputs, states
+
+    @cached_property
+    def embedding_bits(self) -> tuple[int, int]:
+        return _bits_of(self._inputs)
+
+    @cached_property
+    def layer_bits(self) -> list[tuple[int, int]]:
+        return [_bits_of(s) for s in self._states]
+
+    def __repr__(self) -> str:
+        return f"EvalTrace(embedding_bits={self.embedding_bits!r}, layer_bits={self.layer_bits!r})"
 
 
 def _bits_of(vecs: Sequence[Sequence[Rat]]) -> tuple[int, int]:
@@ -163,7 +293,7 @@ def embed_input(model: Model, w: str) -> list[list[Rat]]:
         if sym not in model.token_embeddings:
             raise DomainError(f"symbol {sym!r} not in the model alphabet")
         pos = position_embedding(model.position_rule, i, n, model.dim)
-        out.append([a + b for a, b in zip(model.token_embeddings[sym], pos)])
+        out.append([a + b if b.num else a for a, b in zip(model.token_embeddings[sym], pos)])
     return out
 
 
@@ -177,13 +307,35 @@ def ahardmax_weights(scores: Sequence[Rat]) -> list[Rat]:
     return [share if s == top else RAT_ZERO for s in scores]
 
 
+def _ahat_attend(q: list[Rat], ks: list[list[Rat]], vs: list[list[Rat]], layer: int, head: int) -> list[Rat]:
+    """The mean of the values at the score maximizers.  An all-zero query
+    scores every key 0, a full tie, so it makes no score dots; one maximizer
+    gives its value vector, and more give each column summed over one lcm
+    with the 1/hits weight folded into the denominators."""
+    if any(x.num for x in q):
+        weights = ahardmax_weights([_rat_dot(q, k) for k in ks])
+        vs = [v for v, a in zip(vs, weights) if a.num]
+    if len(vs) == 1:
+        return vs[0]
+    hits = len(vs)
+    return [_sum_over_lcm([x.num for x in col], [x.den * hits for x in col]) for col in zip(*vs)]
+
+
+_AHAT = Backend(RAT_ZERO, _row_dot, _rat_total, _rat_add, _rat_positive, _ahat_attend, None)
+
+
+def compile_rows(model: Model) -> Model:
+    """The model with every attention, FFNN and output-head weight row
+    compiled for _row_dot (biases and embeddings stay rationals)."""
+    return _map_params(model, _compile_row, _same, _same)
+
+
 def eval_ahat(model: Model, w: str) -> tuple[Rat, EvalTrace]:
     """Exact rational evaluation; average-hard attention, no layernorm."""
     check_heads(model, "average_hard", "ahat_exact needs average_hard", layernorm=False)
     xs = embed_input(model, w)
-    backend = exact_backend(lambda scores, layer, head: ahardmax_weights(scores), None)
-    value, states = forward(model, xs, backend)
-    return value, EvalTrace(_bits_of(xs), [_bits_of(s) for s in states])
+    value, states = forward(compile_rows(model), xs, _AHAT)
+    return value, EvalTrace(xs, states)
 
 
 # --------------------------------------------------------------------------
@@ -230,34 +382,21 @@ def round_model(model: Model, p: int) -> Model:
     """The model with every attention, FFNN, layernorm and output-head
     parameter rounded once to p bits (embeddings are rounded after lookup)."""
     rv = lambda vec: tuple(round_p(x, p) for x in vec)
-    rm = lambda mat: tuple(rv(row) for row in mat)
-
-    def rln(ln):
-        return None if ln is None else replace(ln, gamma=rv(ln.gamma), beta=rv(ln.beta), c=round_p(ln.c, p))
-
-    def rlayer(layer):
-        heads = tuple(replace(h, w_q=rm(h.w_q), w_k=rm(h.w_k), w_v=rm(h.w_v), w_o=rm(h.w_o)) for h in layer.heads)
-        f = layer.ffnn
-        ffnn = replace(f, w1=rm(f.w1), b1=rv(f.b1), w2=rm(f.w2), b2=rv(f.b2))
-        lns = dict(layernorm_attn=rln(layer.layernorm_attn), layernorm_ffnn=rln(layer.layernorm_ffnn))
-        return replace(layer, heads=heads, ffnn=ffnn, **lns)
-
-    out = model.output_head
-    out = replace(out, weights=rv(out.weights), bias=round_p(out.bias, p))
-    return replace(model, layers=tuple(rlayer(layer) for layer in model.layers), output_head=out)
+    return _map_params(model, rv, rv, lambda x: round_p(x, p))
 
 
 def _pbit_backend(p: int) -> Backend:
     """p-bit floats.  A dot product is f_dot: each nonzero product rounded
     once, then one block sum with the bias.  A sum is one f_sum_blocks.
     Every rounding is pfloat's _round_pair, its one ties-to-even."""
+    dot = lambda u, v, bias=None: f_dot(u, v, p, bias)
     return Backend(
         PFloat.zero(p),
-        lambda u, v, bias=None: f_dot(u, v, p, bias),
+        dot,
         lambda terms: _fsum(terms, p),
         f_add,
         lambda x: x.m > 0,
-        lambda scores, layer, head: softmax_pbit(scores, p),
+        attend_by(dot, lambda scores, layer, head: softmax_pbit(scores, p)),
         lambda x, ln, layer, site: layernorm_pbit(x, ln.gamma, ln.beta, ln.c, p),
     )
 

@@ -346,6 +346,15 @@ def float_to_rat(x: PFloat) -> Rat:
     return Rat(x.m, 1 << -x.e)
 
 
+def _ilog10(n: int) -> int:
+    """floor(log10(n)) for n >= 1, i.e. len(str(n)) - 1, with no decimal
+    conversion: 1233/4096 < log10(2) starts it at or below the answer."""
+    k = (n.bit_length() - 1) * 1233 >> 12
+    while n >= 10 ** (k + 1):
+        k += 1
+    return k
+
+
 def decimal_str(x: PFloat, digits: int = 12) -> str:
     """Advisory decimal rendering; the (m, e, p) triple is the normative form."""
     if x.m == 0:
@@ -369,7 +378,7 @@ def decimal_str(x: PFloat, digits: int = 12) -> str:
         q = 10**-sh
         return (num + den * q // 2) // (den * q)
 
-    k10 = len(str(num)) - len(str(den))
+    k10 = _ilog10(num) - _ilog10(den)
     mant = scaled(k10)
     while mant >= 10**digits:
         k10 += 1

@@ -11,9 +11,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
-from exact_xformer import Rat, budget, cli
+from exact_xformer import Rat, budget, cli, serialize_model
+from exact_xformer.model_ir import FFNN, AttentionHead, Layer, Model, OutputHead, PositionRule
 from exact_xformer.verify import SUITES, SuiteResult
 
 
@@ -150,6 +152,30 @@ def test_eval_budgeted_fine_epsilon_prints_value(capsys, tmp_path):
     assert (code, err) == (0, "")
     value = Rat.from_string(json.loads(out)["value"]["rat"])
     assert value.den <= 1 << 128
+
+
+def test_eval_smat_output_past_int_string_limit(capsys, tmp_path):
+    # output 2^16000 at p = 14000: as an integer it has 4,817 decimal digits,
+    # more than str(int) converts by default
+    zero, big = ((Rat(0),),), (Rat(1 << 8000),)
+    head = AttentionHead(zero, zero, zero, zero, "softmax", "none")
+    layer = Layer((head,), FFNN(zero, (Rat(0),), "relu", zero, (Rat(0),)), None, None, True, True)
+    model = Model(("a",), 1, {"a": big}, PositionRule("none"), (layer,), OutputHead(big, Rat(0)))
+    path = tmp_path / "huge.json"
+    path.write_text(serialize_model(model))
+    argv = f"eval --model {path} --input a --mode smat --precision 14000".split()
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    value = json.loads(out)["value"]
+    assert (int(value["m"]), int(value["e"]), value["p"]) == (1 << 13999, 2001, 14000)
+    lead, k10 = value["decimal_approx"].split("e")
+    with mpmath.workprec(64):
+        truth = mpmath.mpf(2) ** 16000 / mpmath.mpf(10) ** int(k10)
+        assert 1 <= truth < 10
+        assert abs(mpmath.mpf(lead) - truth) <= mpmath.mpf("5e-12")  # 12 digits, rounded
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert f"(~ {value['decimal_approx']})" in out
 
 
 def test_eval_exact_zero_is_tie_exit(capsys):

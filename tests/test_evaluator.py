@@ -29,9 +29,12 @@ from exact_xformer import (
     margin_recognize,
     round_p,
 )
+from exact_xformer import evaluator
 from exact_xformer.evaluator import (
+    _compile_row,
     _rat_dot,
     _rat_total,
+    _row_dot,
     ahardmax_weights,
     bit_growth_trace,
     embed_input,
@@ -39,7 +42,9 @@ from exact_xformer.evaluator import (
     layernorm_pbit,
     softmax_pbit,
 )
+from exact_xformer.model_ir import FFNN, AttentionHead, Layer, Model, OutputHead, PositionRule
 from exact_xformer.pfloat import float_to_rat
+from exact_xformer.rational import RAT_ZERO
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +141,25 @@ def test_rat_dot_zero_and_empty_vectors():
     _same_pair(_rat_dot([Rat(1, 6), Rat(0), Rat(-5, 4)], [Rat(3, 2), Rat(9), Rat(1, 5)]), Fraction(0))
 
 
+@given(st.lists(st.tuples(rats, rats), min_size=1, max_size=8), st.one_of(st.none(), rats), st.integers(-1, 7))
+def test_row_dot_matches_rat_dot(pairs, bias, unit):
+    # unit >= 0 makes u the unit vector e_(unit mod len), the shortcut row
+    u, v = [a for a, _ in pairs], [b for _, b in pairs]
+    if unit >= 0:
+        u = [Rat(int(k == unit % len(u))) for k in range(len(u))]
+    _same_pair(_row_dot(_compile_row(u), v, bias), _frac(_rat_dot(u, v, bias)))
+
+
+def test_row_dot_zero_and_unit_rows():
+    v = [Rat(3, 4), Rat(-5, 6), Rat(0)]
+    zero, unit = _compile_row([Rat(0)] * 3), _compile_row([Rat(0), Rat(1), Rat(0)])
+    assert _row_dot(zero, v) is RAT_ZERO
+    _same_pair(_row_dot(zero, v, Rat(-7, 8)), Fraction(-7, 8))
+    assert _row_dot(unit, v) is v[1]
+    _same_pair(_row_dot(unit, v, Rat(1, 3)), Fraction(-1, 2))
+    _same_pair(_row_dot(_compile_row([Rat(1, 6), Rat(-3, 4), Rat(2)]), v), Fraction(1, 8) + Fraction(5, 8))
+
+
 @given(st.lists(rats, max_size=8))
 def test_rat_total_returns_canonical_pair(terms):
     _same_pair(_rat_total(terms), sum(map(_frac, terms), Fraction(0)))
@@ -187,6 +211,57 @@ def test_smat_uniform_scores_recover_exact_margin(uniform, p):
     assert eval_smat_pbit(uniform, "1", p) == round_p(Rat(1, 2), p)
     got = float_to_rat(eval_smat_pbit(uniform, "100", p))
     assert abs(got - Rat(-1, 6)) < Rat(1, 1 << (p - 6))
+
+
+# --- attend calls -------------------------------------------------------------------
+
+
+def _counting_attends(monkeypatch) -> list:
+    """Record (layer, head, keys seen) for every attend call of `forward`."""
+    calls, forward = [], evaluator.forward
+
+    def counting_forward(model, xs, backend):
+        def attend(q, ks, vs, layer, head):
+            calls.append((layer, head, len(ks)))
+            return backend.attend(q, ks, vs, layer, head)
+
+        return forward(model, xs, backend._replace(attend=attend))
+
+    monkeypatch.setattr(evaluator, "forward", counting_forward)
+    return calls
+
+
+def _letter_query_model(kind: str) -> Model:
+    """One layer, a causal and an unmasked head, both with identity queries;
+    no position rule, so a position's query is its letter's embedding."""
+    one, zero = Rat(1), Rat(0)
+    ident = tuple(tuple(one if r == c else zero for c in range(3)) for r in range(3))
+    keys = ((one, Rat(1, 2), zero), (zero, one, Rat(-1)), (Rat(1, 4), zero, one))
+    heads = tuple(AttentionHead(ident, keys, ident, ident, kind, masking) for masking in ("causal", "none"))
+    layer = Layer(heads, FFNN(ident, (zero,) * 3, "relu", ident, (Rat(1, 2),) * 3), None, None, True, True)
+    emb = {"a": (one, zero, zero), "b": (zero, Rat(1, 2), zero), "c": (zero, zero, Rat(-1))}
+    return Model(("a", "b", "c"), 3, emb, PositionRule("none"), (layer,), OutputHead((one, one, one), zero))
+
+
+@pytest.mark.parametrize("kind", ["average_hard", "softmax"])
+def test_unmasked_head_attends_once_per_distinct_query(monkeypatch, kind):
+    calls = _counting_attends(monkeypatch)
+    model = _letter_query_model(kind)
+    word = "abcabbca"
+    if kind == "average_hard":
+        eval_ahat(model, word)
+    else:
+        eval_smat_pbit(model, word, 24)
+    causal = [c for c in calls if c[1] == 0]
+    unmasked = [c for c in calls if c[1] == 1]
+    assert causal == [(0, 0, i) for i in range(1, len(word) + 1)]
+    assert unmasked == [(0, 1, len(word))] * len(set(word))
+
+
+def test_majority_attends_once_per_word(monkeypatch, majority):
+    calls = _counting_attends(monkeypatch)
+    eval_ahat(majority, "110100101011011")
+    assert calls == [(0, 0, 15)]  # every query is zero
 
 
 # --- bit growth ---------------------------------------------------------------------

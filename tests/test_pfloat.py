@@ -5,6 +5,7 @@ shifts, independent of the package's own rounding cores, so "correctly
 rounded" is never checked against itself.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from exact_xformer import DomainError, PFloat, Rat, f_add, f_div, f_mul, f_sum_blocks, round_p
-from exact_xformer.pfloat import block_threshold, decimal_str, f_cmp, f_dot, f_neg, f_sum_oracle, float_to_rat
+from exact_xformer.pfloat import _ilog10, block_threshold, decimal_str, f_cmp, f_dot, f_neg, f_sum_oracle, float_to_rat
 
 
 def _frac(x: PFloat) -> Fraction:
@@ -90,6 +91,69 @@ def test_decimal_str_forms():
     assert decimal_str(PFloat.zero(8)) == "0"
     assert decimal_str(round_p(Rat(1, 4), 8)) == "2.50000000000e-1"
     assert decimal_str(PFloat(-160, -2, 8)) == "-4.00000000000e+1"
+
+
+def _decimal_str_by_string_length(x: PFloat, digits: int = 12) -> str:
+    """decimal_str as it was when k10 came from decimal string lengths
+    (which fail past the int-string digit limit); the reference below."""
+    if x.m == 0:
+        return "0"
+    s = "-" if x.m < 0 else ""
+    A = abs(x.m)
+    if abs(x.e) > 4096:
+        log10 = (math.log2(A) + x.e) * math.log10(2)
+        k = math.floor(log10)
+        lead = 10 ** (log10 - k)
+        return f"{s}{lead:.{digits - 1}f}e{k:+d}"
+    if x.e >= 0:
+        num, den = A << x.e, 1
+    else:
+        num, den = A, 1 << -x.e
+
+    def scaled(k10: int) -> int:
+        sh = digits - 1 - k10
+        if sh >= 0:
+            return (num * 10**sh + den // 2) // den
+        q = 10**-sh
+        return (num + den * q // 2) // (den * q)
+
+    k10 = len(str(num)) - len(str(den))
+    mant = scaled(k10)
+    while mant >= 10**digits:
+        k10 += 1
+        mant = scaled(k10)
+    while mant < 10 ** (digits - 1):
+        k10 -= 1
+        mant = scaled(k10)
+    text = str(mant)
+    return f"{s}{text[0]}.{text[1:]}e{k10:+d}"
+
+
+@st.composite
+def _decimal_cases(draw):
+    """A float with p <= 113 and |e| <= 4096, often a significand next to a
+    power of ten at e = 0, where the digit count and the rounding carry
+    change."""
+    p = draw(st.integers(min_value=1, max_value=113))
+    lo, hi = 1 << (p - 1), (1 << p) - 1
+    near_ten = [10**j + d for j in range(35) for d in (-1, 0, 1) if lo <= 10**j + d <= hi]
+    m = draw(st.sampled_from(near_ten) if near_ten and draw(st.booleans()) else st.integers(min_value=lo, max_value=hi))
+    e = draw(st.one_of(st.just(0), st.integers(min_value=-4096, max_value=4096)))
+    return PFloat(draw(st.sampled_from((1, -1))) * m, e, p), draw(st.integers(min_value=1, max_value=20))
+
+
+@given(_decimal_cases())
+def test_decimal_str_matches_string_length_reference(case):
+    x, digits = case
+    assert decimal_str(x, digits) == _decimal_str_by_string_length(x, digits)
+
+
+powers_of_ten = st.integers(min_value=1, max_value=4000).map(lambda k: 10**k)
+
+
+@given(st.one_of(st.integers(min_value=1, max_value=1 << 14000), powers_of_ten, powers_of_ten.map(lambda n: n - 1)))
+def test_ilog10_is_decimal_length_minus_one(n):
+    assert _ilog10(n) == len(str(n)) - 1
 
 
 # --- rounding ----------------------------------------------------------------
