@@ -7,7 +7,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 a verify suite reported failures, 2 usage or
 model-loading errors (including mode mismatches), 3 numeric range errors
-and undecided outcomes (overflow, tie, below-margin).
+and undecided outcomes (overflow, a value past the int-string limit, tie,
+below-margin).
 
 JSON output (--json) is byte-deterministic for fixed inputs: keys are
 sorted and no timing information is included.  Human output may include
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from typing import Optional
@@ -32,12 +32,15 @@ from .pfloat import PFloat, decimal_str, round_p
 from .rational import Rat
 from .verify import SUITES, run_all, run_suite
 
-ENV_SEED = "EXACT_XFORMER_SEED"
-
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RANGE = 3
+
+
+def _int_str_limit() -> int:
+    """The interpreter's int-string digit limit; 0 when it has none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def _decimal_of_rat(r: Rat) -> str:
@@ -105,11 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--p", type=int, help="significand bits for precision-indexed suites")
     p_verify.add_argument("--cases", type=int, help="number of cases (suites with generators)")
-    p_verify.add_argument(
-        "--seed",
-        type=int,
-        help=f"base seed; default: ${ENV_SEED} if set, else 0",
-    )
+    p_verify.add_argument("--seed", type=int, default=0, help="base seed (default: 0)")
     p_verify.add_argument("--json", action="store_true", help="machine-readable output")
 
     p_bits = sub.add_parser("bitgrowth", help="measure bit growth over input lengths")
@@ -128,6 +127,37 @@ def _build_parser() -> argparse.ArgumentParser:
 # --------------------------------------------------------------------------
 
 
+def _render_eval(args, value, decision: str, eps, trace_info: Optional[dict], elapsed: float) -> str:
+    """The eval report, JSON or human; raises ValueError when a number is
+    past the int-string limit."""
+    if args.json:
+        payload = {
+            "command": "eval",
+            "decision": decision,
+            "input": args.input,
+            "mode": args.mode,
+            "model": args.model,
+            "value": _value_json(value),
+        }
+        if args.mode == "smat":
+            payload["precision"] = args.precision
+        if args.mode == "budgeted":
+            payload["epsilon"] = str(eps)
+        if trace_info is not None:
+            payload["trace"] = trace_info
+        return json.dumps(payload, indent=2, sort_keys=True)
+    lines = [f"model: {args.model}", f"input: {args.input}", f"mode: {args.mode}"]
+    if args.mode == "smat":
+        lines.append(f"precision: {args.precision}")
+    if args.mode == "budgeted":
+        lines.append(f"epsilon: {eps}")
+    lines += [f"value: {_value_human(value)}", f"decision: {decision}"]
+    if trace_info is not None:
+        lines += [f"trace.{key}: {val}" for key, val in trace_info.items()]
+    lines.append(f"elapsed: {elapsed:.3f}s")
+    return "\n".join(lines)
+
+
 def _cmd_eval(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.mode == "smat":
         if args.precision is None:
@@ -135,10 +165,11 @@ def _cmd_eval(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         if args.precision < 1:
             parser.error("--precision must be a positive integer")
         # a p-bit significand prints in at most `limit` digits iff 2^p < 10^limit
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        limit = _int_str_limit()
         if limit and args.precision >= (10**limit).bit_length():
             print(f"error: --precision {args.precision} is past the {limit}-digit int-string limit", file=sys.stderr)
             return EXIT_USAGE
+    eps = None
     if args.mode == "budgeted":
         if args.epsilon is None:
             parser.error("--epsilon is required with --mode budgeted")
@@ -195,36 +226,13 @@ def _cmd_eval(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     else:
         decision = "below_margin" if args.mode == "budgeted" else "tie"
 
-    if args.json:
-        payload = {
-            "command": "eval",
-            "decision": decision,
-            "input": args.input,
-            "mode": args.mode,
-            "model": args.model,
-            "value": _value_json(value),
-        }
-        if args.mode == "smat":
-            payload["precision"] = args.precision
-        if args.mode == "budgeted":
-            payload["epsilon"] = str(eps)
-        if trace_info is not None:
-            payload["trace"] = trace_info
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(f"model: {args.model}")
-        print(f"input: {args.input}")
-        print(f"mode: {args.mode}")
-        if args.mode == "smat":
-            print(f"precision: {args.precision}")
-        if args.mode == "budgeted":
-            print(f"epsilon: {eps}")
-        print(f"value: {_value_human(value)}")
-        print(f"decision: {decision}")
-        if trace_info is not None:
-            for key, val in trace_info.items():
-                print(f"trace.{key}: {val}")
-        print(f"elapsed: {elapsed:.3f}s")
+    # render before printing: an exact value can be past the int-string limit
+    try:
+        text = _render_eval(args, value, decision, eps, trace_info, elapsed)
+    except ValueError:
+        print(f"error: the value is past the {_int_str_limit()}-digit int-string limit", file=sys.stderr)
+        return EXIT_RANGE
+    print(text)
 
     return EXIT_RANGE if decision in ("tie", "below_margin") else EXIT_OK
 
@@ -235,14 +243,6 @@ def _cmd_eval(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    seed = args.seed
-    if seed is None:
-        raw = os.environ.get(ENV_SEED, "0")
-        try:
-            seed = int(raw)
-        except ValueError:
-            print(f"error: ${ENV_SEED} must be an integer, got {raw!r}", file=sys.stderr)
-            return EXIT_USAGE
     if args.cases is not None and args.cases < 1:
         parser.error("--cases must be a positive integer")
     if args.p is not None and args.p < 1:
@@ -251,9 +251,9 @@ def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     started = time.perf_counter()
     try:
         if args.suite == "all":
-            results = run_all(p=args.p, cases=args.cases, seed=seed)
+            results = run_all(p=args.p, cases=args.cases, seed=args.seed)
         else:
-            results = [run_suite(args.suite, p=args.p, cases=args.cases, seed=seed)]
+            results = [run_suite(args.suite, p=args.p, cases=args.cases, seed=args.seed)]
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -264,7 +264,7 @@ def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
         payload = {
             "command": "verify",
             "passed": total_failures == 0,
-            "seed": seed,
+            "seed": args.seed,
             "suites": [r.to_json_dict() for r in results],
         }
         print(json.dumps(payload, indent=2, sort_keys=True))

@@ -1,9 +1,9 @@
 """Square root and exponential on p-bit floats, plus rational variants.
 
-* sqrt: x = r * 2^k with r in [1/4, 1) and k even; then
-  s = isqrt(r * 2^(2p+2)) is floor(sqrt(r) * 2^(p+1)) and (s + 1) >> 1 is
-  sqrt(r) * 2^p rounded to nearest, so the result is the correctly rounded
-  square root.
+* sqrt: x = r * 2^k with r in [1/4, 1) and k even, read off (m, e) with
+  no division; then s = isqrt(r * 2^(2p+2)), a shift of the significand, is
+  floor(sqrt(r) * 2^(p+1)) and (s + 1) >> 1 is sqrt(r) * 2^p rounded to
+  nearest, so the result is the correctly rounded square root.
 * exp: x = k * log2 + r with r in [0, log2), exp(r) by a truncated Taylor
   series, result exp(r) * 2^k; the log2 constant is a truncated series with
   a proven tail, and k is the exact rational floor of x over that constant,
@@ -128,16 +128,6 @@ def _exp_reduced(x: Rat, w: int, log_mag: int) -> tuple[int, int, int, int, int,
     return k, rn, rd, shift, lo, hi
 
 
-def range_reduce_sqrt(x: PFloat) -> tuple[Rat, int]:
-    """Write x = r * 2^k exactly with r in [1/4, 1) and k even."""
-    if x.m <= 0:
-        raise DomainError("square-root range reduction needs x > 0")
-    p = x.p
-    if (x.e + p) % 2 == 0:
-        return Rat(x.m, 1 << p), x.e + p
-    return Rat(x.m, 1 << (p + 1)), x.e + p + 1
-
-
 def f_sqrt(x: PFloat) -> PFloat:
     """Correctly rounded square root (round to nearest, ties impossible)."""
     if x.m == 0:
@@ -145,13 +135,14 @@ def f_sqrt(x: PFloat) -> PFloat:
     if x.m < 0:
         raise DomainError("square root of a negative float")
     p = x.p
-    r, k = range_reduce_sqrt(x)
-    # s = floor(sqrt(r) * 2^(p+1)); r's denominator divides 2^(p+1), so the
-    # division is exact.  sqrt(r) * 2^p is never a breakpoint m + 1/2 (that
-    # would make r * 2^(2p+2) an odd square, but it is even), so rounding
-    # s / 2 half up is rounding sqrt(r) * 2^p to nearest.
-    s = math.isqrt((r.num << (2 * p + 2)) // r.den)
-    return _round_dyadic((s + 1) >> 1, k // 2 - p, p)
+    # x = r * 2^k with r = m / 2^(p + odd) in [1/4, 1) and k = e + p + odd
+    # even, so s = floor(sqrt(r) * 2^(p+1)) = isqrt(m << (p + 2 - odd)).
+    # sqrt(r) * 2^p is never a breakpoint n + 1/2 (that would make
+    # r * 2^(2p+2) an odd square, but it is even), so rounding s / 2 half up
+    # is rounding sqrt(r) * 2^p to nearest.
+    odd = (x.e + p) & 1
+    s = math.isqrt(x.m << (p + 2 - odd))
+    return _round_dyadic((s + 1) >> 1, (x.e + p + odd) // 2 - p, p)
 
 
 def f_exp(x: PFloat, p: int | None = None) -> PFloat:

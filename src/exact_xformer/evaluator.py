@@ -54,13 +54,14 @@ from .rational import RAT_ZERO, Rat, _sum_over_lcm, rat_max, rat_sum
 class Backend(NamedTuple):
     """The arithmetic `forward` runs on.
 
+    zero                    the additive zero: ReLU keeps a value (Rat or
+                            PFloat) whose .sign is 1 and maps others here
     dot(row, v, bias=None)  sum of row[k]*v[k] (plus bias), zero products
                             skipped; row is a weight row of the model that
                             `forward` is given, prepared for this backend
                             (round_model, compile_rows) or as parsed
     total(terms)            sum of the terms
     add(a, b)               a + b
-    positive(x)             x > 0 (the ReLU test)
     attend(q, ks, vs, layer, head)  the context vector of query q over the
                             keys ks and values vs it sees (a causal head
                             passes the prefix up to the query's position)
@@ -71,7 +72,6 @@ class Backend(NamedTuple):
     dot: Callable
     total: Callable
     add: Callable
-    positive: Callable
     attend: Callable
     layernorm: Callable
 
@@ -90,7 +90,7 @@ def check_heads(model: Model, kind: str, reason: str, layernorm: bool = True) ->
 def forward(model: Model, xs: list[list], backend: Backend) -> tuple[object, list[list[list]]]:
     """The encoder over embedded inputs `xs`; returns the output value and
     each layer's output vectors."""
-    zero, dot, total, add, positive, attend, layernorm = backend
+    zero, dot, total, add, attend, layernorm = backend
     states = []
     for li, layer in enumerate(model.layers):
         per_head = []
@@ -125,7 +125,7 @@ def forward(model: Model, xs: list[list], backend: Backend) -> tuple[object, lis
                 acc = layernorm(acc, layer.layernorm_attn, li, "ln_attn")
             hidden = [dot(row, acc, b) for row, b in zip(ffnn.w1, ffnn.b1)]
             if ffnn.activation == "relu":
-                hidden = [h if positive(h) else zero for h in hidden]
+                hidden = [h if h.sign > 0 else zero for h in hidden]
             h = [dot(row, hidden, b) for row, b in zip(ffnn.w2, ffnn.b2)]
             if layer.residual_ffnn:
                 h = [add(a, b) for a, b in zip(acc, h)]
@@ -197,10 +197,6 @@ def _rat_add(a: Rat, b: Rat) -> Rat:
     return a + b if a.num else b
 
 
-def _rat_positive(x: Rat) -> bool:
-    return x.num > 0
-
-
 def attend_by(dot: Callable, normalize: Callable) -> Callable:
     """The attend step of a normalizer: every score dot q.k, then the weights
     normalize(scores, layer, head), then one weights-by-values dot per
@@ -216,7 +212,7 @@ def attend_by(dot: Callable, normalize: Callable) -> Callable:
 def exact_backend(normalize: Callable, layernorm: Callable) -> Backend:
     """Exact rationals on the model's own rows, around the given attention
     normalizer and layernorm steps."""
-    return Backend(RAT_ZERO, _rat_dot, _rat_total, _rat_add, _rat_positive, attend_by(_rat_dot, normalize), layernorm)
+    return Backend(RAT_ZERO, _rat_dot, _rat_total, _rat_add, attend_by(_rat_dot, normalize), layernorm)
 
 
 _ZERO_ROW = (1, (), None)
@@ -321,7 +317,7 @@ def _ahat_attend(q: list[Rat], ks: list[list[Rat]], vs: list[list[Rat]], layer: 
     return [_sum_over_lcm([x.num for x in col], [x.den * hits for x in col]) for col in zip(*vs)]
 
 
-_AHAT = Backend(RAT_ZERO, _row_dot, _rat_total, _rat_add, _rat_positive, _ahat_attend, None)
+_AHAT = Backend(RAT_ZERO, _row_dot, _rat_total, _rat_add, _ahat_attend, None)
 
 
 def compile_rows(model: Model) -> Model:
@@ -353,12 +349,6 @@ def softmax_pbit(scores: Sequence[PFloat], p: int) -> list[PFloat]:
     return [f_div(nm, den) for nm in nums]
 
 
-def _fsum(terms: list[PFloat], p: int) -> PFloat:
-    if not terms:
-        return PFloat.zero(p)
-    return f_sum_blocks(terms)
-
-
 def layernorm_pbit(x: list[PFloat], ln_gamma: list[PFloat], ln_beta: list[PFloat], ln_c: PFloat, p: int) -> list[PFloat]:
     """(x - mean)/sqrt(var + c) * gamma + beta, one float op at a time.
 
@@ -367,7 +357,7 @@ def layernorm_pbit(x: list[PFloat], ln_gamma: list[PFloat], ln_beta: list[PFloat
     """
     d = len(x)
     n_f = round_p(d, p)
-    mean = f_div(_fsum(list(x), p), n_f)
+    mean = f_div(f_sum_blocks(x), n_f)
     devs = [f_add(xi, f_neg(mean)) for xi in x]
     var = f_div(f_dot(devs, devs, p), n_f)
     scale = f_sqrt(f_add(var, ln_c))
@@ -393,9 +383,8 @@ def _pbit_backend(p: int) -> Backend:
     return Backend(
         PFloat.zero(p),
         dot,
-        lambda terms: _fsum(terms, p),
+        lambda terms: f_sum_blocks(terms) if terms else PFloat.zero(p),
         f_add,
-        lambda x: x.m > 0,
         attend_by(dot, lambda scores, layer, head: softmax_pbit(scores, p)),
         lambda x, ln, layer, site: layernorm_pbit(x, ln.gamma, ln.beta, ln.c, p),
     )

@@ -3,14 +3,15 @@
 A nonzero float is a pair (m, e) with 2^(p-1) <= |m| < 2^p, denoting
 m * 2^e; zero is (0, 0).  The exponent is an unbounded integer: rounding is
 total on nonzero values and zero is produced only by exact cancellation.
-Every operation here is the correctly rounded exact result: two-ary
-add/mul/div round once, and the n-ary sum partitions its inputs into
-exponent blocks, adds the dominant nonzero block exactly, and rounds it once
-with the next nonzero block's sign breaking an exact tie.  A dot product
-rounds each nonzero product once and sums the rounded products that way.
+Every operation here is the correctly rounded exact result, one core each:
+mul and div round once; every sum, f_add's two terms included, partitions
+its inputs into exponent blocks, adds the dominant nonzero block exactly,
+and rounds it once with the next nonzero block's sign breaking an exact
+tie; f_cmp is the sign of the rounded difference.  A dot product rounds
+each nonzero product once and block-sums the rounded products.
 
 Layer 1: the rounding core, _round_pair, the one ties-to-even.
-Layer 2: two-ary ops and comparison.
+Layer 2: two-ary ops and comparison, add and compare on layer 3's _sum_pairs.
 Layer 3: block summation and dot products, on plain (m, e) integer pairs.
 """
 
@@ -133,25 +134,13 @@ def _check_pair(x: PFloat, y: PFloat) -> int:
 
 
 def f_add(x: PFloat, y: PFloat) -> PFloat:
-    """Correctly rounded sum.
-
-    Exponent gaps up to 2p+4 are aligned exactly.  Beyond that the smaller
-    operand cannot reach the nearest breakpoint of the larger one, so only
-    the sign of its tail matters; a one-ulp-of-guard marker preserves the
-    rounding direction without materializing 2^gap.
-    """
+    """Correctly rounded sum: the two-term block sum."""
     p = _check_pair(x, y)
     if x.m == 0:
         return y
     if y.m == 0:
         return x
-    if x.e < y.e:
-        x, y = y, x
-    gap = x.e - y.e
-    if gap <= 2 * p + 4:
-        return _round_dyadic((x.m << gap) + y.m, y.e, p)
-    marker = 1 if y.m > 0 else -1
-    return _round_dyadic((x.m << (p + 4)) + marker, x.e - (p + 4), p)
+    return PFloat(*_sum_pairs([x.m, y.m], [x.e, y.e], p), p)
 
 
 def f_mul(x: PFloat, y: PFloat) -> PFloat:
@@ -178,28 +167,12 @@ def f_neg(x: PFloat) -> PFloat:
 
 
 def f_cmp(x: PFloat, y: PFloat) -> int:
-    """Exact comparison: -1, 0 or 1; never materializes 2^|e1 - e2|."""
-    _check_pair(x, y)
-    sx, sy = x.sign, y.sign
-    if sx != sy:
-        return 1 if sx > sy else -1
-    if sx == 0:
-        return 0
-    # same nonzero sign: compare magnitudes via their top-bit positions first
-    lx = x.e + abs(x.m).bit_length()
-    ly = y.e + abs(y.m).bit_length()
-    if lx != ly:
-        mag = 1 if lx > ly else -1
-    else:
-        # equal scale: |e gap| is at most the significand width
-        if x.e >= y.e:
-            ax, ay = abs(x.m) << (x.e - y.e), abs(y.m)
-        else:
-            ax, ay = abs(x.m), abs(y.m) << (y.e - x.e)
-        if ax == ay:
-            return 0
-        mag = 1 if ax > ay else -1
-    return mag * sx
+    """Exact comparison: -1, 0 or 1, the sign of the correctly rounded x - y,
+    which rounding keeps; the block sum never materializes 2^|e1 - e2|."""
+    p = _check_pair(x, y)
+    nz = [(m, e) for m, e in ((x.m, x.e), (-y.m, y.e)) if m]
+    m, _ = _sum_pairs([m for m, _ in nz], [e for _, e in nz], p)
+    return (m > 0) - (m < 0)
 
 
 # --------------------------------------------------------------------------

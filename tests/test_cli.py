@@ -1,7 +1,8 @@
-"""Command-line surface: exit codes, JSON determinism, environment seeding.
+"""Command-line surface: exit codes, JSON determinism, seeding.
 
 Exit code contract: 0 success, 1 verify-suite failures, 2 usage or load
-errors, 3 range/indeterminate outcomes (overflow, exact tie, below margin).
+errors, 3 range/indeterminate outcomes (overflow, a value past the int-string
+limit, exact tie, below margin).
 """
 
 import json
@@ -178,6 +179,22 @@ def test_eval_smat_output_past_int_string_limit(capsys, tmp_path):
     assert f"(~ {value['decimal_approx']})" in out
 
 
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_eval_ahat_output_past_int_string_limit_is_range_error(capsys, tmp_path, json_flag):
+    # the exact output 2^28000 has 8,429 decimal digits, more than str(int)
+    # converts by default; nothing is printed but one error line
+    zero, big = ((Rat(0),),), (Rat(1 << 14000),)
+    head = AttentionHead(zero, zero, zero, zero, "average_hard", "none")
+    layer = Layer((head,), FFNN(zero, (Rat(0),), "relu", zero, (Rat(0),)), None, None, True, True)
+    model = Model(("a",), 1, {"a": big}, PositionRule("none"), (layer,), OutputHead(big, Rat(0)))
+    path = tmp_path / "wide.json"
+    path.write_text(serialize_model(model))
+    code, out, err = run_cli(capsys, "eval", "--model", str(path), "--input", "a", "--mode", "ahat", *json_flag)
+    assert (code, out) == (3, "")
+    limit = sys.get_int_max_str_digits()
+    assert err == f"error: the value is past the {limit}-digit int-string limit\n"
+
+
 def test_eval_exact_zero_is_tie_exit(capsys):
     code, out, _ = run_cli(
         capsys, "eval", "--model", "majority", "--input", "10", "--mode", "ahat", "--json"
@@ -324,22 +341,6 @@ def test_verify_single_suite_json(capsys):
     doc = json.loads(out)
     assert doc["suites"][0]["suite"] == "exp"
     assert doc["suites"][0]["passed"] is True
-
-
-def test_verify_seed_from_environment(capsys, monkeypatch):
-    monkeypatch.setenv("EXACT_XFORMER_SEED", "12345")
-    _, out1, _ = run_cli(capsys, "verify", "--suite", "sum", "--cases", "30", "--json")
-    monkeypatch.delenv("EXACT_XFORMER_SEED")
-    _, out2, _ = run_cli(
-        capsys, "verify", "--suite", "sum", "--cases", "30", "--seed", "12345", "--json"
-    )
-    assert out1 == out2
-
-
-def test_verify_invalid_environment_seed(capsys, monkeypatch):
-    monkeypatch.setenv("EXACT_XFORMER_SEED", "not-a-number")
-    code, _, err = run_cli(capsys, "verify", "--suite", "exp", "--cases", "5")
-    assert code == 2
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

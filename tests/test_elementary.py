@@ -26,7 +26,6 @@ from exact_xformer.elementary import (
     _exp_series,
     exp_plan,
     log2_const,
-    range_reduce_sqrt,
     rat_exp_approx,
     rat_sqrt_approx,
 )
@@ -259,13 +258,13 @@ def test_sqrt_of_perfect_square_is_exact(p, data):
     assert f_sqrt(x) == _round_dyadic(a, h, p) == sqrt_round_oracle(x)
 
 
-@given(_pfloats(4, -20, 20).map(lambda x: PFloat(abs(x.m), x.e, x.p)))
-def test_range_reduce_sqrt_identity(x):
-    r, k = range_reduce_sqrt(x)
-    assert k % 2 == 0
-    assert Rat(1, 4) <= r < Rat(1)
-    scale = Rat(1 << k) if k >= 0 else Rat(1, 1 << -k)
-    assert r * scale == float_to_rat(x)
+@pytest.mark.parametrize("p", range(1, 9))
+def test_sqrt_matches_oracle_exhaustively(p):
+    # every significand at both parities of e + p, across binades
+    for e in range(-12 - p, 13 - p):
+        for m in range(1 << (p - 1), 1 << p):
+            x = PFloat(m, e, p)
+            assert f_sqrt(x) == sqrt_round_oracle(x)
 
 
 # --- series plans and rational cores ------------------------------------------------

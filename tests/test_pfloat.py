@@ -229,9 +229,10 @@ def test_div_is_correctly_rounded(pair):
 @pytest.mark.parametrize("gap_off", [-2, -1, 0, 1, 2])
 @pytest.mark.parametrize("p", [3, 8])
 def test_add_dual_path_boundary(p, gap_off):
-    # the exact-alignment path hands over to the sign-of-tail path at
-    # gap 2p+4; both must agree with the rational oracle across the seam
-    gap = 2 * p + 4 + gap_off
+    # the two terms fall into one block below gap block_threshold(p, 2) and
+    # into two at or above it; both paths must agree with the rational
+    # oracle across the seam
+    gap = block_threshold(p, 2) + gap_off
     for sx in (1, -1):
         for sy in (1, -1):
             for my in (1 << (p - 1), (1 << p) - 1):
@@ -264,6 +265,30 @@ def test_div_by_zero():
 def test_mixed_precision_rejected():
     with pytest.raises(DomainError):
         f_add(PFloat(5, 0, 3), PFloat(9, 0, 4))
+
+
+@st.composite
+def _gapped_pairs(draw, p):
+    """(x, y) with |x.e - y.e| up to 4p, zeros and equal magnitudes included."""
+    x = draw(st.one_of(st.just(PFloat.zero(p)), _pfloats(p, -200, 200)))
+    kind = draw(st.sampled_from(("gap", "gap", "gap", "same", "zero")))
+    if kind == "zero":
+        return x, PFloat.zero(p)
+    if kind == "same" and x.m:
+        return x, PFloat(draw(st.sampled_from((1, -1))) * x.m, x.e, p)
+    gap = draw(st.integers(min_value=-4 * p, max_value=4 * p))
+    y = draw(_pfloats(p, 0, 0))
+    return x, PFloat(y.m, x.e + gap, p)
+
+
+@pytest.mark.parametrize("p", [3, 53, 113])
+@given(data=st.data())
+def test_add_and_cmp_across_gaps(p, data):
+    x, y = data.draw(_gapped_pairs(p))
+    assert f_add(x, y) == f_add(y, x) == f_sum_oracle([x, y])
+    fx, fy = _frac(x), _frac(y)
+    assert f_cmp(x, y) == (fx > fy) - (fx < fy)
+    assert f_cmp(y, x) == (fy > fx) - (fy < fx)
 
 
 # --- comparison -----------------------------------------------------------------
