@@ -19,21 +19,29 @@ This module holds the first two; budget.py builds the third on `forward`
 and `exact_backend`.  Recognition follows the strict-sign convention:
 positive output accepts, negative rejects, exact zero is a tie.
 
+`forward` makes one `matvec` call per weight matrix and input vector (the
+output head is a one-row matrix); smat and budgeted map their dot product
+over the rows with `rowwise`.
+
 A backend's `attend` step turns one query into its context vector.  Every
 position of an unmasked head sees the same keys and values, so `forward`
 attends once per distinct query vector; in the majority fixture every query
 is zero.  smat and budgeted attend through `attend_by`: the score dots, the
-normalizer, then the context dots, in the order the bits depend on.  ahat
-picks the maximizers and averages their values directly, and an all-zero
-query ties every key without a score dot.
+normalizer, then the context dots.  ahat picks the maximizers and averages
+their values directly, and an all-zero query ties every key without a
+score dot.
 
-ahat runs on `compile_rows(model)`, its counterpart of smat's
-`round_model`: each weight row becomes its nonzero (index, integer
-numerator) pairs over the row's lcm denominator, so a zero row multiplies
-nothing and a unit row hands back its input coordinate.  Budgeted mode
-keeps the model's own rows under `_rat_dot`: compiling a 1-layer
-benchmark-zoo model costs about 190 us per evaluation, near a tenth of a
-typical budgeted run, and its dense rows save no multiplication.
+ahat works on integer vectors.  It runs on `compile_rows(model)`, its
+counterpart of smat's `round_model`: each weight row becomes its nonzero
+(index, integer numerator) pairs over the row's lcm denominator, and its
+matvec puts the input vector once over the lcm of its denominators, so a
+row is an integer dot reduced by one gcd; a zero row multiplies nothing
+and a unit row hands back its input coordinate.  Its attention scores are
+integer numerators over one shared positive denominator, which is all
+`ahardmax_weights` needs to compare them.  Budgeted mode keeps the model's
+own rows under `_rat_dot`: compiling a 1-layer benchmark-zoo model costs
+about 190 us per evaluation, near a tenth of a typical budgeted run, and
+its dense rows save no multiplication.
 """
 
 from __future__ import annotations
@@ -56,10 +64,11 @@ class Backend(NamedTuple):
 
     zero                    the additive zero: ReLU keeps a value (Rat or
                             PFloat) whose .sign is 1 and maps others here
-    dot(row, v, bias=None)  sum of row[k]*v[k] (plus bias), zero products
-                            skipped; row is a weight row of the model that
-                            `forward` is given, prepared for this backend
-                            (round_model, compile_rows) or as parsed
+    matvec(rows, v, biases=None)  [row . v (+ bias) for each row], zero
+                            products skipped; rows is a weight matrix of
+                            the model that `forward` is given, prepared for
+                            this backend (round_model, compile_rows) or as
+                            parsed
     total(terms)            sum of the terms
     add(a, b)               a + b
     attend(q, ks, vs, layer, head)  the context vector of query q over the
@@ -69,7 +78,7 @@ class Backend(NamedTuple):
     """
 
     zero: object
-    dot: Callable
+    matvec: Callable
     total: Callable
     add: Callable
     attend: Callable
@@ -90,17 +99,17 @@ def check_heads(model: Model, kind: str, reason: str, layernorm: bool = True) ->
 def forward(model: Model, xs: list[list], backend: Backend) -> tuple[object, list[list[list]]]:
     """The encoder over embedded inputs `xs`; returns the output value and
     each layer's output vectors."""
-    zero, dot, total, add, attend, layernorm = backend
+    zero, matvec, total, add, attend, layernorm = backend
     states = []
     for li, layer in enumerate(model.layers):
         per_head = []
         for hi, head in enumerate(layer.heads):
-            qs = [[dot(row, x) for row in head.w_q] for x in xs]
-            ks = [[dot(row, x) for row in head.w_k] for x in xs]
-            vs = [[dot(row, x) for row in head.w_v] for x in xs]
+            qs = [matvec(head.w_q, x) for x in xs]
+            ks = [matvec(head.w_k, x) for x in xs]
+            vs = [matvec(head.w_v, x) for x in xs]
             if head.masking == "causal":
                 ctxs = (attend(q, ks[: i + 1], vs[: i + 1], li, hi) for i, q in enumerate(qs))
-                outs = [[dot(row, ctx) for row in head.w_o] for ctx in ctxs]
+                outs = [matvec(head.w_o, ctx) for ctx in ctxs]
             else:
                 # Every position sees the same keys and values, so equal
                 # queries have equal outputs: attend once per distinct query.
@@ -110,7 +119,7 @@ def forward(model: Model, xs: list[list], backend: Backend) -> tuple[object, lis
                     out = seen.get(key := tuple(q))
                     if out is None:
                         ctx = attend(q, ks, vs, li, hi)
-                        out = seen[key] = [dot(row, ctx) for row in head.w_o]
+                        out = seen[key] = matvec(head.w_o, ctx)
                     outs.append(out)
             per_head.append(outs)
 
@@ -123,10 +132,10 @@ def forward(model: Model, xs: list[list], backend: Backend) -> tuple[object, lis
             ]
             if layer.layernorm_attn is not None:
                 acc = layernorm(acc, layer.layernorm_attn, li, "ln_attn")
-            hidden = [dot(row, acc, b) for row, b in zip(ffnn.w1, ffnn.b1)]
+            hidden = matvec(ffnn.w1, acc, ffnn.b1)
             if ffnn.activation == "relu":
                 hidden = [h if h.sign > 0 else zero for h in hidden]
-            h = [dot(row, hidden, b) for row, b in zip(ffnn.w2, ffnn.b2)]
+            h = matvec(ffnn.w2, hidden, ffnn.b2)
             if layer.residual_ffnn:
                 h = [add(a, b) for a, b in zip(acc, h)]
             if layer.layernorm_ffnn is not None:
@@ -135,7 +144,8 @@ def forward(model: Model, xs: list[list], backend: Backend) -> tuple[object, lis
         xs = nxt
         states.append(xs)
 
-    return dot(model.output_head.weights, xs[-1], model.output_head.bias), states
+    out_head = model.output_head
+    return matvec((out_head.weights,), xs[-1], (out_head.bias,))[0], states
 
 
 def _same(x):
@@ -197,6 +207,18 @@ def _rat_add(a: Rat, b: Rat) -> Rat:
     return a + b if a.num else b
 
 
+def rowwise(dot: Callable) -> Callable:
+    """The matvec of a dot product: dot(row, v) or dot(row, v, bias), row by
+    row, in order."""
+
+    def matvec(rows, v, biases=None):
+        if biases is None:
+            return [dot(row, v) for row in rows]
+        return [dot(row, v, b) for row, b in zip(rows, biases)]
+
+    return matvec
+
+
 def attend_by(dot: Callable, normalize: Callable) -> Callable:
     """The attend step of a normalizer: every score dot q.k, then the weights
     normalize(scores, layer, head), then one weights-by-values dot per
@@ -212,7 +234,7 @@ def attend_by(dot: Callable, normalize: Callable) -> Callable:
 def exact_backend(normalize: Callable, layernorm: Callable) -> Backend:
     """Exact rationals on the model's own rows, around the given attention
     normalizer and layernorm steps."""
-    return Backend(RAT_ZERO, _rat_dot, _rat_total, _rat_add, attend_by(_rat_dot, normalize), layernorm)
+    return Backend(RAT_ZERO, rowwise(_rat_dot), _rat_total, _rat_add, attend_by(_rat_dot, normalize), layernorm)
 
 
 _ZERO_ROW = (1, (), None)
@@ -231,23 +253,36 @@ def _compile_row(row: Sequence[Rat]) -> tuple:
     return den, pairs, unit
 
 
-def _row_dot(row: tuple, v: Sequence[Rat], bias: Rat | None = None) -> Rat:
-    """_rat_dot of a compiled row: integer numerators times v's, over the lcm
-    of v's denominators times the row's; a zero row is the bias (or zero),
-    and a unit row without bias is v's coordinate itself."""
-    den, pairs, unit = row
-    if bias is not None and bias.num:
-        nums, dens = [bias.num], [bias.den]
-    elif unit is not None:
-        return v[unit]
-    else:
-        nums, dens = [], []
-    for k, a in pairs:
-        x = v[k]
-        if x.num:
-            nums.append(a * x.num)
-            dens.append(x.den * den)
-    return _sum_over_lcm(nums, dens) if nums else RAT_ZERO
+def _ahat_matvec(rows: Sequence[tuple], v: Sequence[Rat], biases: Sequence[Rat] | None = None) -> list[Rat]:
+    """_rat_dot of each compiled row with v (plus its bias).  v is put once
+    over D, the lcm of its denominators, and each row is then an integer dot
+    over den * D with one gcd; a zero row is its bias (or zero), and a unit
+    row without bias is v's coordinate itself, so a matrix of only those
+    never computes D."""
+    ints = None
+    out = []
+    for i, (den, pairs, unit) in enumerate(rows):
+        bias = None if biases is None or not biases[i].num else biases[i]
+        if bias is None:
+            if unit is not None:
+                out.append(v[unit])
+                continue
+            if not pairs:
+                out.append(RAT_ZERO)
+                continue
+        elif not pairs:
+            out.append(bias)
+            continue
+        if ints is None:
+            big = lcm(*[x.den for x in v])
+            ints = [x.num * (big // x.den) for x in v]
+        num, d = 0, den * big
+        for k, a in pairs:
+            num += a * ints[k]
+        if bias is not None:
+            num, d = num * bias.den + bias.num * d, d * bias.den
+        out.append(Rat(num, d) if num else RAT_ZERO)
+    return out
 
 
 class EvalTrace:
@@ -293,8 +328,10 @@ def embed_input(model: Model, w: str) -> list[list[Rat]]:
     return out
 
 
-def ahardmax_weights(scores: Sequence[Rat]) -> list[Rat]:
-    """Equal weight on every maximizing position, zero elsewhere."""
+def ahardmax_weights(scores: Sequence) -> list[Rat]:
+    """Equal weight on every maximizing position, zero elsewhere.  Only the
+    order and equality of the scores matter, so they may be Rats or integer
+    numerators over one shared positive denominator."""
     if len(scores) == 0:
         raise DomainError("ahardmax of an empty score row")
     top = rat_max(scores)
@@ -305,11 +342,23 @@ def ahardmax_weights(scores: Sequence[Rat]) -> list[Rat]:
 
 def _ahat_attend(q: list[Rat], ks: list[list[Rat]], vs: list[list[Rat]], layer: int, head: int) -> list[Rat]:
     """The mean of the values at the score maximizers.  An all-zero query
-    scores every key 0, a full tie, so it makes no score dots; one maximizer
-    gives its value vector, and more give each column summed over one lcm
-    with the 1/hits weight folded into the denominators."""
+    scores every key 0, a full tie, so it makes no score dots.  Otherwise the
+    scores are integer numerators over one positive denominator: q's nonzero
+    coordinates over the lcm of their denominators, the keys' over the lcm of
+    theirs.  One maximizer gives its value vector, and more give each column
+    summed over one lcm with the 1/hits weight folded into the denominators."""
     if any(x.num for x in q):
-        weights = ahardmax_weights([_rat_dot(q, k) for k in ks])
+        qd = lcm(*[x.den for x in q])
+        qn = [(c, x.num * (qd // x.den)) for c, x in enumerate(q) if x.num]
+        kd = lcm(*[k[c].den for k in ks for c, _ in qn])
+        scores = []
+        for k in ks:
+            score = 0
+            for c, a in qn:
+                x = k[c]
+                score += a * x.num * (kd // x.den)
+            scores.append(score)
+        weights = ahardmax_weights(scores)
         vs = [v for v, a in zip(vs, weights) if a.num]
     if len(vs) == 1:
         return vs[0]
@@ -317,12 +366,12 @@ def _ahat_attend(q: list[Rat], ks: list[list[Rat]], vs: list[list[Rat]], layer: 
     return [_sum_over_lcm([x.num for x in col], [x.den * hits for x in col]) for col in zip(*vs)]
 
 
-_AHAT = Backend(RAT_ZERO, _row_dot, _rat_total, _rat_add, _ahat_attend, None)
+_AHAT = Backend(RAT_ZERO, _ahat_matvec, _rat_total, _rat_add, _ahat_attend, None)
 
 
 def compile_rows(model: Model) -> Model:
     """The model with every attention, FFNN and output-head weight row
-    compiled for _row_dot (biases and embeddings stay rationals)."""
+    compiled for _ahat_matvec (biases and embeddings stay rationals)."""
     return _map_params(model, _compile_row, _same, _same)
 
 
@@ -382,7 +431,7 @@ def _pbit_backend(p: int) -> Backend:
     dot = lambda u, v, bias=None: f_dot(u, v, p, bias)
     return Backend(
         PFloat.zero(p),
-        dot,
+        rowwise(dot),
         lambda terms: f_sum_blocks(terms) if terms else PFloat.zero(p),
         f_add,
         attend_by(dot, lambda scores, layer, head: softmax_pbit(scores, p)),

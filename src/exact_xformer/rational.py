@@ -175,7 +175,9 @@ def rat_sum(xs: Sequence[Rat]) -> Rat:
 
 
 def rat_max(xs: Sequence[Rat]) -> Rat:
-    """Exact max; Rat comparisons cross-multiply, so no rescaling is needed."""
+    """Exact max; Rat comparisons cross-multiply, so no rescaling is needed.
+    The items may also be integer numerators over one shared positive
+    denominator (ahat's attention scores), whose max is the numerators'."""
     if len(xs) == 0:
         raise DomainError("rat_max of an empty list")
     return max(xs)

@@ -19,6 +19,7 @@ from exact_xformer import (
     Decision,
     DomainError,
     EvalModeError,
+    FloatRangeError,
     PFloat,
     Rat,
     eval_ahat,
@@ -31,11 +32,13 @@ from exact_xformer import (
 )
 from exact_xformer import evaluator
 from exact_xformer.evaluator import (
+    _ahat_attend,
+    _ahat_matvec,
     _compile_row,
     _rat_dot,
     _rat_total,
-    _row_dot,
     ahardmax_weights,
+    attend_by,
     bit_growth_trace,
     embed_input,
     fit_loglog_slope,
@@ -142,22 +145,87 @@ def test_rat_dot_zero_and_empty_vectors():
 
 
 @given(st.lists(st.tuples(rats, rats), min_size=1, max_size=8), st.one_of(st.none(), rats), st.integers(-1, 7))
-def test_row_dot_matches_rat_dot(pairs, bias, unit):
+def test_matvec_matches_rat_dot(pairs, bias, unit):
     # unit >= 0 makes u the unit vector e_(unit mod len), the shortcut row
     u, v = [a for a, _ in pairs], [b for _, b in pairs]
     if unit >= 0:
         u = [Rat(int(k == unit % len(u))) for k in range(len(u))]
-    _same_pair(_row_dot(_compile_row(u), v, bias), _frac(_rat_dot(u, v, bias)))
+    [got] = _ahat_matvec([_compile_row(u)], v, None if bias is None else [bias])
+    _same_pair(got, _frac(_rat_dot(u, v, bias)))
 
 
-def test_row_dot_zero_and_unit_rows():
+def test_matvec_zero_and_unit_rows():
     v = [Rat(3, 4), Rat(-5, 6), Rat(0)]
     zero, unit = _compile_row([Rat(0)] * 3), _compile_row([Rat(0), Rat(1), Rat(0)])
-    assert _row_dot(zero, v) is RAT_ZERO
-    _same_pair(_row_dot(zero, v, Rat(-7, 8)), Fraction(-7, 8))
-    assert _row_dot(unit, v) is v[1]
-    _same_pair(_row_dot(unit, v, Rat(1, 3)), Fraction(-1, 2))
-    _same_pair(_row_dot(_compile_row([Rat(1, 6), Rat(-3, 4), Rat(2)]), v), Fraction(1, 8) + Fraction(5, 8))
+    assert _ahat_matvec([zero], v)[0] is RAT_ZERO
+    _same_pair(_ahat_matvec([zero], v, [Rat(-7, 8)])[0], Fraction(-7, 8))
+    assert _ahat_matvec([unit], v)[0] is v[1]
+    _same_pair(_ahat_matvec([unit], v, [Rat(1, 3)])[0], Fraction(-1, 2))
+    _same_pair(_ahat_matvec([_compile_row([Rat(1, 6), Rat(-3, 4), Rat(2)])], v)[0], Fraction(1, 8) + Fraction(5, 8))
+
+
+# A weight row of dim 4: zero, unit, or drawn (with zero coordinates).
+DIM = 4
+_row = st.one_of(
+    st.just([Rat(0)] * DIM),
+    st.integers(0, DIM - 1).map(lambda k: [Rat(int(c == k)) for c in range(DIM)]),
+    st.lists(st.one_of(st.just(Rat(0)), rats), min_size=DIM, max_size=DIM),
+)
+
+
+@given(
+    st.lists(_row, min_size=1, max_size=6),
+    st.lists(st.one_of(st.just(Rat(0)), rats), min_size=DIM, max_size=DIM),
+    st.one_of(st.none(), st.lists(st.one_of(st.just(Rat(0)), rats), min_size=6, max_size=6)),
+)
+def test_matvec_matches_rat_dot_row_by_row(rows, v, biases):
+    # a matrix mixing zero rows, unit rows with and without bias, and rows
+    # and coordinates over unrelated denominators
+    got = _ahat_matvec([_compile_row(r) for r in rows], v, biases)
+    assert len(got) == len(rows)
+    for i, (row, out) in enumerate(zip(rows, got)):
+        bias = None if biases is None else biases[i]
+        _same_pair(out, _frac(_rat_dot(row, v, bias)))
+        if row.count(Rat(1)) == 1 and row.count(Rat(0)) == DIM - 1 and (bias is None or not bias.num):
+            assert out is v[row.index(Rat(1))]
+
+
+# Small values over a few denominators, so scores tie often and go negative.
+small = st.builds(Rat, st.integers(-6, 6), st.sampled_from((1, 2, 3, 4, 6)))
+
+
+def _rat_path_attend(q, ks, vs):
+    """The attend step on Rat scores: _rat_dot scores, ahardmax_weights on
+    them, then one weights-by-values dot per context coordinate."""
+    return attend_by(_rat_dot, lambda scores, layer, head: ahardmax_weights(scores))(q, ks, vs, 0, 0)
+
+
+@given(
+    st.lists(small, min_size=3, max_size=3),
+    st.lists(st.tuples(st.lists(small, min_size=3, max_size=3), st.lists(rats, min_size=2, max_size=2)), min_size=1, max_size=7),
+)
+def test_ahat_attend_matches_rat_scores(q, kvs):
+    ks, vs = [k for k, _ in kvs], [v for _, v in kvs]
+    for i in range(1, len(ks) + 1):  # every causal prefix
+        got = _ahat_attend(q, ks[:i], vs[:i], 0, 0)
+        want = _rat_path_attend(q, ks[:i], vs[:i])
+        assert [(x.num, x.den) for x in got] == [(x.num, x.den) for x in want]
+
+
+def test_ahat_attend_ties_across_denominators():
+    # the first two keys both score 1/2, from entries over 4 and over 4 and
+    # 3; the third scores -1/6
+    q = [Rat(2, 3), Rat(1, 2)]
+    ks = [[Rat(3, 4), Rat(0)], [Rat(1, 4), Rat(2, 3)], [Rat(1, 4), Rat(-2, 3)]]
+    assert [_rat_dot(q, k) for k in ks] == [Rat(1, 2), Rat(1, 2), Rat(-1, 6)]
+    vs = [[Rat(1), Rat(-3, 5)], [Rat(1, 3), Rat(1, 7)], [Rat(9), Rat(9)]]
+    got = _ahat_attend(q, ks, vs, 0, 0)
+    _same_pair(got[0], Fraction(2, 3))
+    _same_pair(got[1], Fraction(-8, 35))
+    assert got == _rat_path_attend(q, ks, vs)
+    # every score negative (-7/6, -17/72, -1/2): the one maximizer's values
+    neg = [[Rat(-1), Rat(-1)], [Rat(-1, 6), Rat(-1, 4)], [Rat(-1, 2), Rat(-1, 3)]]
+    assert _ahat_attend(q, neg, vs, 0, 0) is vs[1]
 
 
 @given(st.lists(rats, max_size=8))
@@ -179,6 +247,20 @@ def test_softmax_pbit_monotone_in_score():
         firsts.append(float_to_rat(softmax_pbit([t, zero], p)[0]))
     assert firsts[0] < firsts[1] < firsts[2]
     assert all(Rat(1, 2) < f < Rat(1) for f in firsts)
+
+
+# e/(1 + e) and 1/(1 + e) to 30 digits
+E_OVER_1PE = Fraction("0.731058578630004879251159241822")
+ONE_OVER_1PE = Fraction("0.268941421369995120748840758178")
+
+
+@pytest.mark.xfail(strict=True, raises=FloatRangeError, reason="softmax_pbit exponentiates raw scores; no row-max shift")
+def test_softmax_pbit_large_scores():
+    # the weights depend only on the score gap, 1, but exp(2^26) is out of range at p = 24
+    p = 24
+    w = softmax_pbit([round_p(2**26, p), round_p(2**26 - 1, p)], p)
+    for got, want in zip(w, (E_OVER_1PE, ONE_OVER_1PE)):
+        assert abs(_frac(float_to_rat(got)) - want) <= want / (1 << (p - 3))
 
 
 def test_layernorm_pbit_two_point_composition():
