@@ -19,9 +19,11 @@ This module holds the first two; budget.py builds the third on `forward`
 and `exact_backend`.  Recognition follows the strict-sign convention:
 positive output accepts, negative rejects, exact zero is a tie.
 
-`forward` makes one `matvec` call per weight matrix and input vector (the
-output head is a one-row matrix); smat and budgeted map their dot product
-over the rows with `rowwise`.
+`forward` runs each stage over the whole sequence: one `matmul` call per
+weight matrix per layer, over every position's vector (the output head is a
+one-row matrix on the last position).  smat and budgeted map their dot
+product over the rows and vectors with `rowwise`.  No stage mutates a
+vector, so a backend may hand one vector to several positions or stages.
 
 A backend's `attend` step turns one query into its context vector.  Every
 position of an unmasked head sees the same keys and values, so `forward`
@@ -32,16 +34,18 @@ their values directly, and an all-zero query ties every key without a
 score dot.
 
 ahat works on integer vectors.  It runs on `compile_rows(model)`, its
-counterpart of smat's `round_model`: each weight row becomes its nonzero
-(index, integer numerator) pairs over the row's lcm denominator, and its
-matvec puts the input vector once over the lcm of its denominators, so a
-row is an integer dot reduced by one gcd; a zero row multiplies nothing
-and a unit row hands back its input coordinate.  Its attention scores are
-integer numerators over one shared positive denominator, which is all
-`ahardmax_weights` needs to compare them.  Budgeted mode keeps the model's
-own rows under `_rat_dot`: compiling a 1-layer benchmark-zoo model costs
-about 190 us per evaluation, near a tenth of a typical budgeted run, and
-its dense rows save no multiplication.
+counterpart of smat's `round_model`, made on a model's first evaluation and
+kept with it: each weight row becomes its nonzero (index, integer
+numerator) pairs over the row's lcm denominator, and each vector is put
+once over the lcm of its denominators, so a row is an integer dot reduced
+by one gcd; a zero row multiplies nothing and a unit row hands back its
+input coordinate.  A matrix of only zero rows, or the identity, with no
+nonzero bias makes no row dots at all: one shared zero vector, or the
+input vectors themselves.  Its attention scores are integer numerators over
+one shared positive denominator, which is all `ahardmax_weights` needs to
+compare them.  Budgeted mode keeps the model's own rows under `_rat_dot`:
+the benchmark zoo's budgeted models are dense, so compiled rows save no
+multiplication, and a compile kept with the model measured no faster.
 """
 
 from __future__ import annotations
@@ -60,15 +64,17 @@ from .rational import RAT_ZERO, Rat, _sum_over_lcm, rat_max, rat_sum
 
 
 class Backend(NamedTuple):
-    """The arithmetic `forward` runs on.
+    """The arithmetic `forward` runs on.  No step mutates a vector it is
+    given or has returned: a vector may be shared between positions and
+    stages (ahat hands an identity matrix's inputs back as its outputs).
 
     zero                    the additive zero: ReLU keeps a value (Rat or
                             PFloat) whose .sign is 1 and maps others here
-    matvec(rows, v, biases=None)  [row . v (+ bias) for each row], zero
-                            products skipped; rows is a weight matrix of
-                            the model that `forward` is given, prepared for
-                            this backend (round_model, compile_rows) or as
-                            parsed
+    matmul(rows, vecs, biases=None)  for each vector v of vecs, [row . v
+                            (+ bias) for each row], zero products skipped;
+                            rows is a weight matrix of the model that
+                            `forward` is given, prepared for this backend
+                            (round_model, compile_rows) or as parsed
     total(terms)            sum of the terms
     add(a, b)               a + b
     attend(q, ks, vs, layer, head)  the context vector of query q over the
@@ -78,7 +84,7 @@ class Backend(NamedTuple):
     """
 
     zero: object
-    matvec: Callable
+    matmul: Callable
     total: Callable
     add: Callable
     attend: Callable
@@ -98,69 +104,66 @@ def check_heads(model: Model, kind: str, reason: str, layernorm: bool = True) ->
 
 def forward(model: Model, xs: list[list], backend: Backend) -> tuple[object, list[list[list]]]:
     """The encoder over embedded inputs `xs`; returns the output value and
-    each layer's output vectors."""
-    zero, matvec, total, add, attend, layernorm = backend
+    each layer's output vectors.  Each stage runs over the whole sequence:
+    one matmul per weight matrix per layer."""
+    zero, matmul, total, add, attend, layernorm = backend
     states = []
     for li, layer in enumerate(model.layers):
         per_head = []
         for hi, head in enumerate(layer.heads):
-            qs = [matvec(head.w_q, x) for x in xs]
-            ks = [matvec(head.w_k, x) for x in xs]
-            vs = [matvec(head.w_v, x) for x in xs]
+            qs, ks, vs = matmul(head.w_q, xs), matmul(head.w_k, xs), matmul(head.w_v, xs)
             if head.masking == "causal":
-                ctxs = (attend(q, ks[: i + 1], vs[: i + 1], li, hi) for i, q in enumerate(qs))
-                outs = [matvec(head.w_o, ctx) for ctx in ctxs]
-            else:
-                # Every position sees the same keys and values, so equal
-                # queries have equal outputs: attend once per distinct query.
-                seen: dict = {}
-                outs = []
-                for q in qs:
-                    out = seen.get(key := tuple(q))
-                    if out is None:
-                        ctx = attend(q, ks, vs, li, hi)
-                        out = seen[key] = matvec(head.w_o, ctx)
-                    outs.append(out)
-            per_head.append(outs)
+                ctxs = [attend(q, ks[: i + 1], vs[: i + 1], li, hi) for i, q in enumerate(qs)]
+                per_head.append(matmul(head.w_o, ctxs))
+                continue
+            # Every position sees the same keys and values, so equal queries
+            # have equal outputs: attend once per distinct query.
+            slot: dict = {}
+            ctxs, picks = [], []
+            for q in qs:
+                j = slot.get(key := tuple(q))
+                if j is None:
+                    j = slot[key] = len(ctxs)
+                    ctxs.append(attend(q, ks, vs, li, hi))
+                picks.append(j)
+            outs = matmul(head.w_o, ctxs)
+            per_head.append([outs[j] for j in picks])
 
+        terms = per_head + [xs] if layer.residual_attn else per_head
+        if len(terms) == 1:  # one head, no residual: its outputs are the sum
+            acc = terms[0]
+        else:
+            acc = [[total([t[i][c] for t in terms]) for c in range(model.dim)] for i in range(len(xs))]
+        if layer.layernorm_attn is not None:
+            acc = [layernorm(a, layer.layernorm_attn, li, "ln_attn") for a in acc]
         ffnn = layer.ffnn
-        nxt = []
-        for i, x in enumerate(xs):
-            acc = [
-                total([outs[i][c] for outs in per_head] + ([x[c]] if layer.residual_attn else []))
-                for c in range(model.dim)
-            ]
-            if layer.layernorm_attn is not None:
-                acc = layernorm(acc, layer.layernorm_attn, li, "ln_attn")
-            hidden = matvec(ffnn.w1, acc, ffnn.b1)
-            if ffnn.activation == "relu":
-                hidden = [h if h.sign > 0 else zero for h in hidden]
-            h = matvec(ffnn.w2, hidden, ffnn.b2)
-            if layer.residual_ffnn:
-                h = [add(a, b) for a, b in zip(acc, h)]
-            if layer.layernorm_ffnn is not None:
-                h = layernorm(h, layer.layernorm_ffnn, li, "ln_ffnn")
-            nxt.append(h)
-        xs = nxt
+        hidden = matmul(ffnn.w1, acc, ffnn.b1)
+        if ffnn.activation == "relu":
+            hidden = [[h if h.sign > 0 else zero for h in vec] for vec in hidden]
+        xs = matmul(ffnn.w2, hidden, ffnn.b2)
+        if layer.residual_ffnn:
+            xs = [[add(a, b) for a, b in zip(u, v)] for u, v in zip(acc, xs)]
+        if layer.layernorm_ffnn is not None:
+            xs = [layernorm(x, layer.layernorm_ffnn, li, "ln_ffnn") for x in xs]
         states.append(xs)
 
     out_head = model.output_head
-    return matvec((out_head.weights,), xs[-1], (out_head.bias,))[0], states
+    return matmul((out_head.weights,), [xs[-1]], (out_head.bias,))[0][0], states
 
 
 def _same(x):
     return x
 
 
-def _map_params(model: Model, row: Callable, vec: Callable, scalar: Callable) -> Model:
-    """The model with each weight row (the output head's weights included)
-    mapped by `row`, each bias and layernorm vector by `vec`, and each
-    scalar parameter by `scalar`; embeddings are left as they are.  It calls
-    the constructors directly: ahat maps its model on every evaluation, and
-    dataclasses.replace costs about 40% more."""
-
-    def mat(rows):
-        return tuple(map(row, rows))
+def _map_params(model: Model, row: Callable, vec: Callable, scalar: Callable, mat: Callable | None = None) -> Model:
+    """The model with each weight matrix mapped by `mat` (by default row by
+    row with `row`), the output head's weights by `row`, each bias and
+    layernorm vector by `vec`, and each scalar parameter by `scalar`;
+    embeddings are left as they are.  It calls the constructors directly:
+    smat maps its model on every evaluation, and dataclasses.replace costs
+    about 40% more."""
+    if mat is None:
+        mat = lambda rows: tuple(map(row, rows))
 
     def norm(ln):
         return None if ln is None else LayerNorm(vec(ln.gamma), vec(ln.beta), scalar(ln.c))
@@ -208,15 +211,15 @@ def _rat_add(a: Rat, b: Rat) -> Rat:
 
 
 def rowwise(dot: Callable) -> Callable:
-    """The matvec of a dot product: dot(row, v) or dot(row, v, bias), row by
-    row, in order."""
+    """The matmul of a dot product: for each vector v, dot(row, v) or
+    dot(row, v, bias), row by row, in order."""
 
-    def matvec(rows, v, biases=None):
+    def matmul(rows, vecs, biases=None):
         if biases is None:
-            return [dot(row, v) for row in rows]
-        return [dot(row, v, b) for row, b in zip(rows, biases)]
+            return [[dot(row, v) for row in rows] for v in vecs]
+        return [[dot(row, v, b) for row, b in zip(rows, biases)] for v in vecs]
 
-    return matvec
+    return matmul
 
 
 def attend_by(dot: Callable, normalize: Callable) -> Callable:
@@ -238,6 +241,21 @@ def exact_backend(normalize: Callable, layernorm: Callable) -> Backend:
 
 
 _ZERO_ROW = (1, (), None)
+
+
+class _Compiled(tuple):
+    """A weight matrix as _compile_row rows, with two flags that
+    _compile_matrix works out once: `zero` when every row is zero, and
+    `identity` when the matrix is square and row i is the unit row for i."""
+
+    zero = identity = False
+
+
+def _compile_matrix(rows: Sequence[Sequence[Rat]]) -> _Compiled:
+    out = _Compiled(map(_compile_row, rows))
+    out.zero = all(r is _ZERO_ROW for r in out)
+    out.identity = all(len(row) == len(rows) for row in rows) and all(r[2] == i for i, r in enumerate(out))
+    return out
 
 
 def _compile_row(row: Sequence[Rat]) -> tuple:
@@ -285,6 +303,18 @@ def _ahat_matvec(rows: Sequence[tuple], v: Sequence[Rat], biases: Sequence[Rat] 
     return out
 
 
+def _ahat_matmul(rows: Sequence[tuple], vecs: Sequence[Sequence[Rat]], biases: Sequence[Rat] | None = None) -> list:
+    """_ahat_matvec of each vector.  Without a nonzero bias, an all-zero
+    _Compiled matrix gives one zero vector shared by every position, and the
+    identity gives the input vectors themselves."""
+    if isinstance(rows, _Compiled) and (biases is None or not any(b.num for b in biases)):
+        if rows.zero:
+            return [[RAT_ZERO] * len(rows)] * len(vecs)
+        if rows.identity:
+            return list(vecs)
+    return [_ahat_matvec(rows, v, biases) for v in vecs]
+
+
 class EvalTrace:
     """Operand widths of an exact run, as (max numerator bits, max denominator
     bits): of the embedded inputs and of each layer's outputs.  Each is
@@ -315,16 +345,20 @@ def _bits_of(vecs: Sequence[Sequence[Rat]]) -> tuple[int, int]:
 
 
 def embed_input(model: Model, w: str) -> list[list[Rat]]:
-    """Token embedding plus positional vector for each 1-based position."""
+    """Token embedding plus positional vector for each 1-based position; with
+    no position rule, the token embedding itself."""
     if not w:
         raise DomainError("input string must be nonempty")
-    n = len(w)
+    n, emb, rule = len(w), model.token_embeddings, model.position_rule
     out = []
     for i, sym in enumerate(w, start=1):
-        if sym not in model.token_embeddings:
+        if sym not in emb:
             raise DomainError(f"symbol {sym!r} not in the model alphabet")
-        pos = position_embedding(model.position_rule, i, n, model.dim)
-        out.append([a + b if b.num else a for a, b in zip(model.token_embeddings[sym], pos)])
+        if rule.kind == "none":
+            out.append(list(emb[sym]))
+            continue
+        pos = position_embedding(rule, i, n, model.dim)
+        out.append([a + b if b.num else a for a, b in zip(emb[sym], pos)])
     return out
 
 
@@ -366,20 +400,27 @@ def _ahat_attend(q: list[Rat], ks: list[list[Rat]], vs: list[list[Rat]], layer: 
     return [_sum_over_lcm([x.num for x in col], [x.den * hits for x in col]) for col in zip(*vs)]
 
 
-_AHAT = Backend(RAT_ZERO, _ahat_matvec, _rat_total, _rat_add, _ahat_attend, None)
+_AHAT = Backend(RAT_ZERO, _ahat_matmul, _rat_total, _rat_add, _ahat_attend, None)
 
 
 def compile_rows(model: Model) -> Model:
-    """The model with every attention, FFNN and output-head weight row
-    compiled for _ahat_matvec (biases and embeddings stay rationals)."""
-    return _map_params(model, _compile_row, _same, _same)
+    """The model with every attention and FFNN weight matrix _Compiled and
+    the output head's weights compiled as a row (biases and embeddings stay
+    rationals)."""
+    return _map_params(model, _compile_row, _same, _same, _compile_matrix)
 
 
 def eval_ahat(model: Model, w: str) -> tuple[Rat, EvalTrace]:
-    """Exact rational evaluation; average-hard attention, no layernorm."""
-    check_heads(model, "average_hard", "ahat_exact needs average_hard", layernorm=False)
+    """Exact rational evaluation; average-hard attention, no layernorm.  A
+    model's first evaluation checks its heads and compiles its rows, and
+    keeps the compiled model with it (Model.ahat_compiled) for the next."""
+    compiled = model.ahat_compiled
+    if compiled is None:
+        check_heads(model, "average_hard", "ahat_exact needs average_hard", layernorm=False)
+        compiled = compile_rows(model)
+        object.__setattr__(model, "ahat_compiled", compiled)
     xs = embed_input(model, w)
-    value, states = forward(compile_rows(model), xs, _AHAT)
+    value, states = forward(compiled, xs, _AHAT)
     return value, EvalTrace(xs, states)
 
 

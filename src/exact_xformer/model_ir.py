@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .errors import DomainError, ModelLoadError
@@ -87,6 +87,9 @@ class Model:
     layers: tuple[Layer, ...]
     output_head: OutputHead
     param_bits: Optional[int] = None
+    # Not a parameter: eval_ahat's compiled form of this model, kept on its
+    # first evaluation; it takes no part in ==, repr or serialization.
+    ahat_compiled: Optional["Model"] = field(default=None, init=False, compare=False, repr=False)
 
 
 # --------------------------------------------------------------------------

@@ -6,6 +6,8 @@ through its stated precision, plus exact special cases where every float
 step happens to be lossless.
 """
 
+import copy
+import dataclasses
 import math
 import operator
 import random
@@ -30,10 +32,12 @@ from exact_xformer import (
     margin_recognize,
     round_p,
 )
-from exact_xformer import evaluator
+from exact_xformer import budget, evaluator
 from exact_xformer.evaluator import (
     _ahat_attend,
+    _ahat_matmul,
     _ahat_matvec,
+    _compile_matrix,
     _compile_row,
     _rat_dot,
     _rat_total,
@@ -45,7 +49,7 @@ from exact_xformer.evaluator import (
     layernorm_pbit,
     softmax_pbit,
 )
-from exact_xformer.model_ir import FFNN, AttentionHead, Layer, Model, OutputHead, PositionRule
+from exact_xformer.model_ir import FFNN, AttentionHead, Layer, Model, OutputHead, PositionRule, parse_model, serialize_model
 from exact_xformer.pfloat import float_to_rat
 from exact_xformer.rational import RAT_ZERO
 
@@ -188,6 +192,83 @@ def test_matvec_matches_rat_dot_row_by_row(rows, v, biases):
         _same_pair(out, _frac(_rat_dot(row, v, bias)))
         if row.count(Rat(1)) == 1 and row.count(Rat(0)) == DIM - 1 and (bias is None or not bias.num):
             assert out is v[row.index(Rat(1))]
+
+
+def _unit(k: int, n: int) -> list[Rat]:
+    return [Rat(int(c == k)) for c in range(n)]
+
+
+# A matrix (at most 4 x 4) that takes a matmul shortcut or just misses one: all
+# zero, the identity, unit rows permuted, unit rows in a non-square matrix, or
+# drawn rows.
+_matrices = st.integers(1, 4).flatmap(
+    lambda n: st.one_of(
+        st.integers(1, 4).map(lambda m: [[Rat(0)] * n] * m),
+        st.just([_unit(i, n) for i in range(n)]),
+        st.permutations(range(n)).map(lambda ks: [_unit(k, n) for k in ks]),
+        st.integers(1, 4).filter(lambda m: m != n).map(lambda m: [_unit(i % n, n) for i in range(m)]),
+        st.lists(st.lists(st.one_of(st.just(Rat(0)), rats), min_size=n, max_size=n), min_size=1, max_size=4),
+    )
+)
+
+
+@given(st.data())
+def test_matmul_equals_matvec_per_vector(data):
+    rows = data.draw(_matrices)
+    m, n = len(rows), len(rows[0])
+    vecs = data.draw(st.lists(st.lists(st.one_of(st.just(Rat(0)), rats), min_size=n, max_size=n), min_size=1, max_size=4))
+    drawn = st.lists(st.one_of(st.just(Rat(0)), rats), min_size=m, max_size=m)
+    biases = data.draw(st.one_of(st.none(), st.just([Rat(0)] * m), drawn))
+    compiled = _compile_matrix(rows)
+    got = _ahat_matmul(compiled, vecs, biases)
+    want = [_ahat_matvec(compiled, v, biases) for v in vecs]
+    assert [[(x.num, x.den) for x in out] for out in got] == [[(x.num, x.den) for x in out] for out in want]
+    if compiled.identity and (biases is None or not any(b.num for b in biases)):
+        assert all(out is v for out, v in zip(got, vecs))
+
+
+def test_compiled_flags_and_matmul_shortcuts():
+    ident = [_unit(i, 3) for i in range(3)]
+    zero = _compile_matrix([[Rat(0)] * 3] * 2)
+    assert zero.zero and not zero.identity
+    assert _compile_matrix(ident).identity and not _compile_matrix(ident).zero
+    for rows in (ident[::-1], ident[:2], ident + [_unit(0, 3)], [_unit(0, 1)] * 2):
+        assert not _compile_matrix(rows).identity
+    vecs = [[Rat(1, 2), Rat(-3), Rat(0)], [Rat(5, 7), Rat(0), Rat(1)]]
+    out = _ahat_matmul(_compile_matrix(ident), vecs)
+    assert out[0] is vecs[0] and out[1] is vecs[1]
+    assert _ahat_matmul(_compile_matrix(ident), vecs, [Rat(0)] * 3)[1] is vecs[1]
+    biased = _ahat_matmul(_compile_matrix(ident), vecs, [Rat(1, 3), Rat(0), Rat(0)])
+    assert biased[0] is not vecs[0] and biased[0] == [Rat(5, 6), Rat(-3), Rat(0)]
+    zeros = _ahat_matmul(zero, vecs)
+    assert zeros[0] is zeros[1] and zeros[0] == [RAT_ZERO] * 2
+    assert _ahat_matmul(zero, vecs, [Rat(0), Rat(-1, 4)]) == [[Rat(0), Rat(-1, 4)]] * 2
+
+
+def test_eval_ahat_compiles_each_model_once(monkeypatch):
+    model = load_model("majority")
+    text, shown = serialize_model(model), repr(model)
+    calls = []
+    compile_row = evaluator._compile_row
+    monkeypatch.setattr(evaluator, "_compile_row", lambda row: calls.append(row) or compile_row(row))
+    assert eval_ahat(model, "0110")[0] == Rat(0)
+    assert len(calls) == 13  # q, k, v, o, w1, w2 of dim 2, and the output head
+    assert eval_ahat(model, "100")[0] == Rat(-1, 6)
+    assert len(calls) == 13
+    assert model.ahat_compiled is not None
+    assert model == load_model("majority") and repr(model) == shown
+    assert serialize_model(model) == text and parse_model(text) == model
+    assert eval_ahat(copy.copy(model), "110")[0] == Rat(1, 6)  # a copy keeps the compile
+    assert len(calls) == 13
+    assert eval_ahat(load_model("majority"), "1")[0] == Rat(1, 2)
+    assert len(calls) == 26  # an equal model is compiled for itself
+
+
+def test_eval_ahat_keeps_no_compile_of_a_refused_model(uniform):
+    for _ in range(2):
+        with pytest.raises(EvalModeError):
+            eval_ahat(uniform, "01")
+    assert uniform.ahat_compiled is None
 
 
 # Small values over a few denominators, so scores tie often and go negative.
@@ -344,6 +425,49 @@ def test_majority_attends_once_per_word(monkeypatch, majority):
     calls = _counting_attends(monkeypatch)
     eval_ahat(majority, "110100101011011")
     assert calls == [(0, 0, 15)]  # every query is zero
+
+
+# --- matmul calls -------------------------------------------------------------------
+
+
+def _counting_matmuls(monkeypatch) -> list:
+    """Record (model, matmul calls) for every `forward` call, budgeted's too."""
+    calls, forward = [], evaluator.forward
+
+    def counting_forward(model, xs, backend):
+        count = [0]
+
+        def matmul(*args):
+            count[0] += 1
+            return backend.matmul(*args)
+
+        out = forward(model, xs, backend._replace(matmul=matmul))
+        calls.append((model, count[0]))
+        return out
+
+    monkeypatch.setattr(evaluator, "forward", counting_forward)
+    monkeypatch.setattr(budget, "forward", counting_forward)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 4, 15])
+def test_forward_makes_one_matmul_per_weight_matrix(monkeypatch, majority, n):
+    # layers x (q, k, v, o per head + w1, w2) + the output head, whatever n is
+    calls = _counting_matmuls(monkeypatch)
+    word = ("cab" * n)[:n]
+    eval_ahat(majority, ("011" * n)[:n])
+    for kind in ("average_hard", "softmax"):
+        one = _letter_query_model(kind)
+        two = dataclasses.replace(one, layers=one.layers * 2)
+        for model in (one, two):
+            if kind == "average_hard":
+                eval_ahat(model, word)
+            else:
+                eval_smat_pbit(model, word, 24)
+                budget.eval_budgeted(model, word, Rat(1, 1 << 16))
+    assert len(calls) == 7
+    for model, count in calls:
+        assert count == sum(4 * len(layer.heads) + 2 for layer in model.layers) + 1
 
 
 # --- bit growth ---------------------------------------------------------------------
