@@ -8,13 +8,15 @@
   series, result exp(r) * 2^k; the log2 constant is a truncated series with
   a proven tail, and k is the exact rational floor of x over that constant,
   which keeps r inside [0, log2) unconditionally.  The truncated sum S is
-  enclosed as lo <= S * 2^W <= hi in W-bit fixed point, every term floored
-  (lo) or ceiled (hi) from its predecessor.  When lo and hi round to the same
-  p-bit float, that float is the rounding of S, because rounding is
-  monotone; otherwise S is summed exactly over one common denominator and
-  rounded.  Either way the result is the rounding of S, and it has relative
-  error at most 2^-p (the series runs at roughly 2p bits because the final
-  rounding already spends nearly the whole 2^-p allowance).
+  enclosed from one side in W-bit fixed point: lo, every term floored from
+  its predecessor, satisfies lo <= S * 2^W < lo + 2 * terms (each floored
+  term stays within two units of the exact one, see _exp_enclosure).  When
+  lo and lo + 2 * terms round to the same p-bit float, that float is the
+  rounding of S, because rounding is monotone; otherwise S is summed
+  exactly over one common denominator and rounded.  Either way the result
+  is the rounding of S, and it has relative error at most 2^-p (the series
+  runs at roughly 2p bits because the final rounding already spends nearly
+  the whole 2^-p allowance).
 
 The rational variants for the error-budgeted evaluator return dyadics with
 a stated relative error: exp is the floored fixed-point enclosure, sqrt an
@@ -28,15 +30,15 @@ import math
 from functools import lru_cache
 
 from .errors import DomainError, FloatRangeError
-from .pfloat import PFloat, _round_dyadic, _round_ratio, float_to_rat
+from .pfloat import PFloat, _check_precision, _round_dyadic, _round_pair, _round_ratio, float_to_rat
 from .rational import RAT_ONE, Rat
 
 # Fraction bits of the fixed-point exp enclosure beyond the series' working
-# width w = 2p + 8 and the bit length of its term count.  hi - lo stays
-# within about two units per term, and rounding to p bits drops
-# p + 9 + _EXP_GUARD + terms.bit_length() low bits, so lo and hi round apart
-# (and the exact sum decides) on about a 2^-(p + 8 + _EXP_GUARD) share of
-# arguments.
+# width w = 2p + 8 and the bit length of its term count.  The enclosure is
+# [lo, lo + 2 * terms), proven in _exp_enclosure, and rounding to p bits
+# drops p + 9 + _EXP_GUARD + terms.bit_length() low bits, so its two ends
+# round apart (and the exact sum decides) on about a 2^-(p + 8 + _EXP_GUARD)
+# share of arguments.
 _EXP_GUARD = 8
 
 
@@ -93,21 +95,24 @@ def _exp_series(r: Rat, terms: int) -> Rat:
 
 
 def _exp_enclosure(rn: int, rd: int, terms: int, shift: int) -> tuple[int, int]:
-    """lo <= 2^shift * sum_{i<terms} r^i / i! <= hi for r = rn / rd >= 0.
+    """(lo, hi) with lo <= 2^shift * sum_{i<terms} r^i / i! < hi = lo + 2 * terms,
+    for 0 <= r = rn / rd < 3/4.
 
-    r is enclosed as a_lo / 2^shift <= r < (a_lo + 1) / 2^shift; each term of
-    lo is floored from the one before and each term of hi ceiled, so every
-    partial sum stays enclosed.
+    a = floor(r * 2^shift), and each term t_i = floor(t_(i-1) * a / (2^shift
+    * i)) is floored from the one before.  With T_i = 2^shift * r^i / i!
+    and d_i = T_i - t_i >= 0: d_0 = 0 and d_1 = r * 2^shift - a < 1.  Then
+    d_i < (r * d_(i-1) + t_(i-1) * (r - a / 2^shift)) / i + 1, and as
+    r < 3/4, r - a / 2^shift < 2^-shift and t_(i-1) <= T_(i-1) <= 2^shift,
+    d_i < (3/4 * d_(i-1) + 1) / i + 1: below 2 at i = 2 and, by induction,
+    at every i after.  So the floored sum lo falls short of the exact one
+    by less than 1 + 2 * (terms - 2) < 2 * terms.
     """
-    a_lo = (rn << shift) // rd
-    a_hi = a_lo + 1
-    lo = hi = t_lo = t_hi = 1 << shift
+    a = (rn << shift) // rd
+    lo = t = 1 << shift
     for i in range(1, terms):
-        t_lo = ((t_lo * a_lo) >> shift) // i
-        t_hi = -(((-t_hi * a_hi) >> shift) // i)
-        lo += t_lo
-        hi += t_hi
-    return lo, hi
+        t = ((t * a) >> shift) // i
+        lo += t
+    return lo, lo + 2 * terms
 
 
 def _exp_reduced(x: Rat, w: int, log_mag: int) -> tuple[int, int, int, int, int, int]:
@@ -115,8 +120,9 @@ def _exp_reduced(x: Rat, w: int, log_mag: int) -> tuple[int, int, int, int, int,
 
     With log_mag = floor(log2 |x|) and lam = log2_const(w + max(2, log_mag + 2)
     + 8) <= log 2, x = k * lam + rn / rd exactly with k = floor(x / lam), and
-    lo <= S * 2^shift <= hi encloses S, the exp_plan(w)-term Taylor sum of
-    exp(rn / rd).  Returns (k, rn, rd, shift, lo, hi).
+    lo <= S * 2^shift < hi encloses S, the exp_plan(w)-term Taylor sum of
+    exp(rn / rd) (lo < hi, see _exp_enclosure).  Returns (k, rn, rd, shift,
+    lo, hi).
     """
     lam = log2_const(w + max(2, log_mag + 2) + 8)
     k = (x.num * lam.den) // (x.den * lam.num)  # exact floor(x / lam)
@@ -152,7 +158,10 @@ def f_exp(x: PFloat, p: int | None = None) -> PFloat:
     (FloatRangeError otherwise); this caps the log2-approximant precision
     and keeps results inside the exponent budget callers size p for.
     """
-    p = x.p if p is None else p
+    if p is None:
+        p = x.p
+    else:
+        _check_precision(p)
     log_mag = x.e + abs(x.m).bit_length() - 1  # floor(log2 |x|)
     if x.m == 0 or log_mag <= -(2 * p + 16):
         # |exp(x) - 1| < 2|x| < 2^-(2p+14), far below the 2^-(p+1) from 1 to
@@ -165,9 +174,9 @@ def f_exp(x: PFloat, p: int | None = None) -> PFloat:
     k, rn, rd, shift, lo, hi = _exp_reduced(float_to_rat(x), w, log_mag)
     if not -(1 << p) <= k < (1 << p):
         raise FloatRangeError(f"exp scaling k={k} outside [-2^{p}, 2^{p})")
-    y = _round_dyadic(lo, k - shift, p)
-    if y == _round_dyadic(hi, k - shift, p):
-        return y
+    y = _round_pair(lo, k - shift, p)
+    if y == _round_pair(hi, k - shift, p):
+        return PFloat._raw(*y, p)
     total = _exp_series(Rat(rn, rd), exp_plan(w))
     return _round_ratio(total.num, total.den, k, p)
 

@@ -117,14 +117,19 @@ def forward(model: Model, xs: list[list], backend: Backend) -> tuple[object, lis
                 per_head.append(matmul(head.w_o, ctxs))
                 continue
             # Every position sees the same keys and values, so equal queries
-            # have equal outputs: attend once per distinct query.
+            # have equal outputs: attend once per distinct query.  A repeat
+            # of the previous query object (matmul may share one vector
+            # between positions) reuses its slot without hashing.
             slot: dict = {}
             ctxs, picks = [], []
+            prev = None
             for q in qs:
-                j = slot.get(key := tuple(q))
-                if j is None:
-                    j = slot[key] = len(ctxs)
-                    ctxs.append(attend(q, ks, vs, li, hi))
+                if q is not prev:
+                    j = slot.get(key := tuple(q))
+                    if j is None:
+                        j = slot[key] = len(ctxs)
+                        ctxs.append(attend(q, ks, vs, li, hi))
+                    prev = q
                 picks.append(j)
             outs = matmul(head.w_o, ctxs)
             per_head.append([outs[j] for j in picks])

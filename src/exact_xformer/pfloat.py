@@ -13,6 +13,12 @@ each nonzero product once and block-sums the rounded products.
 Layer 1: the rounding core, _round_pair, the one ties-to-even.
 Layer 2: two-ary ops and comparison, add and compare on layer 3's _sum_pairs.
 Layer 3: block summation and dot products, on plain (m, e) integer pairs.
+
+The public constructor checks its fields.  A result that comes out of
+_round_pair or _sum_pairs at a precision already checked (one taken from a
+PFloat operand, or checked on entry by round_p and f_exp) is built
+unchecked by PFloat._raw: in _round_dyadic, f_add, f_sum_blocks, f_dot and
+elementary.f_exp.
 """
 
 from __future__ import annotations
@@ -25,7 +31,12 @@ from .errors import DomainError
 from .rational import Rat, rat_sum
 
 
-@dataclass(frozen=True)
+def _check_precision(p) -> None:
+    if not isinstance(p, int) or p < 1:
+        raise DomainError(f"precision must be a positive int, got {p!r}")
+
+
+@dataclass(frozen=True, slots=True)
 class PFloat:
     m: int
     e: int
@@ -33,8 +44,7 @@ class PFloat:
 
     def __post_init__(self):
         p = self.p
-        if not isinstance(p, int) or p < 1:
-            raise DomainError(f"precision must be a positive int, got {p!r}")
+        _check_precision(p)
         if not isinstance(self.m, int) or not isinstance(self.e, int):
             raise DomainError("significand and exponent must be ints")
         if self.m == 0:
@@ -46,6 +56,15 @@ class PFloat:
             raise DomainError(f"significand {self.m} not normalized for p={p}")
 
     @classmethod
+    def _raw(cls, m: int, e: int, p: int) -> "PFloat":
+        """Wrap a normalized (m, e) at a valid p without the checks."""
+        self = _new(cls)
+        _set_m(self, m)
+        _set_e(self, e)
+        _set_p(self, p)
+        return self
+
+    @classmethod
     def zero(cls, p: int) -> "PFloat":
         return cls(0, 0, p)
 
@@ -55,6 +74,12 @@ class PFloat:
 
     def to_json_dict(self) -> dict:
         return {"m": str(self.m), "e": str(self.e), "p": self.p}
+
+
+# The slots' own setters, which skip the frozen __setattr__ and its by-name
+# lookup; PFloat._raw builds a float with three calls.
+_new = object.__new__
+_set_m, _set_e, _set_p = PFloat.m.__set__, PFloat.e.__set__, PFloat.p.__set__
 
 
 # --------------------------------------------------------------------------
@@ -90,7 +115,7 @@ def _round_pair(M: int, E: int, p: int) -> tuple[int, int]:
 def _round_dyadic(M: int, E: int, p: int) -> PFloat:
     """Round the dyadic value M * 2^E to p bits."""
     m, e = _round_pair(M, E, p)
-    return PFloat(m, e, p)
+    return PFloat._raw(m, e, p)
 
 
 def _round_ratio(a: int, b: int, e2: int, p: int) -> PFloat:
@@ -113,6 +138,7 @@ def _round_ratio(a: int, b: int, e2: int, p: int) -> PFloat:
 
 def round_p(x: Rat | PFloat | int, p: int) -> PFloat:
     """Round a rational, float, or int to the nearest p-bit float."""
+    _check_precision(p)
     if isinstance(x, PFloat):
         return _round_dyadic(x.m, x.e, p)
     if isinstance(x, Rat):
@@ -140,7 +166,7 @@ def f_add(x: PFloat, y: PFloat) -> PFloat:
         return y
     if y.m == 0:
         return x
-    return PFloat(*_sum_pairs([x.m, y.m], [x.e, y.e], p), p)
+    return PFloat._raw(*_sum_pairs([x.m, y.m], [x.e, y.e], p), p)
 
 
 def f_mul(x: PFloat, y: PFloat) -> PFloat:
@@ -278,28 +304,49 @@ def f_sum_blocks(xs: Sequence[PFloat]) -> PFloat:
     p = _common_p(xs, "f_sum_blocks")
     nonzero = [x for x in xs if x.m]
     m, e = _sum_pairs([x.m for x in nonzero], [x.e for x in nonzero], p)
-    return PFloat(m, e, p)
+    return PFloat._raw(m, e, p)
 
 
 def f_dot(u: Sequence[PFloat], v: Sequence[PFloat], p: int, bias: PFloat | None = None) -> PFloat:
     """f_sum_blocks([f_mul(a, b) for nonzero pairs] + [bias]), zero at p when
-    no term is nonzero; the products stay (m, e) pairs, so one PFloat is built."""
+    no term is nonzero; the products stay (m, e) pairs, so one PFloat is built.
+
+    Each product is rounded inline, with _round_pair's ties-to-even: two
+    normalized p-bit significands multiply to 2p - 1 or 2p bits, so the
+    shift is p - 1 or p, and 0 (nothing to round) only at p = 1.
+    """
     ms, es = [], []
+    top = 1 << p
     for a, b in zip(u, v):
         if a.p != p or b.p != p:
             raise DomainError(f"mixed precisions {p} and {b.p if a.p == p else a.p}")
         if a.m and b.m:
-            m, e = _round_pair(a.m * b.m, a.e + b.e, p)
-            ms.append(m)
-            es.append(e)
+            M = a.m * b.m
+            A = abs(M)
+            shift = A.bit_length() - p
+            if shift <= 0:
+                ms.append(M << -shift)
+                es.append(a.e + b.e + shift)
+                continue
+            m = A >> shift
+            low = A & ((1 << shift) - 1)
+            half = 1 << (shift - 1)
+            if low > half or (low == half and m & 1):
+                m += 1
+                if m == top:
+                    m >>= 1
+                    shift += 1
+            ms.append(m if M > 0 else -m)
+            es.append(a.e + b.e + shift)
     if bias is not None:
         if bias.p != p:
             raise DomainError(f"mixed precisions {p} and {bias.p}")
         if bias.m:
             ms.append(bias.m)
             es.append(bias.e)
-    m, e = _sum_pairs(ms, es, p)
-    return PFloat(m, e, p)
+    if not ms:
+        return PFloat.zero(p)
+    return PFloat._raw(*_sum_pairs(ms, es, p), p)
 
 
 def f_sum_oracle(xs: Sequence[PFloat]) -> PFloat:

@@ -61,6 +61,11 @@ class Rat:
     def __setattr__(self, name, value):
         raise AttributeError("Rat is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through _raw: the default restores the
+        # slots through __setattr__, which refuses
+        return Rat._raw, (self.num, self.den)
+
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "Rat") -> "Rat":

@@ -23,6 +23,7 @@ from exact_xformer import (
     round_p,
 )
 from exact_xformer.elementary import (
+    _exp_enclosure,
     _exp_series,
     exp_plan,
     log2_const,
@@ -278,6 +279,23 @@ def test_series_plan_tail_bounds(bits):
     n = exp_plan(bits)
     assert tail(n) <= Rat(1, 1 << (bits + 2))
     assert n == 1 or tail(n - 1) > Rat(1, 1 << (bits + 2))
+
+
+@given(p=st.sampled_from((1, 3, 8, 24, 53, 256)), data=st.data())
+@settings(max_examples=150)
+def test_exp_enclosure_is_one_sided_within_two_units_per_term(p, data):
+    # f_exp's plan at p: the floored sum lo and lo + 2 * terms bracket the
+    # exact truncated series for every reduced argument in [0, log 2)
+    w = 2 * p + 8
+    terms = exp_plan(w)
+    shift = w + elementary._EXP_GUARD + terms.bit_length()
+    lam = log2_const(w + 10)
+    rd = data.draw(st.one_of(st.integers(1, 1 << 64), st.integers(1, 1 << 16).map(lambda k: k * lam.den)))
+    rn = data.draw(st.integers(0, (lam.num * rd - 1) // lam.den))  # rn / rd < lam
+    lo, hi = _exp_enclosure(rn, rd, terms, shift)
+    assert hi == lo + 2 * terms
+    exact = _exp_series(Rat(rn, rd), terms) * Rat(1 << shift)
+    assert Rat(lo) <= exact < Rat(hi)
 
 
 @pytest.mark.parametrize(

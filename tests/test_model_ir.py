@@ -5,7 +5,9 @@ serialize(parse(text)) must reproduce the document exactly (rationals are
 stored canonically, so equality is string equality).
 """
 
+import copy
 import json
+import pickle
 
 import pytest
 
@@ -32,6 +34,13 @@ def _expect_error(doc, path_prefix):
 def test_builtin_round_trip(name):
     text = serialize_model(load_model(name))
     assert serialize_model(parse_model(text)) == text
+
+
+def test_model_survives_pickle_and_deepcopy():
+    model = load_model("majority")
+    for clone in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
+        assert clone == model
+        assert serialize_model(clone) == serialize_model(model)
 
 
 def test_load_model_from_path(tmp_path):

@@ -5,14 +5,28 @@ shifts, independent of the package's own rounding cores, so "correctly
 rounded" is never checked against itself.
 """
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from exact_xformer import DomainError, PFloat, Rat, f_add, f_div, f_mul, f_sum_blocks, round_p
+from exact_xformer import (
+    DomainError,
+    PFloat,
+    Rat,
+    eval_smat_pbit,
+    f_add,
+    f_div,
+    f_exp,
+    f_mul,
+    f_sum_blocks,
+    load_model,
+    round_p,
+)
 from exact_xformer.pfloat import _ilog10, block_threshold, decimal_str, f_cmp, f_dot, f_neg, f_sum_oracle, float_to_rat
 
 
@@ -78,6 +92,42 @@ def test_zero_form_and_sign():
     assert z.sign == 0
     assert PFloat(5, 0, 3).sign == 1
     assert PFloat(-5, 0, 3).sign == -1
+
+
+@given(any_p.flatmap(lambda p: st.one_of(st.just(PFloat.zero(p)), _pfloats(p))))
+def test_raw_equals_checked_constructor(x):
+    y = PFloat._raw(x.m, x.e, x.p)
+    assert type(y) is PFloat
+    assert y == x and hash(y) == hash(x)
+    with pytest.raises(AttributeError):
+        y.m = 1
+
+
+@given(any_p.flatmap(lambda p: st.one_of(st.just(PFloat.zero(p)), _pfloats(p))))
+def test_copies_keep_value_and_hash(x):
+    for c in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert (c.m, c.e, c.p) == (x.m, x.e, x.p)
+        assert c == x and hash(c) == hash(x)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: round_p(Rat(1, 3), 0),
+        lambda: round_p(PFloat(5, 0, 3), 0),
+        lambda: f_exp(PFloat(4, -3, 3), 0),
+        lambda: f_exp(PFloat(4, 2, 3), 0),
+        lambda: f_exp(PFloat.zero(3), 0),
+        lambda: f_dot([], [], 0),
+        lambda: eval_smat_pbit(load_model("softmax-uniform"), "1101", 0),
+    ],
+    ids=["round-rat", "round-float", "exp", "exp-large", "exp-zero", "dot-empty", "smat"],
+)
+def test_entry_points_reject_precision_zero(call):
+    # internal results are built unchecked, so each entry point that takes
+    # a precision from its caller checks it on the way in
+    with pytest.raises(DomainError, match=r"^precision must be a positive int, got 0$"):
+        call()
 
 
 @given(any_p.flatmap(lambda p: _pfloats(p, -(10**6), 10**6)))
@@ -348,6 +398,25 @@ def test_dot_of_empty_vectors_is_zero_at_p():
     assert f_dot([], [], 5) == PFloat.zero(5)
     assert f_dot([], [], 5, PFloat.zero(5)) == PFloat.zero(5)
     assert f_dot([], [], 5, PFloat(-17, 3, 5)) == PFloat(-17, 3, 5)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_dot_matches_rounded_products_exhaustively(p):
+    # every product of two p-bit floats (zero included) over a few binades,
+    # against f_mul's rounding: at p = 1 a product needs no rounding at all
+    grid = [PFloat.zero(p)] + [
+        PFloat(s * m, e, p) for s in (1, -1) for m in range(1 << (p - 1), 1 << p) for e in range(-p - 1, p + 2)
+    ]
+    top = 1 << p
+    biases = [None, PFloat.zero(p), PFloat(top - 1, 0, p), PFloat(-(1 << (p - 1)), -p, p), PFloat(1 << (p - 1), 3 * p, p)]
+    for a in grid:
+        for b in grid:
+            for bias in biases:
+                tail = [bias] if bias is not None else []
+                one = [f_mul(a, b)] if a.m and b.m else []
+                assert f_dot([a], [b], p, bias) == (f_sum_blocks(one + tail) if one + tail else PFloat.zero(p))
+                two = [t for t in (f_mul(a, b), f_mul(b, b)) if t.m]
+                assert f_dot([a, b], [b, b], p, bias) == (f_sum_blocks(two + tail) if two + tail else PFloat.zero(p))
 
 
 @pytest.mark.parametrize(

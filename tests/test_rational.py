@@ -5,8 +5,10 @@ own cross-multiplication formulas and must stay canonical (gcd-reduced,
 positive denominator) after every operation.
 """
 
+import copy
 import math
 import operator
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -71,6 +73,18 @@ def test_immutable():
     r = Rat(3, 4)
     with pytest.raises(AttributeError):
         r.num = 5
+
+
+@pytest.mark.parametrize(
+    "clone", [lambda r: pickle.loads(pickle.dumps(r)), copy.copy, copy.deepcopy], ids=["pickle", "copy", "deepcopy"]
+)
+def test_copies_keep_pair_and_hash(clone):
+    for r in (Rat(3, 4), Rat(-7, 12), RAT_ZERO, Rat(1 << 200, 3)):
+        c = clone(r)
+        assert (c.num, c.den) == (r.num, r.den)
+        assert c == r and hash(c) == hash(r)
+        with pytest.raises(AttributeError):
+            c.num = 5
 
 
 def test_equality_and_hash_on_value():
