@@ -118,6 +118,14 @@ BUDGETED = {
 
 BUDGETED_WIDE = ("cbab", "Rat(-690751130419813345715, 9223372036854775808)")
 
+# Budgeted on the smat model (two layers, layernorm, mixed masks) at
+# eps = 2^-64, so both layernorm sites of both layers run; each lies within
+# eps of the same mpmath pass.
+BUDGETED_LAYERNORM = {
+    "bacaab": "Rat(-33368455432380939619, 18446744073709551616)",
+    "cabbac": "Rat(-33367469003602950399, 18446744073709551616)",
+}
+
 
 @pytest.mark.parametrize("word", sorted(AHAT))
 def test_ahat_two_layers_mixed_masks(word):
@@ -148,3 +156,9 @@ def test_budgeted_one_layer_wide_epsilon():
     word, want = BUDGETED_WIDE
     value = eval_budgeted(_model(13, "softmax", 1, False), word, Rat(1, 1 << 64))
     assert repr(value) == want
+
+
+@pytest.mark.parametrize("word", sorted(BUDGETED_LAYERNORM))
+def test_budgeted_two_layers_with_layernorm(word):
+    value = eval_budgeted(_model(12, "softmax", 2, True), word, Rat(1, 1 << 64))
+    assert repr(value) == BUDGETED_LAYERNORM[word]
