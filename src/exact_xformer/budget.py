@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 from .elementary import rat_exp_approx, rat_floor_log2, rat_sqrt_approx
 from .errors import DomainError
-from .evaluator import check_heads, embed_input, exact_backend, forward
+from .evaluator import check_heads, compile_rows, embed_input, exact_backend, forward
 from .model_ir import LayerNorm, Model
 from .rational import RAT_ONE, RAT_ZERO, Rat, _sum_over_lcm, rat_max, rat_sum
 
@@ -349,7 +349,7 @@ def _eval_planned(model: Model, w: str, epsilon: Rat) -> tuple[Rat, ErrorBudget]
         lambda scores, li, hi: softmax_budgeted(scores, deltas[("layer", li, "head", hi, "softmax")]),
         lambda x, ln, li, site: layernorm_budgeted(x, ln, deltas[("layer", li, site)]),
     )
-    return _round_to_grid(forward(model, xs, backend)[0], _bits_for(epsilon)), budget
+    return _round_to_grid(forward(compile_rows(model), xs, backend)[0], _bits_for(epsilon)), budget
 
 
 def margin_recognize(model: Model, w: str, epsilon_margin: Rat) -> Decision:

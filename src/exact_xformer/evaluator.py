@@ -21,31 +21,30 @@ positive output accepts, negative rejects, exact zero is a tie.
 
 `forward` runs each stage over the whole sequence: one `matmul` call per
 weight matrix per layer, over every position's vector (the output head is a
-one-row matrix on the last position).  smat and budgeted map their dot
-product over the rows and vectors with `rowwise`.  No stage mutates a
-vector, so a backend may hand one vector to several positions or stages.
+one-row matrix on the last position).  No stage mutates a vector, so a
+backend may hand one vector to several positions or stages.
 
 A backend's `attend` step turns one query into its context vector.  Every
 position of an unmasked head sees the same keys and values, so `forward`
 attends once per distinct query vector; in the majority fixture every query
-is zero.  smat and budgeted attend through `attend_by`: the score dots, the
+is zero.  smat and budgeted attend in three steps: the score dots, the
 normalizer, then the context dots.  ahat picks the maximizers and averages
 their values directly, and an all-zero query ties every key without a
 score dot.
 
-ahat works on integer vectors.  It runs on `compile_rows(model)`, its
-counterpart of smat's `round_model`, made on a model's first evaluation and
-kept with it: each weight row becomes its nonzero (index, integer
-numerator) pairs over the row's lcm denominator, and each vector is put
-once over the lcm of its denominators, so a row is an integer dot reduced
-by one gcd; a zero row multiplies nothing and a unit row hands back its
-input coordinate.  A matrix of only zero rows, or the identity, with no
-nonzero bias makes no row dots at all: one shared zero vector, or the
-input vectors themselves.  Its attention scores are integer numerators over
-one shared positive denominator, which is all `ahardmax_weights` needs to
-compare them.  Budgeted mode keeps the model's own rows under `_rat_dot`:
-the benchmark zoo's budgeted models are dense, so compiled rows save no
-multiplication, and a compile kept with the model measured no faster.
+Both exact modes work on integer vectors.  They run on
+`compile_rows(model)`, the counterpart of smat's `round_model`, made on a
+model's first exact evaluation and kept with it: each weight row becomes
+its nonzero (index, integer numerator) pairs over the row's lcm
+denominator, and each vector is put once over the lcm of its denominators,
+so a row is an integer dot reduced by one gcd; a zero row multiplies
+nothing and a unit row hands back its input coordinate.  A matrix of only
+zero rows, or the identity, with no nonzero bias makes no row dots at all:
+one shared zero vector, or the input vectors themselves.  Budgeted
+attention runs on the same matvec: the query, compiled as one row, scores
+every key, and each value column, compiled as a row, takes the weights.
+ahat's attention scores are integer numerators over one shared positive
+denominator, which is all `ahardmax_weights` needs to compare them.
 """
 
 from __future__ import annotations
@@ -74,7 +73,7 @@ class Backend(NamedTuple):
                             (+ bias) for each row], zero products skipped;
                             rows is a weight matrix of the model that
                             `forward` is given, prepared for this backend
-                            (round_model, compile_rows) or as parsed
+                            (round_model, compile_rows)
     total(terms)            sum of the terms
     add(a, b)               a + b
     attend(q, ks, vs, layer, head)  the context vector of query q over the
@@ -190,20 +189,6 @@ def _map_params(model: Model, row: Callable, vec: Callable, scalar: Callable, ma
 # --------------------------------------------------------------------------
 
 
-def _rat_dot(u: Sequence[Rat], v: Sequence[Rat], bias: Rat | None = None) -> Rat:
-    """Sum of the unreduced products u[k]*v[k] (plus bias) over the lcm of
-    their denominators, with one gcd at the end; zero products are skipped."""
-    nums, dens = [], []
-    for a, b in zip(u, v):
-        if a.num and b.num:
-            nums.append(a.num * b.num)
-            dens.append(a.den * b.den)
-    if bias is not None and bias.num:
-        nums.append(bias.num)
-        dens.append(bias.den)
-    return _sum_over_lcm(nums, dens) if nums else RAT_ZERO
-
-
 def _rat_total(terms: Sequence[Rat]) -> Rat:
     return rat_sum(terms) if terms else RAT_ZERO
 
@@ -213,36 +198,6 @@ def _rat_add(a: Rat, b: Rat) -> Rat:
     if not b.num:
         return a
     return a + b if a.num else b
-
-
-def rowwise(dot: Callable) -> Callable:
-    """The matmul of a dot product: for each vector v, dot(row, v) or
-    dot(row, v, bias), row by row, in order."""
-
-    def matmul(rows, vecs, biases=None):
-        if biases is None:
-            return [[dot(row, v) for row in rows] for v in vecs]
-        return [[dot(row, v, b) for row, b in zip(rows, biases)] for v in vecs]
-
-    return matmul
-
-
-def attend_by(dot: Callable, normalize: Callable) -> Callable:
-    """The attend step of a normalizer: every score dot q.k, then the weights
-    normalize(scores, layer, head), then one weights-by-values dot per
-    context coordinate."""
-
-    def attend(q, ks, vs, layer, head):
-        alphas = normalize([dot(q, k) for k in ks], layer, head)
-        return [dot(alphas, col) for col in zip(*vs)]
-
-    return attend
-
-
-def exact_backend(normalize: Callable, layernorm: Callable) -> Backend:
-    """Exact rationals on the model's own rows, around the given attention
-    normalizer and layernorm steps."""
-    return Backend(RAT_ZERO, rowwise(_rat_dot), _rat_total, _rat_add, attend_by(_rat_dot, normalize), layernorm)
 
 
 _ZERO_ROW = (1, (), None)
@@ -276,12 +231,12 @@ def _compile_row(row: Sequence[Rat]) -> tuple:
     return den, pairs, unit
 
 
-def _ahat_matvec(rows: Sequence[tuple], v: Sequence[Rat], biases: Sequence[Rat] | None = None) -> list[Rat]:
-    """_rat_dot of each compiled row with v (plus its bias).  v is put once
-    over D, the lcm of its denominators, and each row is then an integer dot
-    over den * D with one gcd; a zero row is its bias (or zero), and a unit
-    row without bias is v's coordinate itself, so a matrix of only those
-    never computes D."""
+def _exact_matvec(rows: Sequence[tuple], v: Sequence[Rat], biases: Sequence[Rat] | None = None) -> list[Rat]:
+    """The exact dot of each compiled row with v (plus its bias), in
+    canonical form.  v is put once over D, the lcm of its denominators, and
+    each row is then an integer dot over den * D with one gcd; a zero row is
+    its bias (or zero), and a unit row without bias is v's coordinate
+    itself, so a matrix of only those never computes D."""
     ints = None
     out = []
     for i, (den, pairs, unit) in enumerate(rows):
@@ -308,8 +263,8 @@ def _ahat_matvec(rows: Sequence[tuple], v: Sequence[Rat], biases: Sequence[Rat] 
     return out
 
 
-def _ahat_matmul(rows: Sequence[tuple], vecs: Sequence[Sequence[Rat]], biases: Sequence[Rat] | None = None) -> list:
-    """_ahat_matvec of each vector.  Without a nonzero bias, an all-zero
+def _exact_matmul(rows: Sequence[tuple], vecs: Sequence[Sequence[Rat]], biases: Sequence[Rat] | None = None) -> list:
+    """_exact_matvec of each vector.  Without a nonzero bias, an all-zero
     _Compiled matrix gives one zero vector shared by every position, and the
     identity gives the input vectors themselves."""
     if isinstance(rows, _Compiled) and (biases is None or not any(b.num for b in biases)):
@@ -317,7 +272,21 @@ def _ahat_matmul(rows: Sequence[tuple], vecs: Sequence[Sequence[Rat]], biases: S
             return [[RAT_ZERO] * len(rows)] * len(vecs)
         if rows.identity:
             return list(vecs)
-    return [_ahat_matvec(rows, v, biases) for v in vecs]
+    return [_exact_matvec(rows, v, biases) for v in vecs]
+
+
+def exact_backend(normalize: Callable, layernorm: Callable) -> Backend:
+    """Exact rationals on compiled rows (`compile_rows`), around the given
+    attention normalizer and layernorm steps.  The attend step is two
+    matvecs: the query, compiled as one row, times every key, and each value
+    column, compiled as a row, times the weights."""
+
+    def attend(q, ks, vs, layer, head):
+        row = (_compile_row(q),)
+        alphas = normalize([_exact_matvec(row, k)[0] for k in ks], layer, head)
+        return _exact_matvec([_compile_row(col) for col in zip(*vs)], alphas)
+
+    return Backend(RAT_ZERO, _exact_matmul, _rat_total, _rat_add, attend, layernorm)
 
 
 class EvalTrace:
@@ -405,25 +374,26 @@ def _ahat_attend(q: list[Rat], ks: list[list[Rat]], vs: list[list[Rat]], layer: 
     return [_sum_over_lcm([x.num for x in col], [x.den * hits for x in col]) for col in zip(*vs)]
 
 
-_AHAT = Backend(RAT_ZERO, _ahat_matmul, _rat_total, _rat_add, _ahat_attend, None)
+_AHAT = Backend(RAT_ZERO, _exact_matmul, _rat_total, _rat_add, _ahat_attend, None)
 
 
 def compile_rows(model: Model) -> Model:
     """The model with every attention and FFNN weight matrix _Compiled and
     the output head's weights compiled as a row (biases and embeddings stay
-    rationals)."""
-    return _map_params(model, _compile_row, _same, _same, _compile_matrix)
+    rationals).  The first call keeps it with the model (Model.compiled)
+    for the next, whichever exact mode makes it; it checks no heads."""
+    compiled = model.compiled
+    if compiled is None:
+        compiled = _map_params(model, _compile_row, _same, _same, _compile_matrix)
+        object.__setattr__(model, "compiled", compiled)
+    return compiled
 
 
 def eval_ahat(model: Model, w: str) -> tuple[Rat, EvalTrace]:
-    """Exact rational evaluation; average-hard attention, no layernorm.  A
-    model's first evaluation checks its heads and compiles its rows, and
-    keeps the compiled model with it (Model.ahat_compiled) for the next."""
-    compiled = model.ahat_compiled
-    if compiled is None:
-        check_heads(model, "average_hard", "ahat_exact needs average_hard", layernorm=False)
-        compiled = compile_rows(model)
-        object.__setattr__(model, "ahat_compiled", compiled)
+    """Exact rational evaluation; average-hard attention, no layernorm.
+    Every call checks the heads before it reads the compiled rows."""
+    check_heads(model, "average_hard", "ahat_exact needs average_hard", layernorm=False)
+    compiled = compile_rows(model)
     xs = embed_input(model, w)
     value, states = forward(compiled, xs, _AHAT)
     return value, EvalTrace(xs, states)
@@ -474,13 +444,22 @@ def _pbit_backend(p: int) -> Backend:
     """p-bit floats.  A dot product is f_dot: each nonzero product rounded
     once, then one block sum with the bias.  A sum is one f_sum_blocks.
     Every rounding is pfloat's _round_pair, its one ties-to-even."""
-    dot = lambda u, v, bias=None: f_dot(u, v, p, bias)
+
+    def matmul(rows, vecs, biases=None):
+        if biases is None:
+            return [[f_dot(row, v, p) for row in rows] for v in vecs]
+        return [[f_dot(row, v, p, b) for row, b in zip(rows, biases)] for v in vecs]
+
+    def attend(q, ks, vs, layer, head):
+        alphas = softmax_pbit([f_dot(q, k, p) for k in ks], p)
+        return [f_dot(alphas, col, p) for col in zip(*vs)]
+
     return Backend(
         PFloat.zero(p),
-        rowwise(dot),
+        matmul,
         lambda terms: f_sum_blocks(terms) if terms else PFloat.zero(p),
         f_add,
-        attend_by(dot, lambda scores, layer, head: softmax_pbit(scores, p)),
+        attend,
         lambda x, ln, layer, site: layernorm_pbit(x, ln.gamma, ln.beta, ln.c, p),
     )
 

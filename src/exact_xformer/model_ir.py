@@ -87,9 +87,10 @@ class Model:
     layers: tuple[Layer, ...]
     output_head: OutputHead
     param_bits: Optional[int] = None
-    # Not a parameter: eval_ahat's compiled form of this model, kept on its
-    # first evaluation; it takes no part in ==, repr or serialization.
-    ahat_compiled: Optional["Model"] = field(default=None, init=False, compare=False, repr=False)
+    # Not a parameter: the compiled form of this model that both exact modes
+    # run on (evaluator.compile_rows), kept on its first exact evaluation; it
+    # takes no part in ==, repr or serialization.
+    compiled: Optional["Model"] = field(default=None, init=False, compare=False, repr=False)
 
 
 # --------------------------------------------------------------------------

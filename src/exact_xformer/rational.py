@@ -5,9 +5,10 @@ carried on the numerator; zero is 0/1.  Binary operations keep their gcds on
 the smaller operands (Henrici's method, Knuth TAOCP vol. 2, 4.5.1, as in
 fractions.Fraction): a sum reduces by gcd(den_a, den_b) and then only by a gcd
 with that factor, a product cancels num_a against den_b and num_b against
-den_a.  An n-ary sum, and an exact dot product over its unreduced products,
-rescales every term onto the single common denominator lcm(den_j) and reduces
-once.  Canonical form is unique, so every route gives the same pair.
+den_a.  An n-ary sum rescales every term onto the single common denominator
+lcm(den_j) and reduces once; the exact dot product lives in the evaluator's
+matvec, which puts a vector over one lcm in the same way.  Canonical form is
+unique, so every route gives the same pair.
 """
 
 from __future__ import annotations

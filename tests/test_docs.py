@@ -1,6 +1,8 @@
 """The README and docstrings stay in step with the code they document."""
 
+import importlib
 import inspect
+import pkgutil
 import re
 from pathlib import Path
 
@@ -23,3 +25,21 @@ def test_backend_docstring_names_every_field():
     # entries start a line of the cleaned docstring; continuations are indented
     body = inspect.cleandoc(Backend.__doc__).split("\n\n", 1)[1]
     assert re.findall(r"^(\w+)", body, re.M) == list(Backend._fields)
+
+
+def test_module_docstrings_name_only_what_exists():
+    # a backticked name (its leading dotted identifier, so `f(x)` names f)
+    # resolves in the module, or is a Backend field
+    stale = []
+    for info in pkgutil.iter_modules(exact_xformer.__path__):
+        module = importlib.import_module(f"exact_xformer.{info.name}")
+        for name in re.findall(r"`([A-Za-z_][\w.]*)", module.__doc__ or ""):
+            obj, *rest = name.split(".")
+            if obj in Backend._fields and not rest:
+                continue
+            obj = getattr(module, obj, None)
+            for part in rest:
+                obj = getattr(obj, part, None)
+            if obj is None:
+                stale.append(f"{info.name}: {name}")
+    assert stale == []

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from exact_xformer import (
@@ -25,6 +25,7 @@ from exact_xformer import (
     PFloat,
     Rat,
     eval_ahat,
+    eval_budgeted,
     eval_smat_pbit,
     f_div,
     f_sqrt,
@@ -35,14 +36,12 @@ from exact_xformer import (
 from exact_xformer import budget, evaluator
 from exact_xformer.evaluator import (
     _ahat_attend,
-    _ahat_matmul,
-    _ahat_matvec,
     _compile_matrix,
     _compile_row,
-    _rat_dot,
+    _exact_matmul,
+    _exact_matvec,
     _rat_total,
     ahardmax_weights,
-    attend_by,
     bit_growth_trace,
     embed_input,
     fit_loglog_slope,
@@ -128,44 +127,41 @@ def _same_pair(x: Rat, f: Fraction) -> None:
     assert (x.num, x.den) == (f.numerator, f.denominator)
 
 
-@given(st.lists(st.tuples(rats, rats), max_size=8), rats)
-def test_rat_dot_returns_canonical_pair(pairs, bias):
-    u, v = [a for a, _ in pairs], [b for _, b in pairs]
-    want = sum((_frac(a) * _frac(b) for a, b in pairs), Fraction(0))
-    _same_pair(_rat_dot(u, v), want)
-    _same_pair(_rat_dot(u, v, bias), want + _frac(bias))
+def _fraction_dot(u, v, bias=None) -> Fraction:
+    """The exact rational dot product (plus bias), in Fractions."""
+    out = sum((_frac(a) * _frac(b) for a, b in zip(u, v)), Fraction(0))
+    return out if bias is None else out + _frac(bias)
 
 
-def test_rat_dot_zero_and_empty_vectors():
-    zeros = [Rat(0)] * 3
-    u = [Rat(1, 6), Rat(-5, 4), Rat(7, 10)]
-    _same_pair(_rat_dot(zeros, u), Fraction(0))
-    _same_pair(_rat_dot(u, zeros, Rat(0)), Fraction(0))
-    _same_pair(_rat_dot(zeros, zeros, Rat(-3, 8)), Fraction(-3, 8))
-    _same_pair(_rat_dot([], []), Fraction(0))
-    _same_pair(_rat_dot([], [], Rat(5, 6)), Fraction(5, 6))
-    # the nonzero products cancel: 1/6*3/2 - 5/4*1/5 = 0
-    _same_pair(_rat_dot([Rat(1, 6), Rat(0), Rat(-5, 4)], [Rat(3, 2), Rat(9), Rat(1, 5)]), Fraction(0))
+_ZEROS, _U = [Rat(0)] * 3, [Rat(1, 6), Rat(-5, 4), Rat(7, 10)]
 
 
+# The examples are zero and empty vectors, with and without a bias, and
+# nonzero products that cancel: 1/6*3/2 - 5/4*1/5 = 0.
+@example(list(zip(_ZEROS, _U)), None, -1)
+@example(list(zip(_U, _ZEROS)), Rat(0), -1)
+@example(list(zip(_ZEROS, _ZEROS)), Rat(-3, 8), -1)
+@example([], None, -1)
+@example([], Rat(5, 6), -1)
+@example([(Rat(1, 6), Rat(3, 2)), (Rat(0), Rat(9)), (Rat(-5, 4), Rat(1, 5))], None, -1)
 @given(st.lists(st.tuples(rats, rats), min_size=1, max_size=8), st.one_of(st.none(), rats), st.integers(-1, 7))
 def test_matvec_matches_rat_dot(pairs, bias, unit):
     # unit >= 0 makes u the unit vector e_(unit mod len), the shortcut row
     u, v = [a for a, _ in pairs], [b for _, b in pairs]
     if unit >= 0:
         u = [Rat(int(k == unit % len(u))) for k in range(len(u))]
-    [got] = _ahat_matvec([_compile_row(u)], v, None if bias is None else [bias])
-    _same_pair(got, _frac(_rat_dot(u, v, bias)))
+    [got] = _exact_matvec([_compile_row(u)], v, None if bias is None else [bias])
+    _same_pair(got, _fraction_dot(u, v, bias))
 
 
 def test_matvec_zero_and_unit_rows():
     v = [Rat(3, 4), Rat(-5, 6), Rat(0)]
     zero, unit = _compile_row([Rat(0)] * 3), _compile_row([Rat(0), Rat(1), Rat(0)])
-    assert _ahat_matvec([zero], v)[0] is RAT_ZERO
-    _same_pair(_ahat_matvec([zero], v, [Rat(-7, 8)])[0], Fraction(-7, 8))
-    assert _ahat_matvec([unit], v)[0] is v[1]
-    _same_pair(_ahat_matvec([unit], v, [Rat(1, 3)])[0], Fraction(-1, 2))
-    _same_pair(_ahat_matvec([_compile_row([Rat(1, 6), Rat(-3, 4), Rat(2)])], v)[0], Fraction(1, 8) + Fraction(5, 8))
+    assert _exact_matvec([zero], v)[0] is RAT_ZERO
+    _same_pair(_exact_matvec([zero], v, [Rat(-7, 8)])[0], Fraction(-7, 8))
+    assert _exact_matvec([unit], v)[0] is v[1]
+    _same_pair(_exact_matvec([unit], v, [Rat(1, 3)])[0], Fraction(-1, 2))
+    _same_pair(_exact_matvec([_compile_row([Rat(1, 6), Rat(-3, 4), Rat(2)])], v)[0], Fraction(1, 8) + Fraction(5, 8))
 
 
 # A weight row of dim 4: zero, unit, or drawn (with zero coordinates).
@@ -185,11 +181,11 @@ _row = st.one_of(
 def test_matvec_matches_rat_dot_row_by_row(rows, v, biases):
     # a matrix mixing zero rows, unit rows with and without bias, and rows
     # and coordinates over unrelated denominators
-    got = _ahat_matvec([_compile_row(r) for r in rows], v, biases)
+    got = _exact_matvec([_compile_row(r) for r in rows], v, biases)
     assert len(got) == len(rows)
     for i, (row, out) in enumerate(zip(rows, got)):
         bias = None if biases is None else biases[i]
-        _same_pair(out, _frac(_rat_dot(row, v, bias)))
+        _same_pair(out, _fraction_dot(row, v, bias))
         if row.count(Rat(1)) == 1 and row.count(Rat(0)) == DIM - 1 and (bias is None or not bias.num):
             assert out is v[row.index(Rat(1))]
 
@@ -220,8 +216,8 @@ def test_matmul_equals_matvec_per_vector(data):
     drawn = st.lists(st.one_of(st.just(Rat(0)), rats), min_size=m, max_size=m)
     biases = data.draw(st.one_of(st.none(), st.just([Rat(0)] * m), drawn))
     compiled = _compile_matrix(rows)
-    got = _ahat_matmul(compiled, vecs, biases)
-    want = [_ahat_matvec(compiled, v, biases) for v in vecs]
+    got = _exact_matmul(compiled, vecs, biases)
+    want = [_exact_matvec(compiled, v, biases) for v in vecs]
     assert [[(x.num, x.den) for x in out] for out in got] == [[(x.num, x.den) for x in out] for out in want]
     if compiled.identity and (biases is None or not any(b.num for b in biases)):
         assert all(out is v for out, v in zip(got, vecs))
@@ -235,14 +231,14 @@ def test_compiled_flags_and_matmul_shortcuts():
     for rows in (ident[::-1], ident[:2], ident + [_unit(0, 3)], [_unit(0, 1)] * 2):
         assert not _compile_matrix(rows).identity
     vecs = [[Rat(1, 2), Rat(-3), Rat(0)], [Rat(5, 7), Rat(0), Rat(1)]]
-    out = _ahat_matmul(_compile_matrix(ident), vecs)
+    out = _exact_matmul(_compile_matrix(ident), vecs)
     assert out[0] is vecs[0] and out[1] is vecs[1]
-    assert _ahat_matmul(_compile_matrix(ident), vecs, [Rat(0)] * 3)[1] is vecs[1]
-    biased = _ahat_matmul(_compile_matrix(ident), vecs, [Rat(1, 3), Rat(0), Rat(0)])
+    assert _exact_matmul(_compile_matrix(ident), vecs, [Rat(0)] * 3)[1] is vecs[1]
+    biased = _exact_matmul(_compile_matrix(ident), vecs, [Rat(1, 3), Rat(0), Rat(0)])
     assert biased[0] is not vecs[0] and biased[0] == [Rat(5, 6), Rat(-3), Rat(0)]
-    zeros = _ahat_matmul(zero, vecs)
+    zeros = _exact_matmul(zero, vecs)
     assert zeros[0] is zeros[1] and zeros[0] == [RAT_ZERO] * 2
-    assert _ahat_matmul(zero, vecs, [Rat(0), Rat(-1, 4)]) == [[Rat(0), Rat(-1, 4)]] * 2
+    assert _exact_matmul(zero, vecs, [Rat(0), Rat(-1, 4)]) == [[Rat(0), Rat(-1, 4)]] * 2
 
 
 def test_eval_ahat_compiles_each_model_once(monkeypatch):
@@ -255,30 +251,62 @@ def test_eval_ahat_compiles_each_model_once(monkeypatch):
     assert len(calls) == 13  # q, k, v, o, w1, w2 of dim 2, and the output head
     assert eval_ahat(model, "100")[0] == Rat(-1, 6)
     assert len(calls) == 13
-    assert model.ahat_compiled is not None
+    assert model.compiled is not None
     assert model == load_model("majority") and repr(model) == shown
     assert serialize_model(model) == text and parse_model(text) == model
     assert eval_ahat(copy.copy(model), "110")[0] == Rat(1, 6)  # a copy keeps the compile
     assert len(calls) == 13
     assert eval_ahat(load_model("majority"), "1")[0] == Rat(1, 2)
     assert len(calls) == 26  # an equal model is compiled for itself
+    # budgeted mode fills and reads the same cache (its attend step compiles
+    # a query and value columns on every call, so count matrices here)
+    matrices = []
+    compile_matrix = evaluator._compile_matrix
+    monkeypatch.setattr(evaluator, "_compile_matrix", lambda rows: matrices.append(rows) or compile_matrix(rows))
+    model = load_model("softmax-uniform")
+    text, shown = serialize_model(model), repr(model)
+    assert eval_budgeted(model, "110", Rat(1, 64)) == Rat(1, 6)
+    assert len(matrices) == 6  # q, k, v, o, w1, w2
+    compiled = model.compiled
+    assert eval_budgeted(model, "0010", Rat(1, 64)) == Rat(-1, 4)
+    assert len(matrices) == 6 and model.compiled is compiled
+    assert model == load_model("softmax-uniform") and repr(model) == shown
+    assert serialize_model(model) == text and parse_model(text) == model
 
 
-def test_eval_ahat_keeps_no_compile_of_a_refused_model(uniform):
+def test_eval_ahat_keeps_no_compile_of_a_refused_model():
+    model = load_model("softmax-uniform")
     for _ in range(2):
         with pytest.raises(EvalModeError):
-            eval_ahat(uniform, "01")
-    assert uniform.ahat_compiled is None
+            eval_ahat(model, "01")
+    assert model.compiled is None
+
+
+def test_a_filled_cache_skips_no_mode_check(majority):
+    # each mode checks the heads before it reads the compile the other made
+    uniform = load_model("softmax-uniform")
+    eval_budgeted(uniform, "01", Rat(1, 64))
+    assert uniform.compiled is not None
+    with pytest.raises(EvalModeError):
+        eval_ahat(uniform, "01")
+    eval_ahat(majority, "01")
+    assert majority.compiled is not None
+    with pytest.raises(EvalModeError):
+        eval_budgeted(majority, "01", Rat(1, 64))
 
 
 # Small values over a few denominators, so scores tie often and go negative.
 small = st.builds(Rat, st.integers(-6, 6), st.sampled_from((1, 2, 3, 4, 6)))
 
 
-def _rat_path_attend(q, ks, vs):
-    """The attend step on Rat scores: _rat_dot scores, ahardmax_weights on
-    them, then one weights-by-values dot per context coordinate."""
-    return attend_by(_rat_dot, lambda scores, layer, head: ahardmax_weights(scores))(q, ks, vs, 0, 0)
+def _fraction_attend(q, ks, vs) -> list[Fraction]:
+    """The average-hard attend step in Fractions: every score q.k, equal
+    weight on the maximizers, then one weights-by-values dot per context
+    coordinate."""
+    scores = [_fraction_dot(q, k) for k in ks]
+    top = max(scores)
+    hits = [v for s, v in zip(scores, vs) if s == top]
+    return [sum(map(_frac, col), Fraction(0)) / len(hits) for col in zip(*hits)]
 
 
 @given(
@@ -289,8 +317,8 @@ def test_ahat_attend_matches_rat_scores(q, kvs):
     ks, vs = [k for k, _ in kvs], [v for _, v in kvs]
     for i in range(1, len(ks) + 1):  # every causal prefix
         got = _ahat_attend(q, ks[:i], vs[:i], 0, 0)
-        want = _rat_path_attend(q, ks[:i], vs[:i])
-        assert [(x.num, x.den) for x in got] == [(x.num, x.den) for x in want]
+        want = _fraction_attend(q, ks[:i], vs[:i])
+        assert [(x.num, x.den) for x in got] == [(f.numerator, f.denominator) for f in want]
 
 
 def test_ahat_attend_ties_across_denominators():
@@ -298,12 +326,12 @@ def test_ahat_attend_ties_across_denominators():
     # 3; the third scores -1/6
     q = [Rat(2, 3), Rat(1, 2)]
     ks = [[Rat(3, 4), Rat(0)], [Rat(1, 4), Rat(2, 3)], [Rat(1, 4), Rat(-2, 3)]]
-    assert [_rat_dot(q, k) for k in ks] == [Rat(1, 2), Rat(1, 2), Rat(-1, 6)]
+    assert [_fraction_dot(q, k) for k in ks] == [Fraction(1, 2), Fraction(1, 2), Fraction(-1, 6)]
     vs = [[Rat(1), Rat(-3, 5)], [Rat(1, 3), Rat(1, 7)], [Rat(9), Rat(9)]]
     got = _ahat_attend(q, ks, vs, 0, 0)
     _same_pair(got[0], Fraction(2, 3))
     _same_pair(got[1], Fraction(-8, 35))
-    assert got == _rat_path_attend(q, ks, vs)
+    assert list(map(_frac, got)) == _fraction_attend(q, ks, vs)
     # every score negative (-7/6, -17/72, -1/2): the one maximizer's values
     neg = [[Rat(-1), Rat(-1)], [Rat(-1, 6), Rat(-1, 4)], [Rat(-1, 2), Rat(-1, 3)]]
     assert _ahat_attend(q, neg, vs, 0, 0) is vs[1]

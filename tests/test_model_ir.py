@@ -11,7 +11,7 @@ import pickle
 
 import pytest
 
-from exact_xformer import DomainError, ModelLoadError, Rat, load_model, parse_model, serialize_model
+from exact_xformer import DomainError, ModelLoadError, Rat, eval_ahat, load_model, parse_model, serialize_model
 from exact_xformer.model_ir import BUILTIN_MODELS, PositionRule, position_embedding
 
 
@@ -41,6 +41,14 @@ def test_model_survives_pickle_and_deepcopy():
     for clone in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
         assert clone == model
         assert serialize_model(clone) == serialize_model(model)
+    # with its compiled rows filled: the clone keeps them, flags included
+    assert eval_ahat(model, "0111")[0] == Rat(1, 4)
+    for clone in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
+        assert clone == model and clone.compiled is not None
+        head = clone.compiled.layers[0].heads[0]
+        mats = (head.w_q, head.w_k, head.w_v, head.w_o)
+        assert [(w.zero, w.identity) for w in mats] == [(True, False)] * 2 + [(False, True)] * 2
+        assert eval_ahat(clone, "0111")[0] == Rat(1, 4)
 
 
 def test_load_model_from_path(tmp_path):
