@@ -20,7 +20,9 @@ formula are replaced by rational bounds in the conservative direction, so
 every planned delta is at most the ideal one.
 
 Activation magnitudes are bounded by a forward interval pass (operator
-infinity norms), never assumed.
+infinity norms), never assumed.  The norms are read off the model's
+compiled rows (`compile_rows`, kept with the model), so each weight
+matrix's norm is worked out once per model, not once per plan.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .elementary import rat_exp_approx, rat_floor_log2, rat_sqrt_approx
 from .errors import DomainError
 from .evaluator import check_heads, compile_rows, embed_input, exact_backend, forward
 from .model_ir import LayerNorm, Model
-from .rational import RAT_ONE, RAT_ZERO, Rat, _sum_over_lcm, rat_max, rat_sum
+from .rational import RAT_ONE, RAT_ZERO, Rat, rat_max, rat_sum
 
 Tol = Optional[Rat]  # None = unconstrained (the stage's output is exact)
 
@@ -91,14 +93,6 @@ def invsqrt_delta(c: Rat, eps: Rat) -> Rat:
     return min(c * RAT_HALF, factor * eps)
 
 
-def _inf_norm(mat: Sequence[Sequence[Rat]]) -> Rat:
-    """Largest row sum of |entries|, each row summed over one lcm denominator."""
-    best = RAT_ZERO
-    for row in mat:
-        best = max(best, _sum_over_lcm([abs(x.num) for x in row], [x.den for x in row]))
-    return best
-
-
 def _vec_inf(vec: Sequence[Rat]) -> Rat:
     best = RAT_ZERO
     for x in vec:
@@ -137,12 +131,13 @@ def _position_bound(model: Model) -> Rat:
 
 
 def _forward_bounds(model: Model) -> list[dict]:
-    """Per-layer magnitude bounds on every stage the backward walk divides by.
+    """Per-layer magnitude bounds on every stage the backward walk divides by,
+    for a compiled model (`compile_rows`).
 
     Bounds are inflated by the +1 slacks the walk's quadratic error terms
     assume (input errors are capped at 1 when tolerances are planned).  The
-    operator norms of every weight matrix are kept alongside ("n_" keys), so
-    the walk computes none of them again.
+    operator norms of every weight matrix (`_Compiled.norm`) are kept
+    alongside ("n_" keys) for the walk.
     """
     c_in = max((_vec_inf(v) for v in model.token_embeddings.values()), default=RAT_ZERO)
     c_in = c_in + _position_bound(model)
@@ -152,7 +147,7 @@ def _forward_bounds(model: Model) -> list[dict]:
         heads = []
         attn_sum = c_in if layer.residual_attn else RAT_ZERO
         for head in layer.heads:
-            n_q, n_k, n_v, n_o = (_inf_norm(w) for w in (head.w_q, head.w_k, head.w_v, head.w_o))
+            n_q, n_k, n_v, n_o = head.w_q.norm, head.w_k.norm, head.w_v.norm, head.w_o.norm
             c_v = n_v * c_in
             c_o = n_o * c_v
             heads.append(
@@ -166,8 +161,8 @@ def _forward_bounds(model: Model) -> list[dict]:
             cur = _ln_bound(cur, layer.layernorm_attn)
         info["ffnn_in"] = cur
         ffnn = layer.ffnn
-        info["n_w1"] = _inf_norm(ffnn.w1)
-        info["n_w2"] = _inf_norm(ffnn.w2)
+        info["n_w1"] = ffnn.w1.norm
+        info["n_w2"] = ffnn.w2.norm
         c_hidden = info["n_w1"] * cur + _vec_inf(ffnn.b1)
         c_f = info["n_w2"] * c_hidden + _vec_inf(ffnn.b2)
         cur = (cur + c_f) if layer.residual_ffnn else c_f
@@ -221,7 +216,7 @@ def plan_budget(model: Model, n: int, epsilon: Rat) -> ErrorBudget:
         raise DomainError("epsilon must be > 0")
     if n < 1:
         raise DomainError("n must be >= 1")
-    bounds = _forward_bounds(model)
+    bounds = _forward_bounds(compile_rows(model))
     budget = ErrorBudget(epsilon=epsilon, n=n)
 
     rho_head = RAT_ZERO

@@ -24,13 +24,14 @@ weight matrix per layer, over every position's vector (the output head is a
 one-row matrix on the last position).  No stage mutates a vector, so a
 backend may hand one vector to several positions or stages.
 
-A backend's `attend` step turns one query into its context vector.  Every
-position of an unmasked head sees the same keys and values, so `forward`
-attends once per distinct query vector; in the majority fixture every query
-is zero.  smat and budgeted attend in three steps: the score dots, the
-normalizer, then the context dots.  ahat picks the maximizers and averages
-their values directly, and an all-zero query ties every key without a
-score dot.
+A backend's `attend` step runs once per head, on keys and values it
+prepares once, and gives each query its context vector (query i of a causal
+head sees positions 0..i).  An unmasked head's positions all see the same
+keys and values, so `forward` passes its distinct queries only; in the
+majority fixture there is one, zero.  smat and budgeted attend in three
+steps: the score dots, the normalizer, then the context dots.  ahat picks
+the maximizers and averages their values directly, and an all-zero query
+ties every key without a score dot.
 
 Both exact modes work on integer vectors.  They run on
 `compile_rows(model)`, the counterpart of smat's `round_model`, made on a
@@ -41,9 +42,9 @@ so a row is an integer dot reduced by one gcd; a zero row multiplies
 nothing and a unit row hands back its input coordinate.  A matrix of only
 zero rows, or the identity, with no nonzero bias makes no row dots at all:
 one shared zero vector, or the input vectors themselves.  Budgeted
-attention runs on the same matvec: the query, compiled as one row, scores
-every key, and each value column, compiled as a row, takes the weights.
-ahat's attention scores are integer numerators over one shared positive
+attention runs on the same matvec: each key, compiled as a row, scores the
+query, and each value column, compiled as a row, takes the weights.  ahat's
+attention scores are integer numerators over one shared positive
 denominator, which is all `ahardmax_weights` needs to compare them.
 """
 
@@ -76,9 +77,11 @@ class Backend(NamedTuple):
                             (round_model, compile_rows)
     total(terms)            sum of the terms
     add(a, b)               a + b
-    attend(q, ks, vs, layer, head)  the context vector of query q over the
-                            keys ks and values vs it sees (a causal head
-                            passes the prefix up to the query's position)
+    attend(qs, ks, vs, layer, head, causal)  the context vector of each
+                            query of qs over the keys ks and values vs, one
+                            call per head, which prepares ks and vs once
+                            (into new vectors); with causal, query i sees
+                            positions 0..i
     layernorm(x, ln, layer, site)   site is "ln_attn" or "ln_ffnn"
     """
 
@@ -112,25 +115,24 @@ def forward(model: Model, xs: list[list], backend: Backend) -> tuple[object, lis
         for hi, head in enumerate(layer.heads):
             qs, ks, vs = matmul(head.w_q, xs), matmul(head.w_k, xs), matmul(head.w_v, xs)
             if head.masking == "causal":
-                ctxs = [attend(q, ks[: i + 1], vs[: i + 1], li, hi) for i, q in enumerate(qs)]
-                per_head.append(matmul(head.w_o, ctxs))
+                per_head.append(matmul(head.w_o, attend(qs, ks, vs, li, hi, True)))
                 continue
             # Every position sees the same keys and values, so equal queries
-            # have equal outputs: attend once per distinct query.  A repeat
-            # of the previous query object (matmul may share one vector
-            # between positions) reuses its slot without hashing.
+            # have equal outputs: attend on the distinct queries only.  A
+            # repeat of the previous query object (matmul may share one
+            # vector between positions) reuses its slot without hashing.
             slot: dict = {}
-            ctxs, picks = [], []
+            distinct, picks = [], []
             prev = None
             for q in qs:
                 if q is not prev:
                     j = slot.get(key := tuple(q))
                     if j is None:
-                        j = slot[key] = len(ctxs)
-                        ctxs.append(attend(q, ks, vs, li, hi))
+                        j = slot[key] = len(distinct)
+                        distinct.append(q)
                     prev = q
                 picks.append(j)
-            outs = matmul(head.w_o, ctxs)
+            outs = matmul(head.w_o, attend(distinct, ks, vs, li, hi, False))
             per_head.append([outs[j] for j in picks])
 
         terms = per_head + [xs] if layer.residual_attn else per_head
@@ -210,6 +212,11 @@ class _Compiled(tuple):
 
     zero = identity = False
 
+    @cached_property
+    def norm(self) -> Rat:
+        """The operator infinity norm: the largest row sum of |entries|."""
+        return max((Rat(sum(abs(a) for _, a in pairs), den) for den, pairs, _ in self), default=RAT_ZERO)
+
 
 def _compile_matrix(rows: Sequence[Sequence[Rat]]) -> _Compiled:
     out = _Compiled(map(_compile_row, rows))
@@ -277,14 +284,20 @@ def _exact_matmul(rows: Sequence[tuple], vecs: Sequence[Sequence[Rat]], biases: 
 
 def exact_backend(normalize: Callable, layernorm: Callable) -> Backend:
     """Exact rationals on compiled rows (`compile_rows`), around the given
-    attention normalizer and layernorm steps.  The attend step is two
-    matvecs: the query, compiled as one row, times every key, and each value
-    column, compiled as a row, times the weights."""
+    attention normalizer and layernorm steps.  The attend step compiles the
+    head's keys, and its value columns, as rows once; each query is then two
+    matvecs: the keys it sees times the query, and the columns times its
+    weights, which a causal prefix pads with zeros to every position."""
 
-    def attend(q, ks, vs, layer, head):
-        row = (_compile_row(q),)
-        alphas = normalize([_exact_matvec(row, k)[0] for k in ks], layer, head)
-        return _exact_matvec([_compile_row(col) for col in zip(*vs)], alphas)
+    def attend(qs, ks, vs, layer, head, causal):
+        krows = [_compile_row(k) for k in ks]
+        cols = [_compile_row(col) for col in zip(*vs)]
+        out = []
+        for i, q in enumerate(qs):
+            seen = i + 1 if causal else len(ks)
+            alphas = normalize(_exact_matvec(krows[:seen], q), layer, head)
+            out.append(_exact_matvec(cols, alphas + [RAT_ZERO] * (len(ks) - seen)))
+        return out
 
     return Backend(RAT_ZERO, _exact_matmul, _rat_total, _rat_add, attend, layernorm)
 
@@ -348,30 +361,38 @@ def ahardmax_weights(scores: Sequence) -> list[Rat]:
     return [share if s == top else RAT_ZERO for s in scores]
 
 
-def _ahat_attend(q: list[Rat], ks: list[list[Rat]], vs: list[list[Rat]], layer: int, head: int) -> list[Rat]:
-    """The mean of the values at the score maximizers.  An all-zero query
-    scores every key 0, a full tie, so it makes no score dots.  Otherwise the
-    scores are integer numerators over one positive denominator: q's nonzero
-    coordinates over the lcm of their denominators, the keys' over the lcm of
-    theirs.  One maximizer gives its value vector, and more give each column
-    summed over one lcm with the 1/hits weight folded into the denominators."""
-    if any(x.num for x in q):
-        qd = lcm(*[x.den for x in q])
-        qn = [(c, x.num * (qd // x.den)) for c, x in enumerate(q) if x.num]
-        kd = lcm(*[k[c].den for k in ks for c, _ in qn])
-        scores = []
-        for k in ks:
-            score = 0
-            for c, a in qn:
-                x = k[c]
-                score += a * x.num * (kd // x.den)
-            scores.append(score)
-        weights = ahardmax_weights(scores)
-        vs = [v for v, a in zip(vs, weights) if a.num]
-    if len(vs) == 1:
-        return vs[0]
-    hits = len(vs)
-    return [_sum_over_lcm([x.num for x in col], [x.den * hits for x in col]) for col in zip(*vs)]
+def _ahat_attend(qs: list[list[Rat]], ks: list[list[Rat]], vs: list[list[Rat]], layer: int, head: int, causal: bool) -> list[list[Rat]]:
+    """Each query's context: the mean of the values at its score maximizers.
+    An all-zero query scores every key 0, a full tie, so it makes no score
+    dots.  Otherwise the scores are integer numerators over one positive
+    denominator: q's nonzero coordinates over the lcm of their denominators,
+    times the keys over the lcm of all theirs, which the first such query
+    makes once for the head.  One maximizer gives its value vector, and more
+    give each column summed over one lcm with the 1/hits weight folded into
+    the denominators."""
+    out, kints = [], None
+    for i, q in enumerate(qs):
+        seen = vs[: i + 1] if causal else vs
+        if any(x.num for x in q):
+            if kints is None:
+                kd = lcm(*[x.den for k in ks for x in k])
+                kints = [[x.num * (kd // x.den) for x in k] for k in ks]
+            qd = lcm(*[x.den for x in q])
+            qn = [(c, x.num * (qd // x.den)) for c, x in enumerate(q) if x.num]
+            scores = []
+            for k in kints[: len(seen)]:
+                score = 0
+                for c, a in qn:
+                    score += a * k[c]
+                scores.append(score)
+            weights = ahardmax_weights(scores)
+            seen = [v for v, a in zip(seen, weights) if a.num]
+        if len(seen) == 1:
+            out.append(seen[0])
+            continue
+        hits = len(seen)
+        out.append([_sum_over_lcm([x.num for x in col], [x.den * hits for x in col]) for col in zip(*seen)])
+    return out
 
 
 _AHAT = Backend(RAT_ZERO, _exact_matmul, _rat_total, _rat_add, _ahat_attend, None)
@@ -450,9 +471,10 @@ def _pbit_backend(p: int) -> Backend:
             return [[f_dot(row, v, p) for row in rows] for v in vecs]
         return [[f_dot(row, v, p, b) for row, b in zip(rows, biases)] for v in vecs]
 
-    def attend(q, ks, vs, layer, head):
-        alphas = softmax_pbit([f_dot(q, k, p) for k in ks], p)
-        return [f_dot(alphas, col, p) for col in zip(*vs)]
+    def attend(qs, ks, vs, layer, head, causal):
+        cols = list(zip(*vs))  # f_dot zips: a causal prefix's weights meet its values
+        alphas = (softmax_pbit([f_dot(q, k, p) for k in (ks[: i + 1] if causal else ks)], p) for i, q in enumerate(qs))
+        return [[f_dot(a, col, p) for col in cols] for a in alphas]
 
     return Backend(
         PFloat.zero(p),

@@ -5,10 +5,15 @@ own relative error (~2^-200 per operation over a handful of operations) is
 negligible against every epsilon used here.
 """
 
+import copy
 import json
+import pickle
+import random
+import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exact_xformer import (
@@ -21,15 +26,18 @@ from exact_xformer import (
     plan_budget,
 )
 from exact_xformer.budget import (
-    _inf_norm,
     invsqrt_delta,
     layernorm_budgeted,
     softmax_budgeted,
     softmax_delta,
     sqrt_bounds,
 )
+from exact_xformer.evaluator import _compile_matrix
 from exact_xformer.model_ir import LayerNorm
 from exact_xformer.pfloat import float_to_rat
+
+sys.path[:0] = [str(Path(__file__).resolve().parent.parent / "perfbench")]
+import zoo  # noqa: E402
 
 EPS16 = Rat(1, 1 << 16)
 
@@ -131,9 +139,10 @@ _entries = st.builds(
 
 
 @given(st.lists(st.lists(_entries, max_size=6), max_size=5))
+@example([[Rat(0)] * 3] * 2)
 @settings(max_examples=200)
 def test_inf_norm_matches_rat_fold(mat):
-    got, want = _inf_norm(mat), _inf_norm_fold(mat)
+    got, want = _compile_matrix(mat).norm, _inf_norm_fold(mat)
     assert (got.num, got.den) == (want.num, want.den)
 
 
@@ -147,6 +156,29 @@ def test_plan_budget_structure():
     assert b.stage_tolerances[("output",)] == EPS16
     sm = b.site_deltas[("layer", 0, "head", 0, "softmax")]
     assert Rat(0) < sm <= softmax_delta(EPS16)
+
+
+def _zoo_model(key: str, layers: int, layernorm: bool):
+    return parse_model(zoo.to_text(zoo.random_model(random.Random(key), "softmax", layers, "mixed", layernorm)))
+
+
+@pytest.mark.parametrize("layers, layernorm", [(1, False), (2, True)])
+def test_plan_budget_same_on_fresh_filled_and_cloned_models(layers, layernorm):
+    # the norms come from the compiled rows, made by a model's first plan or
+    # eval and kept with it, its pickles and its deep copies
+    key = f"plan-cache:{layers}:{layernorm}"
+    for eps in (EPS16, Rat(1, 1 << 64)):
+        fresh = _zoo_model(key, layers, layernorm)
+        assert fresh.compiled is None
+        want = plan_budget(fresh, 5, eps)
+        filled = _zoo_model(key, layers, layernorm)
+        eval_budgeted(filled, "0110", eps)
+        clones = pickle.loads(pickle.dumps(filled)), copy.deepcopy(filled)
+        for model in (fresh, filled, *clones):
+            got = plan_budget(model, 5, eps)
+            assert model.compiled is not None
+            assert got.site_deltas == want.site_deltas
+            assert got.stage_tolerances == want.stage_tolerances
 
 
 def test_plan_budget_tightens_with_epsilon():

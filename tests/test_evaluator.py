@@ -40,17 +40,19 @@ from exact_xformer.evaluator import (
     _compile_row,
     _exact_matmul,
     _exact_matvec,
+    _pbit_backend,
     _rat_total,
     ahardmax_weights,
     bit_growth_trace,
     embed_input,
+    exact_backend,
     fit_loglog_slope,
     layernorm_pbit,
     softmax_pbit,
 )
 from exact_xformer.model_ir import FFNN, AttentionHead, Layer, Model, OutputHead, PositionRule, parse_model, serialize_model
-from exact_xformer.pfloat import float_to_rat
-from exact_xformer.rational import RAT_ZERO
+from exact_xformer.pfloat import f_dot, float_to_rat
+from exact_xformer.rational import RAT_ZERO, rat_sum
 
 
 @pytest.fixture(scope="module")
@@ -259,7 +261,7 @@ def test_eval_ahat_compiles_each_model_once(monkeypatch):
     assert eval_ahat(load_model("majority"), "1")[0] == Rat(1, 2)
     assert len(calls) == 26  # an equal model is compiled for itself
     # budgeted mode fills and reads the same cache (its attend step compiles
-    # a query and value columns on every call, so count matrices here)
+    # each head's keys and value columns on every eval, so count matrices here)
     matrices = []
     compile_matrix = evaluator._compile_matrix
     monkeypatch.setattr(evaluator, "_compile_matrix", lambda rows: matrices.append(rows) or compile_matrix(rows))
@@ -309,16 +311,18 @@ def _fraction_attend(q, ks, vs) -> list[Fraction]:
     return [sum(map(_frac, col), Fraction(0)) / len(hits) for col in zip(*hits)]
 
 
+def _pairs(vecs) -> list[list[tuple[int, int]]]:
+    return [[(x.num, x.den) if isinstance(x, Rat) else (x.numerator, x.denominator) for x in vec] for vec in vecs]
+
+
 @given(
     st.lists(small, min_size=3, max_size=3),
     st.lists(st.tuples(st.lists(small, min_size=3, max_size=3), st.lists(rats, min_size=2, max_size=2)), min_size=1, max_size=7),
 )
 def test_ahat_attend_matches_rat_scores(q, kvs):
     ks, vs = [k for k, _ in kvs], [v for _, v in kvs]
-    for i in range(1, len(ks) + 1):  # every causal prefix
-        got = _ahat_attend(q, ks[:i], vs[:i], 0, 0)
-        want = _fraction_attend(q, ks[:i], vs[:i])
-        assert [(x.num, x.den) for x in got] == [(f.numerator, f.denominator) for f in want]
+    got = _ahat_attend([q] * len(ks), ks, vs, 0, 0, True)  # every causal prefix
+    assert _pairs(got) == _pairs(_fraction_attend(q, ks[:i], vs[:i]) for i in range(1, len(ks) + 1))
 
 
 def test_ahat_attend_ties_across_denominators():
@@ -328,13 +332,61 @@ def test_ahat_attend_ties_across_denominators():
     ks = [[Rat(3, 4), Rat(0)], [Rat(1, 4), Rat(2, 3)], [Rat(1, 4), Rat(-2, 3)]]
     assert [_fraction_dot(q, k) for k in ks] == [Fraction(1, 2), Fraction(1, 2), Fraction(-1, 6)]
     vs = [[Rat(1), Rat(-3, 5)], [Rat(1, 3), Rat(1, 7)], [Rat(9), Rat(9)]]
-    got = _ahat_attend(q, ks, vs, 0, 0)
-    _same_pair(got[0], Fraction(2, 3))
-    _same_pair(got[1], Fraction(-8, 35))
-    assert list(map(_frac, got)) == _fraction_attend(q, ks, vs)
+    got = _ahat_attend([q] * 3, ks, vs, 0, 0, True)
+    _same_pair(got[2][0], Fraction(2, 3))
+    _same_pair(got[2][1], Fraction(-8, 35))
+    assert got[0] is vs[0]  # the first prefix has one key
+    assert _pairs(got) == _pairs(_fraction_attend(q, ks[:i], vs[:i]) for i in (1, 2, 3))
+    assert _ahat_attend([q], ks, vs, 0, 0, False) == [got[2]]
     # every score negative (-7/6, -17/72, -1/2): the one maximizer's values
     neg = [[Rat(-1), Rat(-1)], [Rat(-1, 6), Rat(-1, 4)], [Rat(-1, 2), Rat(-1, 3)]]
-    assert _ahat_attend(q, neg, vs, 0, 0) is vs[1]
+    assert _ahat_attend([q], neg, vs, 0, 0, False)[0] is vs[1]
+
+
+def _square_weights(scores, layer, head) -> list[Rat]:
+    """A rational normalizer: weights in proportion to 1 + score^2."""
+    ws = [Rat(1) + s * s for s in scores]
+    total = rat_sum(ws)
+    return [w / total for w in ws]
+
+
+def _fraction_square_attend(q, ks, vs) -> list[Fraction]:
+    ws = [1 + _fraction_dot(q, k) ** 2 for k in ks]
+    return [sum((w * _frac(x) for w, x in zip(ws, col)), Fraction(0)) / sum(ws) for col in zip(*vs)]
+
+
+_ZERO_Q = [Rat(0)] * 3
+_query = st.one_of(st.just(_ZERO_Q), st.lists(small, min_size=3, max_size=3))
+_row = st.tuples(_query, st.lists(small, min_size=3, max_size=3), st.lists(rats, min_size=2, max_size=2))
+
+
+@given(st.lists(_row, min_size=1, max_size=6), st.booleans())
+@example([(_ZERO_Q, [Rat(1, 2), Rat(0), Rat(-1, 3)], [Rat(1), Rat(-2, 3)])], True)  # n = 1
+@example([(_ZERO_Q, [Rat(1, 2), Rat(0), Rat(-1, 3)], [Rat(1), Rat(-2, 3)])], False)
+@example(  # the second and third keys tie at 1/2 over denominators 4 and 3
+    [
+        ([Rat(2, 3), Rat(1, 2), Rat(0)], [Rat(1, 4), Rat(0), Rat(5)], [Rat(1, 3), Rat(1)]),
+        (_ZERO_Q, [Rat(3, 4), Rat(0), Rat(1, 6)], [Rat(-1, 2), Rat(2)]),
+        ([Rat(2, 3), Rat(1, 2), Rat(0)], [Rat(1, 4), Rat(2, 3), Rat(-4)], [Rat(7), Rat(1, 5)]),
+    ],
+    False,
+)
+def test_attend_per_head_matches_per_prefix_reference(rows, causal):
+    # each backend's attend over a whole head, against a reference that
+    # attends one query at a time on the keys and values it sees
+    qs, ks, vs = ([row[j] for row in rows] for j in range(3))
+    seen = [i + 1 if causal else len(ks) for i in range(len(qs))]
+    got = _ahat_attend(qs, ks, vs, 0, 0, causal)
+    assert _pairs(got) == _pairs(_fraction_attend(q, ks[:m], vs[:m]) for q, m in zip(qs, seen))
+    got = exact_backend(_square_weights, None).attend(qs, ks, vs, 0, 0, causal)
+    assert _pairs(got) == _pairs(_fraction_square_attend(q, ks[:m], vs[:m]) for q, m in zip(qs, seen))
+    p = 24
+    qs, ks, vs = ([[round_p(x, p) for x in vec] for vec in vecs] for vecs in (qs, ks, vs))
+    want = []
+    for q, m in zip(qs, seen):
+        alphas = softmax_pbit([f_dot(q, k, p) for k in ks[:m]], p)
+        want.append([f_dot(alphas, col, p) for col in zip(*vs[:m])])
+    assert _pbit_backend(p).attend(qs, ks, vs, 0, 0, causal) == want
 
 
 @given(st.lists(rats, max_size=8))
@@ -408,13 +460,14 @@ def test_smat_uniform_scores_recover_exact_margin(uniform, p):
 
 
 def _counting_attends(monkeypatch) -> list:
-    """Record (layer, head, keys seen) for every attend call of `forward`."""
+    """Record (layer, head, queries, keys, causal) for every attend call of
+    `forward`."""
     calls, forward = [], evaluator.forward
 
     def counting_forward(model, xs, backend):
-        def attend(q, ks, vs, layer, head):
-            calls.append((layer, head, len(ks)))
-            return backend.attend(q, ks, vs, layer, head)
+        def attend(qs, ks, vs, layer, head, causal):
+            calls.append((layer, head, len(qs), len(ks), causal))
+            return backend.attend(qs, ks, vs, layer, head, causal)
 
         return forward(model, xs, backend._replace(attend=attend))
 
@@ -443,16 +496,14 @@ def test_unmasked_head_attends_once_per_distinct_query(monkeypatch, kind):
         eval_ahat(model, word)
     else:
         eval_smat_pbit(model, word, 24)
-    causal = [c for c in calls if c[1] == 0]
-    unmasked = [c for c in calls if c[1] == 1]
-    assert causal == [(0, 0, i) for i in range(1, len(word) + 1)]
-    assert unmasked == [(0, 1, len(word))] * len(set(word))
+    n = len(word)
+    assert calls == [(0, 0, n, n, True), (0, 1, len(set(word)), n, False)]
 
 
 def test_majority_attends_once_per_word(monkeypatch, majority):
     calls = _counting_attends(monkeypatch)
     eval_ahat(majority, "110100101011011")
-    assert calls == [(0, 0, 15)]  # every query is zero
+    assert calls == [(0, 0, 1, 15, False)]  # every query is zero
 
 
 # --- matmul calls -------------------------------------------------------------------

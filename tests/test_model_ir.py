@@ -41,13 +41,18 @@ def test_model_survives_pickle_and_deepcopy():
     for clone in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
         assert clone == model
         assert serialize_model(clone) == serialize_model(model)
-    # with its compiled rows filled: the clone keeps them, flags included
+    # with its compiled rows filled: the clone keeps them, flags and the
+    # norms already worked out included
     assert eval_ahat(model, "0111")[0] == Rat(1, 4)
+    head = model.compiled.layers[0].heads[0]
+    assert [w.norm for w in (head.w_q, head.w_v)] == [Rat(0), Rat(1)]
     for clone in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
         assert clone == model and clone.compiled is not None
         head = clone.compiled.layers[0].heads[0]
         mats = (head.w_q, head.w_k, head.w_v, head.w_o)
         assert [(w.zero, w.identity) for w in mats] == [(True, False)] * 2 + [(False, True)] * 2
+        assert [vars(w).get("norm") for w in mats] == [Rat(0), None, Rat(1), None]
+        assert [w.norm for w in mats] == [Rat(0), Rat(0), Rat(1), Rat(1)]
         assert eval_ahat(clone, "0111")[0] == Rat(1, 4)
 
 

@@ -61,6 +61,15 @@ def test_small_runs_pass_and_are_deterministic(suite):
     assert a.to_json_dict() == b.to_json_dict()
 
 
+@pytest.mark.parametrize("p", [256, 1024])
+@pytest.mark.parametrize("suite", ["sum", "exp", "sqrt"])
+def test_suites_pass_at_the_papers_precision(suite, p):
+    # poly(n)-bit floats: a few cases each at p = 256 and 1024
+    r = run_suite(suite, p=p, cases=8, seed=5)
+    assert (r.p, r.cases) == (p, 8)
+    assert r.passed, r.failures[:3]
+
+
 def test_round_suite_is_exhaustive_per_precision():
     r = run_suite("round", p=2)
     assert r.passed
