@@ -25,9 +25,9 @@ DIM = 3
 HIDDEN = 4
 
 
-def _model(seed: int, kind: str, layers: int, layernorm: bool) -> Model:
+def _model(seed: int, kind: str, layers: int, layernorm: bool, rule: str = "scaled_index") -> Model:
     """Two heads per layer (one causal, one unmasked), ReLU FFNN, residuals on,
-    and coordinate DIM-1 carrying the scaled position i/n."""
+    and coordinate DIM-1 carrying the position under `rule` (i/n by default)."""
     rng = random.Random(seed)
 
     def rat():
@@ -54,7 +54,7 @@ def _model(seed: int, kind: str, layers: int, layernorm: bool) -> Model:
 
     embeddings = {sym: vec(DIM) for sym in "abc"}
     body = tuple(layer() for _ in range(layers))
-    return Model(("a", "b", "c"), DIM, embeddings, PositionRule("scaled_index", DIM - 1), body, OutputHead(vec(DIM), rat()))
+    return Model(("a", "b", "c"), DIM, embeddings, PositionRule(rule, DIM - 1), body, OutputHead(vec(DIM), rat()))
 
 
 # Seed 15 has tied score rows, so some attention weights are not dyadic.
@@ -63,6 +63,16 @@ AHAT = {
     "abcabbca": ("1393145/4096", (5, 4), [(15, 10), (24, 15)]),
     "ccbaabac": ("971425/3072", (5, 4), [(15, 11), (22, 16)]),
     "aaaaaaaa": ("-7021189/4096", (5, 4), [(16, 11), (25, 15)]),
+}
+
+# Three layers over the inverse position 1/i at n = 12, so the inputs carry
+# denominators up to lcm(1..12) and the vectors' common denominators have
+# odd factors to cancel.
+AHAT_INVERSE = {
+    # word: (value, embedding_bits, layer_bits)
+    "abcabbcacbaa": ("-5534508465/4194304", (4, 4), [(19, 15), (29, 20), (39, 25)]),
+    "ccbaabacabcb": ("6143231215859/2076180480", (4, 4), [(19, 14), (34, 26), (40, 29)]),
+    "aaaaaaaaaaaa": ("133870895135/6291456", (4, 4), [(17, 10), (26, 16), (36, 23)]),
 }
 
 SMAT = {
@@ -131,6 +141,12 @@ BUDGETED_LAYERNORM = {
 def test_ahat_two_layers_mixed_masks(word):
     value, trace = eval_ahat(_model(15, "average_hard", 2, False), word)
     assert (str(value), trace.embedding_bits, trace.layer_bits) == AHAT[word]
+
+
+@pytest.mark.parametrize("word", sorted(AHAT_INVERSE))
+def test_ahat_three_layers_inverse_index(word):
+    value, trace = eval_ahat(_model(27, "average_hard", 3, False, "inverse_index"), word)
+    assert (str(value), trace.embedding_bits, trace.layer_bits) == AHAT_INVERSE[word]
 
 
 @pytest.mark.parametrize("word, p", sorted(SMAT))
