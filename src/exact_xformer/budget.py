@@ -131,22 +131,22 @@ def _position_bound(model: Model) -> Rat:
 
 
 def _forward_bounds(model: Model) -> list[dict]:
-    """Per-layer magnitude bounds on every stage the backward walk divides by,
-    for a compiled model (`compile_rows`).
+    """Per-layer magnitude bounds on every stage the backward walk divides by.
 
     Bounds are inflated by the +1 slacks the walk's quadratic error terms
     assume (input errors are capped at 1 when tolerances are planned).  The
-    operator norms of every weight matrix (`_Compiled.norm`) are kept
-    alongside ("n_" keys) for the walk.
+    operator norms of every weight matrix, read off the model's compiled
+    rows (`compile_rows`, `_Compiled.norm`), are kept alongside ("n_" keys)
+    for the walk.
     """
     c_in = max((_vec_inf(v) for v in model.token_embeddings.values()), default=RAT_ZERO)
     c_in = c_in + _position_bound(model)
     layers = []
-    for layer in model.layers:
+    for layer, rows in zip(model.layers, compile_rows(model).layers):
         info: dict = {"c_in": c_in}
         heads = []
         attn_sum = c_in if layer.residual_attn else RAT_ZERO
-        for head in layer.heads:
+        for head in rows.heads:
             n_q, n_k, n_v, n_o = head.w_q.norm, head.w_k.norm, head.w_v.norm, head.w_o.norm
             c_v = n_v * c_in
             c_o = n_o * c_v
@@ -161,8 +161,8 @@ def _forward_bounds(model: Model) -> list[dict]:
             cur = _ln_bound(cur, layer.layernorm_attn)
         info["ffnn_in"] = cur
         ffnn = layer.ffnn
-        info["n_w1"] = ffnn.w1.norm
-        info["n_w2"] = ffnn.w2.norm
+        info["n_w1"] = rows.ffnn.w1.norm
+        info["n_w2"] = rows.ffnn.w2.norm
         c_hidden = info["n_w1"] * cur + _vec_inf(ffnn.b1)
         c_f = info["n_w2"] * c_hidden + _vec_inf(ffnn.b2)
         cur = (cur + c_f) if layer.residual_ffnn else c_f
@@ -216,7 +216,7 @@ def plan_budget(model: Model, n: int, epsilon: Rat) -> ErrorBudget:
         raise DomainError("epsilon must be > 0")
     if n < 1:
         raise DomainError("n must be >= 1")
-    bounds = _forward_bounds(compile_rows(model))
+    bounds = _forward_bounds(model)
     budget = ErrorBudget(epsilon=epsilon, n=n)
 
     rho_head = RAT_ZERO
@@ -344,7 +344,8 @@ def _eval_planned(model: Model, w: str, epsilon: Rat) -> tuple[Rat, ErrorBudget]
         lambda scores, li, hi: softmax_budgeted(scores, deltas[("layer", li, "head", hi, "softmax")]),
         lambda x, ln, li, site: layernorm_budgeted(x, ln, deltas[("layer", li, site)]),
     )
-    return _round_to_grid(forward(compile_rows(model), xs, backend)[0], _bits_for(epsilon)), budget
+    (num,), den = forward(compile_rows(model), xs, backend)[0]
+    return _round_to_grid(Rat(num, den), _bits_for(epsilon)), budget
 
 
 def margin_recognize(model: Model, w: str, epsilon_margin: Rat) -> Decision:

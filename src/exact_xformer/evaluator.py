@@ -33,19 +33,24 @@ steps: the score dots, the normalizer, then the context dots.  ahat picks
 the maximizers and averages their values directly, and an all-zero query
 ties every key without a score dot.
 
-Both exact modes work on integer vectors.  They run on
-`compile_rows(model)`, the counterpart of smat's `round_model`, made on a
-model's first exact evaluation and kept with it: each weight row becomes
-its nonzero (index, integer numerator) pairs over the row's lcm
-denominator, and each vector is put once over the lcm of its denominators,
-so a row is an integer dot reduced by one gcd; a zero row multiplies
-nothing and a unit row hands back its input coordinate.  A matrix of only
-zero rows, or the identity, with no nonzero bias makes no row dots at all:
-one shared zero vector, or the input vectors themselves.  Budgeted
-attention runs on the same matvec: each key, compiled as a row, scores the
-query, and each value column, compiled as a row, takes the weights.  ahat's
-attention scores are integer numerators over one shared positive
-denominator, which is all `ahardmax_weights` needs to compare them.
+Both exact modes pass one vector form between stages: a pair (ints, D) of
+integer numerators over one denominator D >= 1 with gcd(D, *ints) == 1.  D
+is then the lcm of the entries' canonical denominators, and entry x/D is
+the canonical (x/g)/(D/g), g = gcd(x, D); so the form of a vector is
+unique, and every stage that makes one reduces by one multi-argument gcd.
+They run on `compile_rows(model)`, the counterpart of smat's
+`round_model`, made on a model's first exact evaluation and kept with it:
+each weight matrix becomes its rows' nonzero (index, integer numerator)
+pairs over one matrix denominator Dm, a bias and each token embedding
+become vectors.  A matmul output is then the integer row dots over Dm * D,
+the bias folded in over the lcm of that and its own denominator, and one
+gcd.  A matrix of only zero rows, or the identity, with no bias makes no
+row dots at all: one shared zero vector, or the input vectors themselves.
+ahat's attention scores are integer numerators over one shared positive
+denominator, which is all `ahardmax_weights` needs to compare them;
+budgeted scores each key over its own denominator, and its normalizer and
+layernorm take and return Rats.  Rats are made only there, at the output
+head, and for the widths that `EvalTrace` reads.
 """
 
 from __future__ import annotations
@@ -53,30 +58,32 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, NamedTuple, Sequence
 
 from .elementary import f_exp, f_sqrt
 from .errors import DomainError, EvalModeError
 from .model_ir import FFNN, AttentionHead, Layer, LayerNorm, Model, OutputHead, position_embedding
 from .pfloat import PFloat, f_add, f_div, f_dot, f_mul, f_neg, f_sum_blocks, round_p
-from .rational import RAT_ZERO, Rat, _sum_over_lcm, rat_max, rat_sum
+from .rational import RAT_ZERO, Rat, rat_max
 
 
 class Backend(NamedTuple):
     """The arithmetic `forward` runs on.  No step mutates a vector it is
     given or has returned: a vector may be shared between positions and
     stages (ahat hands an identity matrix's inputs back as its outputs).
+    A vector is a list of floats, or the exact modes' (ints, D) pair; the
+    tuple of either is a dict key.
 
-    zero                    the additive zero: ReLU keeps a value (Rat or
-                            PFloat) whose .sign is 1 and maps others here
+    relu(vec)               each entry kept where positive, else zero
     matmul(rows, vecs, biases=None)  for each vector v of vecs, [row . v
                             (+ bias) for each row], zero products skipped;
                             rows is a weight matrix of the model that
                             `forward` is given, prepared for this backend
-                            (round_model, compile_rows)
-    total(terms)            sum of the terms
-    add(a, b)               a + b
+                            (round_model, compile_rows), and biases its
+                            bias vector
+    total(vectors)          the sum of two or more vectors
+    add(u, v)               u + v
     attend(qs, ks, vs, layer, head, causal)  the context vector of each
                             query of qs over the keys ks and values vs, one
                             call per head, which prepares ks and vs once
@@ -85,7 +92,7 @@ class Backend(NamedTuple):
     layernorm(x, ln, layer, site)   site is "ln_attn" or "ln_ffnn"
     """
 
-    zero: object
+    relu: Callable
     matmul: Callable
     total: Callable
     add: Callable
@@ -104,11 +111,12 @@ def check_heads(model: Model, kind: str, reason: str, layernorm: bool = True) ->
             raise EvalModeError(f"layers[{li}] has layernorm; ahat_exact forbids it")
 
 
-def forward(model: Model, xs: list[list], backend: Backend) -> tuple[object, list[list[list]]]:
-    """The encoder over embedded inputs `xs`; returns the output value and
-    each layer's output vectors.  Each stage runs over the whole sequence:
-    one matmul per weight matrix per layer."""
-    zero, matmul, total, add, attend, layernorm = backend
+def forward(model: Model, xs: list, backend: Backend) -> tuple[object, list[list]]:
+    """The encoder over embedded inputs `xs`, on a model mapped by
+    `_map_params`; returns the output head's one-entry vector and each
+    layer's output vectors.  Each stage runs over the whole sequence: one
+    matmul per weight matrix per layer."""
+    relu, matmul, total, add, attend, layernorm = backend
     states = []
     for li, layer in enumerate(model.layers):
         per_head = []
@@ -136,40 +144,37 @@ def forward(model: Model, xs: list[list], backend: Backend) -> tuple[object, lis
             per_head.append([outs[j] for j in picks])
 
         terms = per_head + [xs] if layer.residual_attn else per_head
-        if len(terms) == 1:  # one head, no residual: its outputs are the sum
-            acc = terms[0]
-        else:
-            acc = [[total([t[i][c] for t in terms]) for c in range(model.dim)] for i in range(len(xs))]
+        # one head, no residual: its outputs are the sum
+        acc = terms[0] if len(terms) == 1 else list(map(total, zip(*terms)))
         if layer.layernorm_attn is not None:
             acc = [layernorm(a, layer.layernorm_attn, li, "ln_attn") for a in acc]
         ffnn = layer.ffnn
         hidden = matmul(ffnn.w1, acc, ffnn.b1)
         if ffnn.activation == "relu":
-            hidden = [[h if h.sign > 0 else zero for h in vec] for vec in hidden]
+            hidden = list(map(relu, hidden))
         xs = matmul(ffnn.w2, hidden, ffnn.b2)
         if layer.residual_ffnn:
-            xs = [[add(a, b) for a, b in zip(u, v)] for u, v in zip(acc, xs)]
+            xs = list(map(add, acc, xs))
         if layer.layernorm_ffnn is not None:
             xs = [layernorm(x, layer.layernorm_ffnn, li, "ln_ffnn") for x in xs]
         states.append(xs)
 
     out_head = model.output_head
-    return matmul((out_head.weights,), [xs[-1]], (out_head.bias,))[0][0], states
+    return matmul(out_head.weights, [xs[-1]], out_head.bias)[0], states
 
 
 def _same(x):
     return x
 
 
-def _map_params(model: Model, row: Callable, vec: Callable, scalar: Callable, mat: Callable | None = None) -> Model:
-    """The model with each weight matrix mapped by `mat` (by default row by
-    row with `row`), the output head's weights by `row`, each bias and
-    layernorm vector by `vec`, and each scalar parameter by `scalar`;
-    embeddings are left as they are.  It calls the constructors directly:
-    smat maps its model on every evaluation, and dataclasses.replace costs
-    about 40% more."""
-    if mat is None:
-        mat = lambda rows: tuple(map(row, rows))
+def _map_params(model: Model, mat: Callable, bias: Callable, vec: Callable, scalar: Callable, embedding: Callable | None = None) -> Model:
+    """The model with each weight matrix mapped by `mat` (the output head's
+    weights as a one-row matrix), each FFNN bias and the output bias (as a
+    one-entry vector) by `bias`, each layernorm vector by `vec` and its
+    scalar by `scalar`, and each token embedding by `embedding` (by default
+    left as it is).  It calls the constructors directly: smat maps its
+    model on every evaluation, and dataclasses.replace costs about 40%
+    more."""
 
     def norm(ln):
         return None if ln is None else LayerNorm(vec(ln.gamma), vec(ln.beta), scalar(ln.c))
@@ -177,13 +182,17 @@ def _map_params(model: Model, row: Callable, vec: Callable, scalar: Callable, ma
     def mapped(layer):
         heads = tuple(AttentionHead(mat(h.w_q), mat(h.w_k), mat(h.w_v), mat(h.w_o), h.kind, h.masking) for h in layer.heads)
         f = layer.ffnn
-        ffnn = FFNN(mat(f.w1), vec(f.b1), f.activation, mat(f.w2), vec(f.b2))
+        ffnn = FFNN(mat(f.w1), bias(f.b1), f.activation, mat(f.w2), bias(f.b2))
         lns = norm(layer.layernorm_attn), norm(layer.layernorm_ffnn)
         return Layer(heads, ffnn, *lns, layer.residual_attn, layer.residual_ffnn)
 
-    out = OutputHead(row(model.output_head.weights), scalar(model.output_head.bias))
+    head = model.output_head
+    out = OutputHead(mat((head.weights,)), bias((head.bias,)))
     layers = tuple(map(mapped, model.layers))
-    return Model(model.alphabet, model.dim, model.token_embeddings, model.position_rule, layers, out, model.param_bits)
+    emb = model.token_embeddings
+    if embedding is not None:
+        emb = {sym: embedding(e) for sym, e in emb.items()}
+    return Model(model.alphabet, model.dim, emb, model.position_rule, layers, out, model.param_bits)
 
 
 # --------------------------------------------------------------------------
@@ -191,123 +200,149 @@ def _map_params(model: Model, row: Callable, vec: Callable, scalar: Callable, ma
 # --------------------------------------------------------------------------
 
 
-def _rat_total(terms: Sequence[Rat]) -> Rat:
-    return rat_sum(terms) if terms else RAT_ZERO
+def _reduced(nums: Sequence[int], den: int) -> tuple:
+    """nums/den (den >= 1) in the vector form: both divided by their gcd."""
+    g = gcd(den, *nums)
+    if g == 1:
+        return tuple(nums), den
+    return tuple([x // g for x in nums]), den // g
 
 
-def _rat_add(a: Rat, b: Rat) -> Rat:
-    """a + b; a zero operand gives the other one back as it is."""
-    if not b.num:
-        return a
-    return a + b if a.num else b
+def _vector(xs: Sequence[Rat]) -> tuple:
+    """Rats in the vector form: each numerator over the lcm of their
+    denominators, which leaves no common factor."""
+    d = lcm(*[x.den for x in xs])
+    return tuple([x.num * (d // x.den) for x in xs]), d
 
 
-_ZERO_ROW = (1, (), None)
+def _bias(xs: Sequence[Rat]) -> tuple | None:
+    """A bias in the vector form, or None when it is zero."""
+    return _vector(xs) if any(x.num for x in xs) else None
 
 
 class _Compiled(tuple):
-    """A weight matrix as _compile_row rows, with two flags that
-    _compile_matrix works out once: `zero` when every row is zero, and
-    `identity` when the matrix is square and row i is the unit row for i."""
+    """A weight matrix over one denominator `den`: each row the (index,
+    integer numerator) pairs of its nonzero entries.  _compile_matrix sets
+    two flags once: `zero` when every row is zero, and `identity` when the
+    matrix is the identity."""
 
+    den = 1
     zero = identity = False
 
     @cached_property
     def norm(self) -> Rat:
         """The operator infinity norm: the largest row sum of |entries|."""
-        return max((Rat(sum(abs(a) for _, a in pairs), den) for den, pairs, _ in self), default=RAT_ZERO)
+        return Rat(max((sum(abs(a) for _, a in row) for row in self), default=0), self.den)
 
 
 def _compile_matrix(rows: Sequence[Sequence[Rat]]) -> _Compiled:
-    out = _Compiled(map(_compile_row, rows))
-    out.zero = all(r is _ZERO_ROW for r in out)
-    out.identity = all(len(row) == len(rows) for row in rows) and all(r[2] == i for i, r in enumerate(out))
+    den = lcm(*[x.den for row in rows for x in row])
+    out = _Compiled(tuple((k, x.num * (den // x.den)) for k, x in enumerate(row) if x.num) for row in rows)
+    out.den = den
+    out.zero = not any(out)
+    out.identity = den == 1 and all(len(row) == len(rows) for row in rows) and all(r == ((i, 1),) for i, r in enumerate(out))
     return out
 
 
-def _compile_row(row: Sequence[Rat]) -> tuple:
-    """(den, pairs, unit): the row's nonzero entries as (index, integer
-    numerator) pairs over den, the lcm of their denominators; unit is the
-    index k when the row is the k-th unit vector, else None."""
-    nz = [(k, x) for k, x in enumerate(row) if x.num]
-    if not nz:
-        return _ZERO_ROW
-    den = lcm(*[x.den for _, x in nz])
-    pairs = tuple((k, x.num * (den // x.den)) for k, x in nz)
-    unit = pairs[0][0] if den == 1 and len(pairs) == 1 and pairs[0][1] == 1 else None
-    return den, pairs, unit
-
-
-def _exact_matvec(rows: Sequence[tuple], v: Sequence[Rat], biases: Sequence[Rat] | None = None) -> list[Rat]:
-    """The exact dot of each compiled row with v (plus its bias), in
-    canonical form.  v is put once over D, the lcm of its denominators, and
-    each row is then an integer dot over den * D with one gcd; a zero row is
-    its bias (or zero), and a unit row without bias is v's coordinate
-    itself, so a matrix of only those never computes D."""
-    ints = None
-    out = []
-    for i, (den, pairs, unit) in enumerate(rows):
-        bias = None if biases is None or not biases[i].num else biases[i]
-        if bias is None:
-            if unit is not None:
-                out.append(v[unit])
-                continue
-            if not pairs:
-                out.append(RAT_ZERO)
-                continue
-        elif not pairs:
-            out.append(bias)
-            continue
-        if ints is None:
-            big = lcm(*[x.den for x in v])
-            ints = [x.num * (big // x.den) for x in v]
-        num, d = 0, den * big
-        for k, a in pairs:
-            num += a * ints[k]
-        if bias is not None:
-            num, d = num * bias.den + bias.num * d, d * bias.den
-        out.append(Rat(num, d) if num else RAT_ZERO)
-    return out
-
-
-def _exact_matmul(rows: Sequence[tuple], vecs: Sequence[Sequence[Rat]], biases: Sequence[Rat] | None = None) -> list:
-    """_exact_matvec of each vector.  Without a nonzero bias, an all-zero
-    _Compiled matrix gives one zero vector shared by every position, and the
-    identity gives the input vectors themselves."""
-    if isinstance(rows, _Compiled) and (biases is None or not any(b.num for b in biases)):
+def _exact_matmul(rows: _Compiled, vecs: Sequence[tuple], biases: tuple | None = None) -> list[tuple]:
+    """Each vector (ints, D) times the matrix, plus the bias vector: the
+    integer row dots over rows.den * D, the bias folded in over the lcm of
+    that and its own denominator, then one gcd.  Without a bias, the zero
+    matrix gives one zero vector shared by every position, and the identity
+    the input vectors themselves."""
+    if biases is None:
         if rows.zero:
-            return [[RAT_ZERO] * len(rows)] * len(vecs)
+            return [((0,) * len(rows), 1)] * len(vecs)
         if rows.identity:
             return list(vecs)
-    return [_exact_matvec(rows, v, biases) for v in vecs]
+    out = []
+    for ints, d in vecs:
+        den = rows.den * d
+        nums = []
+        for row in rows:
+            num = 0
+            for k, a in row:
+                num += a * ints[k]
+            nums.append(num)
+        if biases is not None:
+            bints, bd = biases
+            big = lcm(den, bd)
+            f, fb = big // den, big // bd
+            nums = [x * f + b * fb for x, b in zip(nums, bints)]
+            den = big
+        out.append(_reduced(nums, den))
+    return out
+
+
+def _common(vecs: Sequence[tuple]) -> tuple[list, int]:
+    """The vectors' integers over the lcm of their denominators, and it."""
+    big = lcm(*[d for _, d in vecs])
+    return [ints if d == big else [x * (big // d) for x in ints] for ints, d in vecs], big
+
+
+def _total(vecs: Sequence[tuple], parts: int = 1) -> tuple:
+    """The sum of the vectors, divided by `parts`: every numerator over the
+    lcm of their denominators, then one gcd."""
+    scaled, big = _common(vecs)
+    return _reduced([sum(col) for col in zip(*scaled)], big * parts)
+
+
+def _add(u: tuple, v: tuple) -> tuple:
+    """u + v; a zero vector gives the other one back as it is."""
+    if not any(v[0]):
+        return u
+    return _total((u, v)) if any(u[0]) else v
+
+
+def _relu(vec: tuple) -> tuple:
+    """The positive entries kept and the rest zeroed, reduced again (the
+    kept entries may share a factor with D that a zeroed one did not)."""
+    ints, d = vec
+    if min(ints, default=0) >= 0:
+        return vec
+    return _reduced([x if x > 0 else 0 for x in ints], d)
 
 
 def exact_backend(normalize: Callable, layernorm: Callable) -> Backend:
     """Exact rationals on compiled rows (`compile_rows`), around the given
-    attention normalizer and layernorm steps.  The attend step compiles the
-    head's keys, and its value columns, as rows once; each query is then two
-    matvecs: the keys it sees times the query, and the columns times its
-    weights, which a causal prefix pads with zeros to every position."""
+    attention normalizer and layernorm steps, which take and return Rats.
+    The attend step puts the head's values over the lcm of their
+    denominators once; each query then scores every key it sees over the
+    key's own denominator, Rat(q . k, D_q * D_k), and its context is the
+    normalized weights, over their lcm, times the values' integers, reduced
+    by one gcd."""
 
     def attend(qs, ks, vs, layer, head, causal):
-        krows = [_compile_row(k) for k in ks]
-        cols = [_compile_row(col) for col in zip(*vs)]
+        vints, vd = _common(vs)
+        dim = len(vints[0])
         out = []
-        for i, q in enumerate(qs):
-            seen = i + 1 if causal else len(ks)
-            alphas = normalize(_exact_matvec(krows[:seen], q), layer, head)
-            out.append(_exact_matvec(cols, alphas + [RAT_ZERO] * (len(ks) - seen)))
+        for i, (q, dq) in enumerate(qs):
+            qn = [(c, x) for c, x in enumerate(q) if x]
+            scores = []
+            for k, dk in ks[: i + 1] if causal else ks:
+                score = 0
+                for c, a in qn:
+                    score += a * k[c]
+                scores.append(Rat(score, dq * dk))
+            alphas = normalize(scores, layer, head)
+            ad = lcm(*[a.den for a in alphas])
+            terms = [(a.num * (ad // a.den), v) for a, v in zip(alphas, vints) if a.num]
+            out.append(_reduced([sum(w * v[c] for w, v in terms) for c in range(dim)], ad * vd))
         return out
 
-    return Backend(RAT_ZERO, _exact_matmul, _rat_total, _rat_add, attend, layernorm)
+    def norm(x, ln, layer, site):
+        ints, d = x
+        return _vector(layernorm([Rat(a, d) for a in ints], ln, layer, site))
+
+    return Backend(_relu, _exact_matmul, _total, _add, attend, norm)
 
 
 class EvalTrace:
     """Operand widths of an exact run, as (max numerator bits, max denominator
-    bits): of the embedded inputs and of each layer's outputs.  Each is
-    computed when first read."""
+    bits) of the canonical entries: of the embedded inputs and of each
+    layer's outputs.  Each is computed when first read."""
 
-    def __init__(self, inputs: list[list[Rat]], states: list[list[list[Rat]]]):
+    def __init__(self, inputs: list[tuple], states: list[list[tuple]]):
         self._inputs, self._states = inputs, states
 
     @cached_property
@@ -322,30 +357,33 @@ class EvalTrace:
         return f"EvalTrace(embedding_bits={self.embedding_bits!r}, layer_bits={self.layer_bits!r})"
 
 
-def _bits_of(vecs: Sequence[Sequence[Rat]]) -> tuple[int, int]:
+def _bits_of(vecs: Sequence[tuple]) -> tuple[int, int]:
     nm = dn = 1
-    for vec in vecs:
-        for x in vec:
-            nm = max(nm, abs(x.num).bit_length() or 1)
-            dn = max(dn, x.den.bit_length())
+    for ints, d in vecs:
+        for x in ints:
+            g = gcd(x, d)
+            nm = max(nm, (abs(x) // g).bit_length())
+            dn = max(dn, (d // g).bit_length())
     return nm, dn
 
 
-def embed_input(model: Model, w: str) -> list[list[Rat]]:
-    """Token embedding plus positional vector for each 1-based position; with
-    no position rule, the token embedding itself."""
+def embed_input(model: Model, w: str) -> list[tuple]:
+    """Token embedding plus positional vector for each 1-based position, as
+    vectors in the exact form; with no position rule, the token embedding's
+    vector, compiled with the model (`compile_rows`)."""
     if not w:
         raise DomainError("input string must be nonempty")
     n, emb, rule = len(w), model.token_embeddings, model.position_rule
+    vecs = compile_rows(model).token_embeddings if rule.kind == "none" else None
     out = []
     for i, sym in enumerate(w, start=1):
         if sym not in emb:
             raise DomainError(f"symbol {sym!r} not in the model alphabet")
-        if rule.kind == "none":
-            out.append(list(emb[sym]))
+        if vecs is not None:
+            out.append(vecs[sym])
             continue
         pos = position_embedding(rule, i, n, model.dim)
-        out.append([a + b if b.num else a for a, b in zip(emb[sym], pos)])
+        out.append(_vector([a + b if b.num else a for a, b in zip(emb[sym], pos)]))
     return out
 
 
@@ -361,24 +399,21 @@ def ahardmax_weights(scores: Sequence) -> list[Rat]:
     return [share if s == top else RAT_ZERO for s in scores]
 
 
-def _ahat_attend(qs: list[list[Rat]], ks: list[list[Rat]], vs: list[list[Rat]], layer: int, head: int, causal: bool) -> list[list[Rat]]:
+def _ahat_attend(qs: list[tuple], ks: list[tuple], vs: list[tuple], layer: int, head: int, causal: bool) -> list[tuple]:
     """Each query's context: the mean of the values at its score maximizers.
     An all-zero query scores every key 0, a full tie, so it makes no score
     dots.  Otherwise the scores are integer numerators over one positive
-    denominator: q's nonzero coordinates over the lcm of their denominators,
-    times the keys over the lcm of all theirs, which the first such query
-    makes once for the head.  One maximizer gives its value vector, and more
-    give each column summed over one lcm with the 1/hits weight folded into
-    the denominators."""
+    denominator: q's integers, times the keys over the lcm of all their
+    denominators, which the first such query makes once for the head.  One
+    maximizer gives its value vector itself, and more give their sum over
+    hits times the lcm of their denominators."""
     out, kints = [], None
-    for i, q in enumerate(qs):
+    for i, (q, _) in enumerate(qs):
         seen = vs[: i + 1] if causal else vs
-        if any(x.num for x in q):
+        if any(q):
             if kints is None:
-                kd = lcm(*[x.den for k in ks for x in k])
-                kints = [[x.num * (kd // x.den) for x in k] for k in ks]
-            qd = lcm(*[x.den for x in q])
-            qn = [(c, x.num * (qd // x.den)) for c, x in enumerate(q) if x.num]
+                kints = _common(ks)[0]
+            qn = [(c, x) for c, x in enumerate(q) if x]
             scores = []
             for k in kints[: len(seen)]:
                 score = 0
@@ -387,25 +422,23 @@ def _ahat_attend(qs: list[list[Rat]], ks: list[list[Rat]], vs: list[list[Rat]], 
                 scores.append(score)
             weights = ahardmax_weights(scores)
             seen = [v for v, a in zip(seen, weights) if a.num]
-        if len(seen) == 1:
-            out.append(seen[0])
-            continue
-        hits = len(seen)
-        out.append([_sum_over_lcm([x.num for x in col], [x.den * hits for x in col]) for col in zip(*seen)])
+        out.append(seen[0] if len(seen) == 1 else _total(seen, len(seen)))
     return out
 
 
-_AHAT = Backend(RAT_ZERO, _exact_matmul, _rat_total, _rat_add, _ahat_attend, None)
+_AHAT = Backend(_relu, _exact_matmul, _total, _add, _ahat_attend, None)
 
 
 def compile_rows(model: Model) -> Model:
-    """The model with every attention and FFNN weight matrix _Compiled and
-    the output head's weights compiled as a row (biases and embeddings stay
-    rationals).  The first call keeps it with the model (Model.compiled)
-    for the next, whichever exact mode makes it; it checks no heads."""
+    """The model with every weight matrix _Compiled (the output head's as a
+    one-row matrix), and each bias and token embedding in the vector form
+    (a zero bias is None; layernorm parameters stay rationals).  The first
+    call, an exact evaluation or embed_input on a model with no position
+    rule, keeps it with the model (Model.compiled) for the next; it checks
+    no heads."""
     compiled = model.compiled
     if compiled is None:
-        compiled = _map_params(model, _compile_row, _same, _same, _compile_matrix)
+        compiled = _map_params(model, _compile_matrix, _bias, _same, _same, _vector)
         object.__setattr__(model, "compiled", compiled)
     return compiled
 
@@ -416,8 +449,8 @@ def eval_ahat(model: Model, w: str) -> tuple[Rat, EvalTrace]:
     check_heads(model, "average_hard", "ahat_exact needs average_hard", layernorm=False)
     compiled = compile_rows(model)
     xs = embed_input(model, w)
-    value, states = forward(compiled, xs, _AHAT)
-    return value, EvalTrace(xs, states)
+    ((num,), den), states = forward(compiled, xs, _AHAT)
+    return Rat(num, den), EvalTrace(xs, states)
 
 
 # --------------------------------------------------------------------------
@@ -458,7 +491,7 @@ def round_model(model: Model, p: int) -> Model:
     """The model with every attention, FFNN, layernorm and output-head
     parameter rounded once to p bits (embeddings are rounded after lookup)."""
     rv = lambda vec: tuple(round_p(x, p) for x in vec)
-    return _map_params(model, rv, rv, lambda x: round_p(x, p))
+    return _map_params(model, lambda rows: tuple(map(rv, rows)), rv, rv, lambda x: round_p(x, p))
 
 
 def _pbit_backend(p: int) -> Backend:
@@ -476,11 +509,12 @@ def _pbit_backend(p: int) -> Backend:
         alphas = (softmax_pbit([f_dot(q, k, p) for k in (ks[: i + 1] if causal else ks)], p) for i, q in enumerate(qs))
         return [[f_dot(a, col, p) for col in cols] for a in alphas]
 
+    zero = PFloat.zero(p)
     return Backend(
-        PFloat.zero(p),
+        lambda vec: [h if h.sign > 0 else zero for h in vec],
         matmul,
-        lambda terms: f_sum_blocks(terms) if terms else PFloat.zero(p),
-        f_add,
+        lambda vectors: list(map(f_sum_blocks, zip(*vectors))),
+        lambda u, v: list(map(f_add, u, v)),
         attend,
         lambda x, ln, layer, site: layernorm_pbit(x, ln.gamma, ln.beta, ln.c, p),
     )
@@ -490,8 +524,8 @@ def eval_smat_pbit(model: Model, w: str, p: int) -> PFloat:
     """Softmax-attention evaluation where every primitive is a p-bit op."""
     check_heads(model, "softmax", "smat_pbit needs softmax")
     rounded = round_model(model, p)
-    xs = [[round_p(x, p) for x in vec] for vec in embed_input(model, w)]
-    return forward(rounded, xs, _pbit_backend(p))[0]
+    xs = [[round_p(Rat(x, d), p) for x in ints] for ints, d in embed_input(model, w)]
+    return forward(rounded, xs, _pbit_backend(p))[0][0]
 
 
 # --------------------------------------------------------------------------

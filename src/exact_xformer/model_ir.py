@@ -88,8 +88,9 @@ class Model:
     output_head: OutputHead
     param_bits: Optional[int] = None
     # Not a parameter: the compiled form of this model that both exact modes
-    # run on (evaluator.compile_rows), kept on its first exact evaluation; it
-    # takes no part in ==, repr or serialization.
+    # run on (evaluator.compile_rows: weight matrices over one denominator
+    # each, biases and token embeddings as integer vectors), kept on its
+    # first exact evaluation; it takes no part in ==, repr or serialization.
     compiled: Optional["Model"] = field(default=None, init=False, compare=False, repr=False)
 
 

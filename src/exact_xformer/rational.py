@@ -6,9 +6,10 @@ the smaller operands (Henrici's method, Knuth TAOCP vol. 2, 4.5.1, as in
 fractions.Fraction): a sum reduces by gcd(den_a, den_b) and then only by a gcd
 with that factor, a product cancels num_a against den_b and num_b against
 den_a.  An n-ary sum rescales every term onto the single common denominator
-lcm(den_j) and reduces once; the exact dot product lives in the evaluator's
-matvec, which puts a vector over one lcm in the same way.  Canonical form is
-unique, so every route gives the same pair.
+lcm(den_j) and reduces once.  The exact modes' vectors (evaluator) keep
+their entries over one such denominator from stage to stage, as integers
+reduced by one gcd, so their dot products are integer dots.  Canonical form
+is unique, so every route gives the same pair.
 """
 
 from __future__ import annotations
@@ -37,15 +38,15 @@ class Rat:
             if g > 1:
                 num //= g
                 den //= g
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _set_num(self, num)
+        _set_den(self, den)
 
     @classmethod
     def _raw(cls, num: int, den: int) -> "Rat":
         """Wrap an already-canonical pair without re-reducing."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        self = _new(cls)
+        _set_num(self, num)
+        _set_den(self, den)
         return self
 
     @classmethod
@@ -131,6 +132,11 @@ class Rat:
         return f"Rat({self.num}, {self.den})"
 
 
+# The slots' own setters, which skip the refusing __setattr__ (as in
+# pfloat): a Rat is built with two calls.
+_new = object.__new__
+_set_num, _set_den = Rat.num.__set__, Rat.den.__set__
+
 RAT_ZERO = Rat._raw(0, 1)
 RAT_ONE = Rat._raw(1, 1)
 
@@ -164,20 +170,14 @@ def _mul(na: int, da: int, nb: int, db: int) -> Rat:
     return Rat._raw(na * nb, da * db)
 
 
-def _sum_over_lcm(nums: Sequence[int], dens: Sequence[int]) -> Rat:
-    """sum(nums[j]/dens[j]) for unreduced pairs (dens[j] >= 1): every term is
-    rescaled onto B = lcm(dens) and the total is reduced once."""
-    big = lcm(*dens)
-    return Rat(sum(n * (big // d) for n, d in zip(nums, dens)), big)
-
-
 def rat_sum(xs: Sequence[Rat]) -> Rat:
     """Exact sum over the common denominator B = lcm(den_j)."""
     if len(xs) == 0:
         raise DomainError("rat_sum of an empty list")
     if len(xs) == 1:
         return xs[0]
-    return _sum_over_lcm([x.num for x in xs], [x.den for x in xs])
+    big = lcm(*[x.den for x in xs])
+    return Rat(sum(x.num * (big // x.den) for x in xs), big)
 
 
 def rat_max(xs: Sequence[Rat]) -> Rat:

@@ -95,7 +95,7 @@ def test_cases_reach_every_shortcut(monkeypatch):
 
     def recording_forward(model, xs, backend):
         def attend(qs, ks, vs, layer, head, causal):
-            if any(not any(x.num for x in q) for q in qs):
+            if any(not any(ints) for ints, _ in qs):  # (integers, denominator) pairs
                 seen.add("zero query")
             if len(qs) < len(ks):
                 seen.add("repeated query")

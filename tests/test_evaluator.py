@@ -35,13 +35,15 @@ from exact_xformer import (
 )
 from exact_xformer import budget, evaluator
 from exact_xformer.evaluator import (
+    _add,
     _ahat_attend,
+    _bias,
     _compile_matrix,
-    _compile_row,
     _exact_matmul,
-    _exact_matvec,
     _pbit_backend,
-    _rat_total,
+    _relu,
+    _total,
+    _vector,
     ahardmax_weights,
     bit_growth_trace,
     embed_input,
@@ -52,7 +54,7 @@ from exact_xformer.evaluator import (
 )
 from exact_xformer.model_ir import FFNN, AttentionHead, Layer, Model, OutputHead, PositionRule, parse_model, serialize_model
 from exact_xformer.pfloat import f_dot, float_to_rat
-from exact_xformer.rational import RAT_ZERO, rat_sum
+from exact_xformer.rational import rat_sum
 
 
 @pytest.fixture(scope="module")
@@ -125,8 +127,13 @@ def _frac(r: Rat) -> Fraction:
     return Fraction(r.num, r.den)
 
 
-def _same_pair(x: Rat, f: Fraction) -> None:
-    assert (x.num, x.den) == (f.numerator, f.denominator)
+def _fracs(vec: tuple) -> list[Fraction]:
+    """The entries of a vector in the exact (integers, denominator) form,
+    which must be reduced: its denominator the lcm of the canonical ones."""
+    ints, d = vec
+    out = [Fraction(x, d) for x in ints]
+    assert isinstance(ints, tuple) and d >= 1 and d == math.lcm(*[f.denominator for f in out])
+    return out
 
 
 def _fraction_dot(u, v, bias=None) -> Fraction:
@@ -152,18 +159,22 @@ def test_matvec_matches_rat_dot(pairs, bias, unit):
     u, v = [a for a, _ in pairs], [b for _, b in pairs]
     if unit >= 0:
         u = [Rat(int(k == unit % len(u))) for k in range(len(u))]
-    [got] = _exact_matvec([_compile_row(u)], v, None if bias is None else [bias])
-    _same_pair(got, _fraction_dot(u, v, bias))
+    [got] = _exact_matmul(_compile_matrix([u]), [_vector(v)], None if bias is None else _bias([bias]))
+    assert _fracs(got) == [_fraction_dot(u, v, bias)]
 
 
 def test_matvec_zero_and_unit_rows():
-    v = [Rat(3, 4), Rat(-5, 6), Rat(0)]
-    zero, unit = _compile_row([Rat(0)] * 3), _compile_row([Rat(0), Rat(1), Rat(0)])
-    assert _exact_matvec([zero], v)[0] is RAT_ZERO
-    _same_pair(_exact_matvec([zero], v, [Rat(-7, 8)])[0], Fraction(-7, 8))
-    assert _exact_matvec([unit], v)[0] is v[1]
-    _same_pair(_exact_matvec([unit], v, [Rat(1, 3)])[0], Fraction(-1, 2))
-    _same_pair(_exact_matvec([_compile_row([Rat(1, 6), Rat(-3, 4), Rat(2)])], v)[0], Fraction(1, 8) + Fraction(5, 8))
+    v = _vector([Rat(3, 4), Rat(-5, 6), Rat(0)])
+    zero, unit = _compile_matrix([[Rat(0)] * 3]), _compile_matrix([[Rat(0), Rat(1), Rat(0)]])
+    w = _vector([Rat(1, 9), Rat(0), Rat(2)])
+    shared = _exact_matmul(zero, [v, w])
+    assert shared == [((0,), 1)] * 2 and shared[0] is shared[1]
+    assert _fracs(_exact_matmul(zero, [v], _bias([Rat(-7, 8)]))[0]) == [Fraction(-7, 8)]
+    assert _fracs(_exact_matmul(unit, [v])[0]) == [Fraction(-5, 6)]
+    assert _exact_matmul(_compile_matrix([[Rat(int(r == c)) for c in range(3)] for r in range(3)]), [v])[0] is v
+    assert _fracs(_exact_matmul(unit, [v], _bias([Rat(1, 3)]))[0]) == [Fraction(-1, 2)]
+    row = _compile_matrix([[Rat(1, 6), Rat(-3, 4), Rat(2)]])
+    assert _fracs(_exact_matmul(row, [v])[0]) == [Fraction(1, 8) + Fraction(5, 8)]
 
 
 # A weight row of dim 4: zero, unit, or drawn (with zero coordinates).
@@ -175,21 +186,27 @@ _row = st.one_of(
 )
 
 
+_IDENT = [[Rat(int(r == c)) for c in range(DIM)] for r in range(DIM)]
+
+
 @given(
     st.lists(_row, min_size=1, max_size=6),
     st.lists(st.one_of(st.just(Rat(0)), rats), min_size=DIM, max_size=DIM),
     st.one_of(st.none(), st.lists(st.one_of(st.just(Rat(0)), rats), min_size=6, max_size=6)),
 )
+@example(_IDENT, [Rat(1, 3), Rat(0), Rat(-5, 6), Rat(7)], None)
+@example(_IDENT, [Rat(1, 3), Rat(0), Rat(-5, 6), Rat(7)], [Rat(0)] * 6)
 def test_matvec_matches_rat_dot_row_by_row(rows, v, biases):
     # a matrix mixing zero rows, unit rows with and without bias, and rows
     # and coordinates over unrelated denominators
-    got = _exact_matvec([_compile_row(r) for r in rows], v, biases)
-    assert len(got) == len(rows)
-    for i, (row, out) in enumerate(zip(rows, got)):
-        bias = None if biases is None else biases[i]
-        _same_pair(out, _fraction_dot(row, v, bias))
-        if row.count(Rat(1)) == 1 and row.count(Rat(0)) == DIM - 1 and (bias is None or not bias.num):
-            assert out is v[row.index(Rat(1))]
+    vec = _vector(v)
+    [got] = _exact_matmul(_compile_matrix(rows), [vec], None if biases is None else _bias(biases[: len(rows)]))
+    entries = _fracs(got)
+    assert len(entries) == len(rows)
+    for i, (row, out) in enumerate(zip(rows, entries)):
+        assert out == _fraction_dot(row, v, None if biases is None else biases[i])
+    if rows == _IDENT and (biases is None or not any(b.num for b in biases[:DIM])):
+        assert got is vec
 
 
 def _unit(k: int, n: int) -> list[Rat]:
@@ -218,11 +235,15 @@ def test_matmul_equals_matvec_per_vector(data):
     drawn = st.lists(st.one_of(st.just(Rat(0)), rats), min_size=m, max_size=m)
     biases = data.draw(st.one_of(st.none(), st.just([Rat(0)] * m), drawn))
     compiled = _compile_matrix(rows)
-    got = _exact_matmul(compiled, vecs, biases)
-    want = [_exact_matvec(compiled, v, biases) for v in vecs]
-    assert [[(x.num, x.den) for x in out] for out in got] == [[(x.num, x.den) for x in out] for out in want]
-    if compiled.identity and (biases is None or not any(b.num for b in biases)):
-        assert all(out is v for out, v in zip(got, vecs))
+    forms, bias = [_vector(v) for v in vecs], None if biases is None else _bias(biases)
+    got = _exact_matmul(compiled, forms, bias)
+    assert got == [_exact_matmul(compiled, [v], bias)[0] for v in forms]
+    for out, v in zip(got, vecs):
+        assert _fracs(out) == [_fraction_dot(row, v, None if biases is None else biases[i]) for i, row in enumerate(rows)]
+    if compiled.identity and bias is None:
+        assert all(out is v for out, v in zip(got, forms))
+    if compiled.zero and bias is None:
+        assert all(out is got[0] for out in got)
 
 
 def test_compiled_flags_and_matmul_shortcuts():
@@ -232,46 +253,50 @@ def test_compiled_flags_and_matmul_shortcuts():
     assert _compile_matrix(ident).identity and not _compile_matrix(ident).zero
     for rows in (ident[::-1], ident[:2], ident + [_unit(0, 3)], [_unit(0, 1)] * 2):
         assert not _compile_matrix(rows).identity
-    vecs = [[Rat(1, 2), Rat(-3), Rat(0)], [Rat(5, 7), Rat(0), Rat(1)]]
+    assert _compile_matrix([[Rat(1, 2), Rat(0)], [Rat(0), Rat(1, 3)]]).den == 6
+    vecs = [_vector([Rat(1, 2), Rat(-3), Rat(0)]), _vector([Rat(5, 7), Rat(0), Rat(1)])]
     out = _exact_matmul(_compile_matrix(ident), vecs)
     assert out[0] is vecs[0] and out[1] is vecs[1]
-    assert _exact_matmul(_compile_matrix(ident), vecs, [Rat(0)] * 3)[1] is vecs[1]
-    biased = _exact_matmul(_compile_matrix(ident), vecs, [Rat(1, 3), Rat(0), Rat(0)])
-    assert biased[0] is not vecs[0] and biased[0] == [Rat(5, 6), Rat(-3), Rat(0)]
+    assert _bias([Rat(0)] * 3) is None  # a zero bias is no bias
+    assert _exact_matmul(_compile_matrix(ident), vecs, _bias([Rat(0)] * 3))[1] is vecs[1]
+    biased = _exact_matmul(_compile_matrix(ident), vecs, _bias([Rat(1, 3), Rat(0), Rat(0)]))
+    assert biased[0] is not vecs[0] and biased[0] == ((5, -18, 0), 6)
     zeros = _exact_matmul(zero, vecs)
-    assert zeros[0] is zeros[1] and zeros[0] == [RAT_ZERO] * 2
-    assert _exact_matmul(zero, vecs, [Rat(0), Rat(-1, 4)]) == [[Rat(0), Rat(-1, 4)]] * 2
+    assert zeros[0] is zeros[1] and zeros[0] == ((0, 0), 1)
+    assert _exact_matmul(zero, vecs, _bias([Rat(0), Rat(-1, 4)])) == [((0, -1), 4)] * 2
 
 
 def test_eval_ahat_compiles_each_model_once(monkeypatch):
     model = load_model("majority")
     text, shown = serialize_model(model), repr(model)
     calls = []
-    compile_row = evaluator._compile_row
-    monkeypatch.setattr(evaluator, "_compile_row", lambda row: calls.append(row) or compile_row(row))
+    compile_matrix = evaluator._compile_matrix
+    monkeypatch.setattr(evaluator, "_compile_matrix", lambda rows: calls.append(rows) or compile_matrix(rows))
+
+    def rows_compiled():
+        return sum(map(len, calls))
+
     assert eval_ahat(model, "0110")[0] == Rat(0)
-    assert len(calls) == 13  # q, k, v, o, w1, w2 of dim 2, and the output head
+    assert rows_compiled() == 13  # q, k, v, o, w1, w2 of dim 2, and the output head
     assert eval_ahat(model, "100")[0] == Rat(-1, 6)
-    assert len(calls) == 13
+    assert rows_compiled() == 13
     assert model.compiled is not None
     assert model == load_model("majority") and repr(model) == shown
     assert serialize_model(model) == text and parse_model(text) == model
     assert eval_ahat(copy.copy(model), "110")[0] == Rat(1, 6)  # a copy keeps the compile
-    assert len(calls) == 13
+    assert rows_compiled() == 13
     assert eval_ahat(load_model("majority"), "1")[0] == Rat(1, 2)
-    assert len(calls) == 26  # an equal model is compiled for itself
-    # budgeted mode fills and reads the same cache (its attend step compiles
-    # each head's keys and value columns on every eval, so count matrices here)
-    matrices = []
-    compile_matrix = evaluator._compile_matrix
-    monkeypatch.setattr(evaluator, "_compile_matrix", lambda rows: matrices.append(rows) or compile_matrix(rows))
+    assert rows_compiled() == 26  # an equal model is compiled for itself
+    # budgeted mode fills and reads the same cache; its attend step
+    # compiles nothing
+    calls.clear()
     model = load_model("softmax-uniform")
     text, shown = serialize_model(model), repr(model)
     assert eval_budgeted(model, "110", Rat(1, 64)) == Rat(1, 6)
-    assert len(matrices) == 6  # q, k, v, o, w1, w2
+    assert len(calls) == 7  # q, k, v, o, w1, w2, and the output head
     compiled = model.compiled
     assert eval_budgeted(model, "0010", Rat(1, 64)) == Rat(-1, 4)
-    assert len(matrices) == 6 and model.compiled is compiled
+    assert len(calls) == 7 and model.compiled is compiled
     assert model == load_model("softmax-uniform") and repr(model) == shown
     assert serialize_model(model) == text and parse_model(text) == model
 
@@ -312,7 +337,13 @@ def _fraction_attend(q, ks, vs) -> list[Fraction]:
 
 
 def _pairs(vecs) -> list[list[tuple[int, int]]]:
-    return [[(x.num, x.den) if isinstance(x, Rat) else (x.numerator, x.denominator) for x in vec] for vec in vecs]
+    """Canonical (num, den) entries of exact vectors or Fraction lists."""
+    fracs = (_fracs(v) if isinstance(v, tuple) else v for v in vecs)
+    return [[(x.numerator, x.denominator) for x in vec] for vec in fracs]
+
+
+def _forms(vecs) -> list[tuple]:
+    return [_vector(v) for v in vecs]
 
 
 @given(
@@ -321,7 +352,7 @@ def _pairs(vecs) -> list[list[tuple[int, int]]]:
 )
 def test_ahat_attend_matches_rat_scores(q, kvs):
     ks, vs = [k for k, _ in kvs], [v for _, v in kvs]
-    got = _ahat_attend([q] * len(ks), ks, vs, 0, 0, True)  # every causal prefix
+    got = _ahat_attend([_vector(q)] * len(ks), _forms(ks), _forms(vs), 0, 0, True)  # every causal prefix
     assert _pairs(got) == _pairs(_fraction_attend(q, ks[:i], vs[:i]) for i in range(1, len(ks) + 1))
 
 
@@ -332,15 +363,15 @@ def test_ahat_attend_ties_across_denominators():
     ks = [[Rat(3, 4), Rat(0)], [Rat(1, 4), Rat(2, 3)], [Rat(1, 4), Rat(-2, 3)]]
     assert [_fraction_dot(q, k) for k in ks] == [Fraction(1, 2), Fraction(1, 2), Fraction(-1, 6)]
     vs = [[Rat(1), Rat(-3, 5)], [Rat(1, 3), Rat(1, 7)], [Rat(9), Rat(9)]]
-    got = _ahat_attend([q] * 3, ks, vs, 0, 0, True)
-    _same_pair(got[2][0], Fraction(2, 3))
-    _same_pair(got[2][1], Fraction(-8, 35))
-    assert got[0] is vs[0]  # the first prefix has one key
+    qf, kf, vf = _vector(q), _forms(ks), _forms(vs)
+    got = _ahat_attend([qf] * 3, kf, vf, 0, 0, True)
+    assert _fracs(got[2]) == [Fraction(2, 3), Fraction(-8, 35)]
+    assert got[0] is vf[0]  # the first prefix has one key
     assert _pairs(got) == _pairs(_fraction_attend(q, ks[:i], vs[:i]) for i in (1, 2, 3))
-    assert _ahat_attend([q], ks, vs, 0, 0, False) == [got[2]]
+    assert _ahat_attend([qf], kf, vf, 0, 0, False) == [got[2]]
     # every score negative (-7/6, -17/72, -1/2): the one maximizer's values
     neg = [[Rat(-1), Rat(-1)], [Rat(-1, 6), Rat(-1, 4)], [Rat(-1, 2), Rat(-1, 3)]]
-    assert _ahat_attend([q], neg, vs, 0, 0, False)[0] is vs[1]
+    assert _ahat_attend([qf], _forms(neg), vf, 0, 0, False)[0] is vf[1]
 
 
 def _square_weights(scores, layer, head) -> list[Rat]:
@@ -376,9 +407,10 @@ def test_attend_per_head_matches_per_prefix_reference(rows, causal):
     # attends one query at a time on the keys and values it sees
     qs, ks, vs = ([row[j] for row in rows] for j in range(3))
     seen = [i + 1 if causal else len(ks) for i in range(len(qs))]
-    got = _ahat_attend(qs, ks, vs, 0, 0, causal)
+    forms = [_forms(vecs) for vecs in (qs, ks, vs)]
+    got = _ahat_attend(*forms, 0, 0, causal)
     assert _pairs(got) == _pairs(_fraction_attend(q, ks[:m], vs[:m]) for q, m in zip(qs, seen))
-    got = exact_backend(_square_weights, None).attend(qs, ks, vs, 0, 0, causal)
+    got = exact_backend(_square_weights, None).attend(*forms, 0, 0, causal)
     assert _pairs(got) == _pairs(_fraction_square_attend(q, ks[:m], vs[:m]) for q, m in zip(qs, seen))
     p = 24
     qs, ks, vs = ([[round_p(x, p) for x in vec] for vec in vecs] for vecs in (qs, ks, vs))
@@ -389,9 +421,46 @@ def test_attend_per_head_matches_per_prefix_reference(rows, causal):
     assert _pbit_backend(p).attend(qs, ks, vs, 0, 0, causal) == want
 
 
-@given(st.lists(rats, max_size=8))
-def test_rat_total_returns_canonical_pair(terms):
-    _same_pair(_rat_total(terms), sum(map(_frac, terms), Fraction(0)))
+# Vectors of width 1 to 3 (all-zero ones among them) for the vector-form
+# steps; small entries over a few denominators, so sums cancel and ReLU
+# leaves entries that share a factor with the denominator.
+_entry = st.one_of(st.just(Rat(0)), small, rats)
+_vectors = st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.one_of(st.just([Rat(0)] * n), st.lists(_entry, min_size=n, max_size=n)), min_size=1, max_size=5)
+)
+
+
+@given(_vectors)
+@example([[Rat(0)]])
+@example([[Rat(1, 6), Rat(-1, 2)], [Rat(1, 3), Rat(1, 2)]])  # sums to 1/2, 0: D falls from 6 to 2
+@example([[Rat(1, 2), Rat(-1, 3)]])  # ReLU gives 1/2, 0: D falls from 6 to 2
+def test_vector_form_matches_fractions(vecs):
+    forms = _forms(vecs)
+    for v, form in zip(vecs, forms):
+        assert _fracs(form) == list(map(_frac, v))  # D is the lcm; entries round-trip
+        assert _fracs(_relu(form)) == [max(_frac(x), Fraction(0)) for x in v]
+    assert _fracs(_total(forms)) == [sum(map(_frac, col), Fraction(0)) for col in zip(*vecs)]
+    assert _fracs(_total(forms, len(vecs))) == [sum(map(_frac, col), Fraction(0)) / len(vecs) for col in zip(*vecs)]
+    u, v = forms[0], forms[-1]
+    assert _fracs(_add(u, v)) == [_frac(a) + _frac(b) for a, b in zip(vecs[0], vecs[-1])]
+    zero = ((0,) * len(u[0]), 1)
+    assert _add(u, zero) is u and _add(zero, v) is (v if any(v[0]) else zero)
+    # matmul of the vectors stacked as rows, with and without biases; as a
+    # matrix of zeros, and (square) as the identity
+    rows = vecs[: len(u[0])] + [[Rat(0)] * len(u[0])] * (len(u[0]) - len(vecs))
+    for biases in (None, [Rat(0)] * len(rows), vecs[0][: len(rows)] + [Rat(1, 5)] * (len(rows) - len(vecs[0]))):
+        for matrix in (rows, [[Rat(0)] * len(u[0])] * len(rows), [_unit(i, len(rows)) for i in range(len(rows))]):
+            bias = None if biases is None else _bias(biases)
+            got = _exact_matmul(_compile_matrix(matrix), forms, bias)
+            for out, x in zip(got, vecs):
+                want = [_fraction_dot(row, x, None if biases is None else biases[i]) for i, row in enumerate(matrix)]
+                assert _fracs(out) == want
+
+
+@given(st.lists(rats, min_size=1, max_size=8))
+def test_total_returns_reduced_vector(terms):
+    # one-entry vectors, so the sum is the canonical pair
+    assert _fracs(_total(_forms([[x] for x in terms]))) == [sum(map(_frac, terms), Fraction(0))]
 
 
 def test_softmax_pbit_symmetric_scores_are_exact_halves():
