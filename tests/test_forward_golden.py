@@ -6,11 +6,13 @@ the order or number of rounding steps, or to the exact arithmetic, shows
 up as a mismatch.
 """
 
+import hashlib
 import random
 
 import pytest
 
 from exact_xformer import Rat, eval_ahat, eval_budgeted, eval_smat_pbit
+from exact_xformer.budget import plan_budget
 from exact_xformer.model_ir import (
     AttentionHead,
     FFNN,
@@ -136,6 +138,16 @@ BUDGETED_LAYERNORM = {
     "cabbac": "Rat(-33367469003602950399, 18446744073709551616)",
 }
 
+# plan_budget's site deltas and stage tolerances, one sha256 of the sorted
+# "key: value" lines of both dicts.  The layernorm plans run both sites of
+# every layer, so each layer's magnitude bounds feed the next one's.
+PLANS = {
+    # (seed, layers, layernorm, n, log2(1/eps)): sha256
+    (12, 2, True, 5, 64): "97b853183d5afd3e9cce637820a4a1d28860b2727da752dd0e1c4f024f76f959",
+    (13, 1, False, 4, 16): "969b05e8077535d729cd85c984c434130ecd8233a79b643756d204684de6a23f",
+    (12, 3, True, 6, 64): "bf96d404379693dc28d7a8717ed5b33d3c1bac48abe778f683b60d574a46a535",
+}
+
 
 @pytest.mark.parametrize("word", sorted(AHAT))
 def test_ahat_two_layers_mixed_masks(word):
@@ -178,3 +190,10 @@ def test_budgeted_one_layer_wide_epsilon():
 def test_budgeted_two_layers_with_layernorm(word):
     value = eval_budgeted(_model(12, "softmax", 2, True), word, Rat(1, 1 << 64))
     assert repr(value) == BUDGETED_LAYERNORM[word]
+
+
+@pytest.mark.parametrize("seed, layers, layernorm, n, bits", sorted(PLANS))
+def test_plan_budget_sites_and_tolerances(seed, layers, layernorm, n, bits):
+    budget = plan_budget(_model(seed, "softmax", layers, layernorm), n, Rat(1, 1 << bits))
+    lines = sorted(f"{key}: {value}" for d in (budget.site_deltas, budget.stage_tolerances) for key, value in d.items())
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == PLANS[seed, layers, layernorm, n, bits]
