@@ -19,10 +19,12 @@ relative approximation error.  Irrational constants in the inverse-sqrt
 formula are replaced by rational bounds in the conservative direction, so
 every planned delta is at most the ideal one.
 
-Activation magnitudes are bounded by a forward interval pass (operator
-infinity norms), never assumed.  The norms are read off the model's
-compiled rows (`compile_rows`, kept with the model), so each weight
-matrix's norm is worked out once per model, not once per plan.
+Activation magnitudes are bounded, never assumed: plan_budget runs
+`forward` on the model's compiled rows (`compile_rows`, kept with the
+model) with a magnitude backend (`_magnitude_backend`), over one position
+whose one-entry vector bounds every input entry.  So the bounds follow the
+stage order that is evaluated, and each matmul multiplies by an operator
+infinity norm that is worked out once per model, not once per plan.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Optional, Sequence
 
 from .elementary import rat_exp_approx, rat_floor_log2, rat_sqrt_approx
 from .errors import DomainError
-from .evaluator import check_heads, compile_rows, embed_input, exact_backend, forward
+from .evaluator import Backend, check_heads, compile_rows, embed_input, exact_backend, forward
 from .model_ir import LayerNorm, Model
 from .rational import RAT_ONE, RAT_ZERO, Rat, rat_max, rat_sum
 
@@ -117,7 +119,7 @@ def _t_half(t: Tol) -> Tol:
 
 
 # --------------------------------------------------------------------------
-# forward activation-bound pass
+# magnitude bounds: `forward` on one bound per vector
 # --------------------------------------------------------------------------
 
 
@@ -130,49 +132,46 @@ def _position_bound(model: Model) -> Rat:
     return RAT_ONE  # i/n and 1/i both lie in (0, 1]
 
 
-def _forward_bounds(model: Model) -> list[dict]:
-    """Per-layer magnitude bounds on every stage the backward walk divides by.
+def _entry_bound(vec: tuple) -> Rat:
+    """The largest |entry| of an exact vector (ints, D)."""
+    ints, d = vec
+    return Rat(max(map(abs, ints)), d)
 
-    Bounds are inflated by the +1 slacks the walk's quadratic error terms
-    assume (input errors are capped at 1 when tolerances are planned).  The
-    operator norms of every weight matrix, read off the model's compiled
-    rows (`compile_rows`, `_Compiled.norm`), are kept alongside ("n_" keys)
-    for the walk.
-    """
-    c_in = max((_vec_inf(v) for v in model.token_embeddings.values()), default=RAT_ZERO)
-    c_in = c_in + _position_bound(model)
-    layers = []
-    for layer, rows in zip(model.layers, compile_rows(model).layers):
-        info: dict = {"c_in": c_in}
-        heads = []
-        attn_sum = c_in if layer.residual_attn else RAT_ZERO
-        for head in rows.heads:
-            n_q, n_k, n_v, n_o = head.w_q.norm, head.w_k.norm, head.w_v.norm, head.w_o.norm
-            c_v = n_v * c_in
-            c_o = n_o * c_v
-            heads.append(
-                {"c_q": n_q * c_in, "c_k": n_k * c_in, "c_v": c_v, "c_o": c_o, "n_q": n_q, "n_k": n_k, "n_v": n_v, "n_o": n_o}
-            )
-            attn_sum = attn_sum + c_o
-        info["heads"] = heads
-        info["attn_out"] = attn_sum
-        cur = attn_sum
-        if layer.layernorm_attn is not None:
-            cur = _ln_bound(cur, layer.layernorm_attn)
-        info["ffnn_in"] = cur
-        ffnn = layer.ffnn
-        info["n_w1"] = rows.ffnn.w1.norm
-        info["n_w2"] = rows.ffnn.w2.norm
-        c_hidden = info["n_w1"] * cur + _vec_inf(ffnn.b1)
-        c_f = info["n_w2"] * c_hidden + _vec_inf(ffnn.b2)
-        cur = (cur + c_f) if layer.residual_ffnn else c_f
-        info["pre_ln_ffnn"] = cur
-        if layer.layernorm_ffnn is not None:
-            cur = _ln_bound(cur, layer.layernorm_ffnn)
-        info["out"] = cur
-        layers.append(info)
-        c_in = cur
-    return layers
+
+def _magnitude_backend(records: dict) -> Backend:
+    """Bounds for `forward`: each vector is the one-entry (c,), c >= every
+    |entry|.  A matmul multiplies c by the operator infinity norm and adds
+    the bias's largest |entry|; relu keeps c, and sums add the bounds.
+    Attention weights are nonnegative with sum 1, so a context is bounded
+    by its values' bound.  attend records (c_q, c_k, c_v) under (layer,
+    head), and layernorm its input bound under (layer, site)."""
+
+    def matmul(rows, vecs, biases=None):
+        if biases is None:
+            return [(rows.norm * c,) for (c,) in vecs]
+        b = _entry_bound(biases)
+        return [(rows.norm * c + b,) for (c,) in vecs]
+
+    def attend(qs, ks, vs, layer, head, causal):
+        ((c_q,),), ((c_k,),), ((c_v,),) = qs, ks, vs  # one position
+        records[layer, head] = c_q, c_k, c_v
+        return vs
+
+    def layernorm(x, ln, layer, site):
+        records[layer, site] = x[0]
+        return (_ln_bound(x[0], ln),)
+
+    total = lambda vectors: (rat_sum([c for (c,) in vectors]),)
+    return Backend(lambda vec: vec, matmul, total, lambda u, v: (u[0] + v[0],), attend, layernorm)
+
+
+def _magnitudes(compiled: Model) -> dict:
+    """The records of `_magnitude_backend` over one position whose bound
+    covers every token embedding plus position vector."""
+    c_in = max(map(_entry_bound, compiled.token_embeddings.values()), default=RAT_ZERO)
+    records: dict = {}
+    forward(compiled, [(c_in + _position_bound(compiled),)], _magnitude_backend(records))
+    return records
 
 
 def _ln_bound(c_in: Rat, ln: LayerNorm) -> Rat:
@@ -216,49 +215,47 @@ def plan_budget(model: Model, n: int, epsilon: Rat) -> ErrorBudget:
         raise DomainError("epsilon must be > 0")
     if n < 1:
         raise DomainError("n must be >= 1")
-    bounds = _forward_bounds(model)
+    compiled = compile_rows(model)
+    bounds = _magnitudes(compiled)
     budget = ErrorBudget(epsilon=epsilon, n=n)
 
-    rho_head = RAT_ZERO
-    for x in model.output_head.weights:
-        rho_head = rho_head + abs(x)
     budget.stage_tolerances[("output",)] = epsilon
-    tol: Tol = _t_div(epsilon * RAT_HALF, rho_head)
+    tol: Tol = _t_div(epsilon * RAT_HALF, compiled.output_head.weights.norm)
 
-    for li in range(len(model.layers) - 1, -1, -1):
-        layer = model.layers[li]
-        info = bounds[li]
+    for li in range(len(compiled.layers) - 1, -1, -1):
+        layer = compiled.layers[li]
         budget.stage_tolerances[("layer", li, "out")] = tol
         if layer.layernorm_ffnn is not None:
-            tol = _ln_walk(tol, info["pre_ln_ffnn"], layer.layernorm_ffnn, ("layer", li, "ln_ffnn"), budget)
+            tol = _ln_walk(tol, bounds[li, "ln_ffnn"], layer.layernorm_ffnn, ("layer", li, "ln_ffnn"), budget)
         if layer.residual_ffnn:
             t_resid = _t_half(tol)
             t_ffnn = _t_half(tol)
         else:
             t_resid, t_ffnn = None, tol
-        rho_ffnn = info["n_w2"] * info["n_w1"]
+        rho_ffnn = layer.ffnn.w2.norm * layer.ffnn.w1.norm
         tol = _t_min(t_resid, _t_div(t_ffnn, rho_ffnn))
         budget.stage_tolerances[("layer", li, "ffnn_in")] = tol
         if layer.layernorm_attn is not None:
-            tol = _ln_walk(tol, info["attn_out"], layer.layernorm_attn, ("layer", li, "ln_attn"), budget)
+            tol = _ln_walk(tol, bounds[li, "ln_attn"], layer.layernorm_attn, ("layer", li, "ln_attn"), budget)
         budget.stage_tolerances[("layer", li, "attn_out")] = tol
 
         shares = len(layer.heads) + (1 if layer.residual_attn else 0)
         slice_tol = None if tol is None else tol / Rat(shares)
         t_x = slice_tol if layer.residual_attn else None
-        for hi, hb in enumerate(info["heads"]):
-            t_u = _t_div(slice_tol, hb["n_o"])
+        for hi, head in enumerate(layer.heads):
+            c_q, c_k, c_v = bounds[li, hi]
+            t_u = _t_div(slice_tol, head.w_o.norm)
             # context error <= n * dalpha * c_v + dvalue (weights sum to exactly 1)
             eps_alpha = None
-            if t_u is not None and hb["c_v"].num != 0:
-                eps_alpha = _t_half(t_u) / (Rat(n) * hb["c_v"])
+            if t_u is not None and c_v.num != 0:
+                eps_alpha = _t_half(t_u) / (Rat(n) * c_v)
             delta_sm = softmax_delta(eps_alpha) if eps_alpha is not None else RAT_HALF
             budget.site_deltas[("layer", li, "head", hi, "softmax")] = delta_sm
-            rho_score = Rat(model.dim) * (hb["c_q"] * hb["n_k"] + hb["c_k"] * hb["n_q"])
+            rho_score = Rat(model.dim) * (c_q * head.w_k.norm + c_k * head.w_q.norm)
             if rho_score.num != 0:
                 rho_score = rho_score + RAT_ONE  # absorbs the second-order dq*dk term
             t_x_score = _t_div(delta_sm if eps_alpha is not None else None, rho_score)
-            t_x_value = _t_div(_t_half(t_u), hb["n_v"])
+            t_x_value = _t_div(_t_half(t_u), head.w_v.norm)
             t_x = _t_min(t_x, t_x_score, t_x_value)
         tol = _t_min(t_x, RAT_ONE)
         budget.stage_tolerances[("layer", li, "input")] = tol

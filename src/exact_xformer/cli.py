@@ -312,20 +312,7 @@ def _cmd_bitgrowth(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
     elapsed = time.perf_counter() - started
 
     if args.json:
-        payload = {
-            "command": "bitgrowth",
-            "model": args.model,
-            "rows": [
-                {
-                    "embedding_bits": list(row["embedding_bits"]),
-                    "layer_bits": [list(pair) for pair in row["layer_bits"]],
-                    "max_bits": row["max_bits"],
-                    "n": row["n"],
-                }
-                for row in rows
-            ],
-            "slope": slope,
-        }
+        payload = {"command": "bitgrowth", "model": args.model, "rows": rows, "slope": slope}
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(f"model: {args.model}")

@@ -16,7 +16,8 @@ smat_budgeted exact rationals except exp and inverse-sqrt, each approximated
               lands within a caller-chosen epsilon of the exact real value.
 
 This module holds the first two; budget.py builds the third on `forward`
-and `exact_backend`.  Recognition follows the strict-sign convention:
+and `exact_backend`, and plans its budgets on `forward` too, with a backend
+whose vectors are magnitude bounds.  Recognition follows the strict-sign convention:
 positive output accepts, negative rejects, exact zero is a tie.
 
 `forward` runs each stage over the whole sequence: one `matmul` call per
@@ -72,8 +73,9 @@ class Backend(NamedTuple):
     """The arithmetic `forward` runs on.  No step mutates a vector it is
     given or has returned: a vector may be shared between positions and
     stages (ahat hands an identity matrix's inputs back as its outputs).
-    A vector is a list of floats, or the exact modes' (ints, D) pair; the
-    tuple of either is a dict key.
+    A vector is a list of floats, the exact modes' (ints, D) pair, or a
+    budget plan's one-entry (c,) with c >= every |entry|; the tuple of each
+    is a dict key.
 
     relu(vec)               each entry kept where positive, else zero
     matmul(rows, vecs, biases=None)  for each vector v of vecs, [row . v

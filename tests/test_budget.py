@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from exact_xformer import (
     DomainError,
     Rat,
+    eval_ahat,
     eval_budgeted,
     eval_smat_pbit,
     load_model,
@@ -32,7 +33,8 @@ from exact_xformer.budget import (
     softmax_delta,
     sqrt_bounds,
 )
-from exact_xformer.evaluator import _compile_matrix
+from exact_xformer import budget, evaluator
+from exact_xformer.evaluator import _compile_matrix, compile_rows
 from exact_xformer.model_ir import LayerNorm
 from exact_xformer.pfloat import float_to_rat
 
@@ -187,6 +189,82 @@ def test_plan_budget_tightens_with_epsilon():
     tight = plan_budget(m, 4, Rat(1, 1 << 32))
     key = ("layer", 0, "head", 0, "softmax")
     assert tight.site_deltas[key] < loose.site_deltas[key]
+
+
+def _within(vec, c):
+    """Every entry of the exact vector (ints, D) is at most c in magnitude."""
+    ints, d = vec
+    return max(map(abs, ints)) * c.den <= c.num * d
+
+
+def _checking(backend, records, checks):
+    """backend whose attend and layernorm first check every input vector
+    against the magnitude pass's records, appending one bool per vector."""
+
+    def attend(qs, ks, vs, layer, head, causal):
+        for vecs, c in zip((qs, ks, vs), records[layer, head]):
+            checks.extend(_within(vec, c) for vec in vecs)
+        return backend.attend(qs, ks, vs, layer, head, causal)
+
+    def layernorm(x, ln, layer, site):
+        checks.append(_within(x, records[layer, site]))
+        return backend.layernorm(x, ln, layer, site)
+
+    return backend._replace(attend=attend, layernorm=layernorm)
+
+
+def _tight_model(kind):
+    """Every weight 1/2, every bias 1, every embedding (1, 1): each vector's
+    entries are equal and meet the magnitude pass's bound exactly."""
+    half = [["1/2", "1/2"], ["1/2", "1/2"]]
+    heads = [{"kind": kind, "masking": m, "w_q": half, "w_k": half, "w_v": half, "w_o": half} for m in ("causal", "none")]
+    layer = {
+        "heads": heads,
+        "ffnn": {"activation": "relu", "w1": half, "b1": ["1", "1"], "w2": half, "b2": ["1", "1"]},
+        "layernorm_attn": None,
+        "layernorm_ffnn": None,
+        "residual_attn": True,
+        "residual_ffnn": True,
+    }
+    doc = {
+        "format_version": 1,
+        "alphabet": ["0", "1"],
+        "dim": 2,
+        "token_embeddings": {"0": ["1", "1"], "1": ["1", "1"]},
+        "position_rule": {"kind": "none"},
+        "layers": [layer, layer],
+        "output_head": {"weights": ["1", "1"], "bias": "0"},
+    }
+    return parse_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize("kind", ["softmax", "average_hard"])
+def test_magnitude_bounds_cover_evaluated_vectors(kind, monkeypatch):
+    # Every q, k and v vector an attend step is given, and every layernorm
+    # input, lies within the bound that plan_budget's magnitude pass records
+    # for it: budgeted at 2^-16 (weights nonnegative with sum exactly 1, the
+    # approximate 1/sqrt within the 1.5x that _ln_bound allows) and ahat.
+    # The tight model's vectors meet their bounds, so any smaller bound fails.
+    records, checks = {}, []
+    if kind == "softmax":
+        made = budget.exact_backend
+        monkeypatch.setattr(budget, "exact_backend", lambda *steps: _checking(made(*steps), records, checks))
+        run, layernorms, lengths = (lambda model, w: eval_budgeted(model, w, EPS16)), (False, True), (1, 2, 4)
+    else:
+        monkeypatch.setattr(evaluator, "_AHAT", _checking(evaluator._AHAT, records, checks))
+        run, layernorms, lengths = eval_ahat, (False,), (1, 2, 4, 8, 16)
+    rng = random.Random(f"magnitudes:{kind}")
+    models = [_tight_model(kind)]
+    for layers in (1, 2, 3):
+        for masking in ("none", "causal", "mixed"):
+            for layernorm in layernorms:
+                models.append(parse_model(zoo.to_text(zoo.random_model(rng, kind, layers, masking, layernorm))))
+    for model in models:
+        records.clear()
+        records.update(budget._magnitudes(compile_rows(model)))
+        for n in lengths:
+            run(model, zoo.random_word(rng, n))
+    assert len(checks) > 1000 and all(checks)
 
 
 # --- budgeted primitives --------------------------------------------------------------

@@ -21,6 +21,15 @@ def test_readme_export_list_is_all():
     assert sorted(listed) == sorted(exact_xformer.__all__)
 
 
+def test_readme_layout_names_every_module():
+    text = README.read_text()
+    start = text.index("```", text.index("## Layout"))
+    block = text[start : text.index("```", start + 3)]
+    listed = re.findall(r"^  (\w+\.py) ", block, re.M)
+    package = Path(exact_xformer.__file__).parent
+    assert sorted(listed) == sorted(p.name for p in package.glob("*.py") if p.name != "__init__.py")
+
+
 def test_backend_docstring_names_every_field():
     # entries start a line of the cleaned docstring; continuations are indented
     body = inspect.cleandoc(Backend.__doc__).split("\n\n", 1)[1]

@@ -579,7 +579,8 @@ def test_majority_attends_once_per_word(monkeypatch, majority):
 
 
 def _counting_matmuls(monkeypatch) -> list:
-    """Record (model, matmul calls) for every `forward` call, budgeted's too."""
+    """Record (model, matmul calls) for every `forward` call, budgeted's
+    two (its budget plan's magnitude pass, then its evaluation) too."""
     calls, forward = [], evaluator.forward
 
     def counting_forward(model, xs, backend):
@@ -613,7 +614,7 @@ def test_forward_makes_one_matmul_per_weight_matrix(monkeypatch, majority, n):
             else:
                 eval_smat_pbit(model, word, 24)
                 budget.eval_budgeted(model, word, Rat(1, 1 << 16))
-    assert len(calls) == 7
+    assert len(calls) == 9
     for model, count in calls:
         assert count == sum(4 * len(layer.heads) + 2 for layer in model.layers) + 1
 
