@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 
 from .elementary import rat_exp_approx, rat_floor_log2, rat_sqrt_approx
 from .errors import DomainError
-from .evaluator import Backend, check_heads, compile_rows, embed_input, exact_backend, forward
+from .evaluator import Backend, EvalTrace, check_heads, compile_rows, embed_input, exact_backend, forward
 from .model_ir import LayerNorm, Model
 from .rational import RAT_ONE, RAT_ZERO, Rat, rat_max, rat_sum
 
@@ -53,6 +53,12 @@ class ErrorBudget:
     n: int
     site_deltas: dict[tuple, Rat] = field(default_factory=dict)
     stage_tolerances: dict[tuple, Tol] = field(default_factory=dict)
+
+    def to_json_dict(self) -> dict:
+        """Both dicts under dotted keys ("layer.0.out"), each value a
+        rational string, or None for an unconstrained stage."""
+        dotted = lambda d: {".".join(map(str, k)): None if v is None else str(v) for k, v in d.items()}
+        return {"site_deltas": dotted(self.site_deltas), "stage_tolerances": dotted(self.stage_tolerances)}
 
 
 class Decision(Enum):
@@ -325,8 +331,8 @@ def _round_to_grid(x: Rat, g: int) -> Rat:
     return Rat(((x.num << (g + 1)) + x.den) // (2 * x.den), 1 << g)
 
 
-def _eval_planned(model: Model, w: str, epsilon: Rat) -> tuple[Rat, ErrorBudget]:
-    """eval_budgeted's output together with the one budget planned for it.
+def _eval_planned(model: Model, w: str, epsilon: Rat) -> tuple[Rat, EvalTrace]:
+    """eval_budgeted's output and its trace, with the one budget planned for it.
 
     The exact forward value is within epsilon/2 of the truth (the planned
     share); rounding it to the 2^-g grid, 2^-g <= epsilon, costs at most
@@ -334,6 +340,7 @@ def _eval_planned(model: Model, w: str, epsilon: Rat) -> tuple[Rat, ErrorBudget]
     below the point.
     """
     check_heads(model, "softmax", "the budgeted contract covers softmax heads")
+    compiled = compile_rows(model)
     xs = embed_input(model, w)
     budget = plan_budget(model, len(xs), epsilon)
     deltas = budget.site_deltas
@@ -341,8 +348,8 @@ def _eval_planned(model: Model, w: str, epsilon: Rat) -> tuple[Rat, ErrorBudget]
         lambda scores, li, hi: softmax_budgeted(scores, deltas[("layer", li, "head", hi, "softmax")]),
         lambda x, ln, li, site: layernorm_budgeted(x, ln, deltas[("layer", li, site)]),
     )
-    (num,), den = forward(compile_rows(model), xs, backend)[0]
-    return _round_to_grid(Rat(num, den), _bits_for(epsilon)), budget
+    ((num,), den), states = forward(compiled, xs, backend)
+    return _round_to_grid(Rat(num, den), _bits_for(epsilon)), EvalTrace(xs, states, budget)
 
 
 def margin_recognize(model: Model, w: str, epsilon_margin: Rat) -> Decision:

@@ -11,7 +11,9 @@ and undecided outcomes (overflow, a value past the int-string limit, tie,
 below-margin).
 
 JSON output (--json) is byte-deterministic for fixed inputs: keys are
-sorted and no timing information is included.  Human output may include
+sorted and no timing information is included.  --trace adds one trace in
+every mode: the widths of the embedded inputs and of each layer's outputs
+(evaluator.EvalTrace), and in budgeted mode the budget plan.  Human output may include
 elapsed time.  Decimal renderings of values are advisory; the rational
 strings and float triples are the normative values.
 """
@@ -26,7 +28,7 @@ from typing import Optional
 
 from .budget import _eval_planned
 from .errors import DomainError, EvalModeError, FloatRangeError, ModelLoadError
-from .evaluator import bit_growth_trace, eval_ahat, eval_smat_pbit, fit_loglog_slope
+from .evaluator import _eval_smat, bit_growth_trace, eval_ahat, fit_loglog_slope
 from .model_ir import BUILTIN_MODELS, load_model
 from .pfloat import PFloat, decimal_str, round_p
 from .rational import Rat
@@ -63,10 +65,6 @@ def _value_human(value) -> str:
     return f"{value} (~ {_decimal_of_rat(value)})"
 
 
-def _site_key(key: tuple) -> str:
-    return ".".join(str(part) for part in key)
-
-
 def _parse_rat_arg(parser: argparse.ArgumentParser, text: str, flag: str) -> Rat:
     try:
         return Rat.from_string(text)
@@ -96,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_eval.add_argument("--precision", type=int, help="significand bits (smat mode)")
     p_eval.add_argument("--epsilon", help="output error budget, a rational (budgeted mode)")
-    p_eval.add_argument("--trace", action="store_true", help="include evaluation diagnostics")
+    p_eval.add_argument("--trace", action="store_true", help="add operand widths per layer, in every mode (and the budget plan)")
     p_eval.add_argument("--json", action="store_true", help="machine-readable output")
 
     p_verify = sub.add_parser("verify", help="run property suites")
@@ -186,31 +184,13 @@ def _cmd_eval(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         return EXIT_USAGE
 
     started = time.perf_counter()
-    trace_info: Optional[dict] = None
     try:
         if args.mode == "ahat":
             value, trace = eval_ahat(model, args.input)
-            if args.trace:
-                trace_info = {
-                    "embedding_bits": list(trace.embedding_bits),
-                    "layer_bits": [list(pair) for pair in trace.layer_bits],
-                }
         elif args.mode == "smat":
-            value = eval_smat_pbit(model, args.input, args.precision)
-            if args.trace:
-                trace_info = {"precision": args.precision}
+            value, trace = _eval_smat(model, args.input, args.precision)
         else:
-            value, budget = _eval_planned(model, args.input, eps)
-            if args.trace:
-                trace_info = {
-                    "site_deltas": {
-                        _site_key(k): str(v) for k, v in budget.site_deltas.items()
-                    },
-                    "stage_tolerances": {
-                        _site_key(k): (None if v is None else str(v))
-                        for k, v in budget.stage_tolerances.items()
-                    },
-                }
+            value, trace = _eval_planned(model, args.input, eps)
     except (EvalModeError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -218,6 +198,7 @@ def _cmd_eval(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RANGE
     elapsed = time.perf_counter() - started
+    trace_info = trace.to_json_dict() if args.trace else None
 
     if value.sign > 0:
         decision = "accept"

@@ -50,8 +50,10 @@ row dots at all: one shared zero vector, or the input vectors themselves.
 ahat's attention scores are integer numerators over one shared positive
 denominator, which is all `ahardmax_weights` needs to compare them;
 budgeted scores each key over its own denominator, and its normalizer and
-layernorm take and return Rats.  Rats are made only there, at the output
-head, and for the widths that `EvalTrace` reads.
+layernorm take and return Rats.  Rats are made only there and at the
+output head.  Every mode's run makes an `EvalTrace` of its embedded inputs
+and the layer outputs `forward` returns; the widths that `EvalTrace` reads
+come off their integers, in either vector form, and only when asked.
 """
 
 from __future__ import annotations
@@ -340,12 +342,14 @@ def exact_backend(normalize: Callable, layernorm: Callable) -> Backend:
 
 
 class EvalTrace:
-    """Operand widths of an exact run, as (max numerator bits, max denominator
-    bits) of the canonical entries: of the embedded inputs and of each
-    layer's outputs.  Each is computed when first read."""
+    """A run's operand widths, as (max numerator bits, max denominator bits)
+    of the canonical rationals of the entries, at least (1, 1): of the
+    embedded inputs and of each layer's outputs.  An entry is x/D of an
+    exact vector (ints, D), or m * 2^e of a p-bit vector's PFloat.  Each is
+    computed when first read.  A budgeted run keeps its ErrorBudget."""
 
-    def __init__(self, inputs: list[tuple], states: list[list[tuple]]):
-        self._inputs, self._states = inputs, states
+    def __init__(self, inputs: list, states: list[list], budget=None):
+        self._inputs, self._states, self.budget = inputs, states, budget
 
     @cached_property
     def embedding_bits(self) -> tuple[int, int]:
@@ -355,13 +359,18 @@ class EvalTrace:
     def layer_bits(self) -> list[tuple[int, int]]:
         return [_bits_of(s) for s in self._states]
 
-    def __repr__(self) -> str:
-        return f"EvalTrace(embedding_bits={self.embedding_bits!r}, layer_bits={self.layer_bits!r})"
+    def to_json_dict(self) -> dict:
+        out = {"embedding_bits": list(self.embedding_bits), "layer_bits": [list(b) for b in self.layer_bits]}
+        return out if self.budget is None else {**out, **self.budget.to_json_dict()}
 
 
-def _bits_of(vecs: Sequence[tuple]) -> tuple[int, int]:
+def _bits_of(vecs: Sequence) -> tuple[int, int]:
     nm = dn = 1
-    for ints, d in vecs:
+    for vec in vecs:
+        if not isinstance(vec, tuple):  # PFloats: m * 2^e over one D = 2^s
+            s = max(0, *[-f.e for f in vec])
+            vec = [f.m << (f.e + s) for f in vec], 1 << s
+        ints, d = vec
         for x in ints:
             g = gcd(x, d)
             nm = max(nm, (abs(x) // g).bit_length())
@@ -372,11 +381,11 @@ def _bits_of(vecs: Sequence[tuple]) -> tuple[int, int]:
 def embed_input(model: Model, w: str) -> list[tuple]:
     """Token embedding plus positional vector for each 1-based position, as
     vectors in the exact form; with no position rule, the token embedding's
-    vector, compiled with the model (`compile_rows`)."""
+    vector, read off the model's compile (`compile_rows`) once it has one."""
     if not w:
         raise DomainError("input string must be nonempty")
     n, emb, rule = len(w), model.token_embeddings, model.position_rule
-    vecs = compile_rows(model).token_embeddings if rule.kind == "none" else None
+    vecs = model.compiled.token_embeddings if rule.kind == "none" and model.compiled is not None else None
     out = []
     for i, sym in enumerate(w, start=1):
         if sym not in emb:
@@ -435,9 +444,8 @@ def compile_rows(model: Model) -> Model:
     """The model with every weight matrix _Compiled (the output head's as a
     one-row matrix), and each bias and token embedding in the vector form
     (a zero bias is None; layernorm parameters stay rationals).  The first
-    call, an exact evaluation or embed_input on a model with no position
-    rule, keeps it with the model (Model.compiled) for the next; it checks
-    no heads."""
+    call, a model's first exact evaluation or budget plan, keeps it with
+    the model (Model.compiled) for the next; it checks no heads."""
     compiled = model.compiled
     if compiled is None:
         compiled = _map_params(model, _compile_matrix, _bias, _same, _same, _vector)
@@ -522,12 +530,17 @@ def _pbit_backend(p: int) -> Backend:
     )
 
 
-def eval_smat_pbit(model: Model, w: str, p: int) -> PFloat:
-    """Softmax-attention evaluation where every primitive is a p-bit op."""
+def _eval_smat(model: Model, w: str, p: int) -> tuple[PFloat, EvalTrace]:
     check_heads(model, "softmax", "smat_pbit needs softmax")
     rounded = round_model(model, p)
     xs = [[round_p(Rat(x, d), p) for x in ints] for ints, d in embed_input(model, w)]
-    return forward(rounded, xs, _pbit_backend(p))[0][0]
+    (value,), states = forward(rounded, xs, _pbit_backend(p))
+    return value, EvalTrace(xs, states)
+
+
+def eval_smat_pbit(model: Model, w: str, p: int) -> PFloat:
+    """Softmax-attention evaluation where every primitive is a p-bit op."""
+    return _eval_smat(model, w, p)[0]
 
 
 # --------------------------------------------------------------------------
@@ -548,12 +561,9 @@ def bit_growth_trace(model: Model, lengths: Sequence[int]) -> list[dict]:
             raise DomainError("lengths must be >= 1")
         cycled = "".join(model.alphabet[i % len(model.alphabet)] for i in range(n))
         uniform = model.alphabet[-1] * n
-        per_layer = [(1, 1)] * len(model.layers)
-        emb_bits = (1, 1)
-        for s in (cycled, uniform):
-            _, trace = eval_ahat(model, s)
-            emb_bits = tuple(map(max, emb_bits, trace.embedding_bits))
-            per_layer = [tuple(map(max, a, b)) for a, b in zip(per_layer, trace.layer_bits)]
+        a, b = (eval_ahat(model, s)[1] for s in (cycled, uniform))
+        emb_bits = tuple(map(max, a.embedding_bits, b.embedding_bits))
+        per_layer = [tuple(map(max, x, y)) for x, y in zip(a.layer_bits, b.layer_bits)]
         peak = max([max(emb_bits)] + [max(t) for t in per_layer])
         rows.append({"n": n, "embedding_bits": emb_bits, "layer_bits": per_layer, "max_bits": peak})
     return rows

@@ -80,6 +80,33 @@ def test_eval_budgeted_with_trace(capsys):
     assert "layer.0.head.0.softmax" in doc["trace"]["site_deltas"]
 
 
+@pytest.mark.parametrize(
+    "model, mode, extra",
+    [
+        ("majority", "ahat", ()),
+        ("softmax-uniform", "smat", ("--precision", "24")),
+        ("softmax-uniform", "budgeted", ("--epsilon", "1/65536")),
+    ],
+)
+def test_eval_trace_has_one_schema(capsys, model, mode, extra):
+    argv = ("eval", "--model", model, "--input", "1101", "--mode", mode, *extra, "--json")
+    code, plain, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "") and "trace" not in json.loads(plain)
+    code, out, err = run_cli(capsys, *argv, "--trace")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    trace = doc.pop("trace")
+    assert doc == json.loads(plain)  # --trace adds the trace and nothing else
+    # every mode reports the widths; budgeted adds its plan, smat nothing
+    budget_keys = {"site_deltas", "stage_tolerances"} if mode == "budgeted" else set()
+    assert set(trace) == {"embedding_bits", "layer_bits"} | budget_keys
+    for pair in [trace["embedding_bits"], *trace["layer_bits"]]:
+        assert len(pair) == 2 and all(isinstance(b, int) and b >= 1 for b in pair)
+    assert len(trace["layer_bits"]) == 1  # both models have one layer
+    code, human, _ = run_cli(capsys, *argv[:-1], "--trace")
+    assert code == 0 and sorted(l.split(":")[0] for l in human.splitlines() if l.startswith("trace.")) == sorted(f"trace.{k}" for k in trace)
+
+
 # the planned tolerances start from epsilon/2; the other half pays for
 # rounding the output to the epsilon grid
 BUDGETED_TRACE_JSON = """{
@@ -90,6 +117,16 @@ BUDGETED_TRACE_JSON = """{
   "mode": "budgeted",
   "model": "softmax-uniform",
   "trace": {
+    "embedding_bits": [
+      1,
+      1
+    ],
+    "layer_bits": [
+      [
+        2,
+        3
+      ]
+    ],
     "site_deltas": {
       "layer.0.head.0.softmax": "1/33554432"
     },

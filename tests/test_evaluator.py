@@ -309,6 +309,20 @@ def test_eval_ahat_keeps_no_compile_of_a_refused_model():
     assert model.compiled is None
 
 
+def test_smat_eval_compiles_nothing():
+    # smat rounds the model's own parameters; with no position rule its
+    # inputs come from the token embeddings, not from compiled exact rows
+    for model, word in ((load_model("softmax-uniform"), "1101"), (_letter_query_model("softmax"), "abcabbca")):
+        assert model.position_rule.kind == "none"
+        eval_smat_pbit(model, word, 24)
+        assert model.compiled is None
+    # an exact mode's compile, once made, gives the same smat value
+    model = load_model("softmax-uniform")
+    want = eval_smat_pbit(model, "1101", 24)
+    eval_budgeted(model, "1101", Rat(1, 64))
+    assert model.compiled is not None and eval_smat_pbit(model, "1101", 24) == want
+
+
 def test_a_filled_cache_skips_no_mode_check(majority):
     # each mode checks the heads before it reads the compile the other made
     uniform = load_model("softmax-uniform")
@@ -573,6 +587,64 @@ def test_majority_attends_once_per_word(monkeypatch, majority):
     calls = _counting_attends(monkeypatch)
     eval_ahat(majority, "110100101011011")
     assert calls == [(0, 0, 1, 15, False)]  # every query is zero
+
+
+# --- traces -------------------------------------------------------------------------
+
+
+def _fraction_bits(values) -> tuple[int, int]:
+    """(max numerator bits, max denominator bits), at least (1, 1), of
+    Fractions, which are canonical."""
+    values = list(values)
+    return max([1] + [abs(x.numerator).bit_length() for x in values]), max([1] + [x.denominator.bit_length() for x in values])
+
+
+exact_vectors = st.tuples(st.lists(st.integers(-(1 << 80), 1 << 80), min_size=1, max_size=4), st.integers(1, 1 << 80))
+
+
+@st.composite
+def pfloat_vectors(draw):
+    p = draw(st.integers(1, 64))
+    mag = st.integers(1 << (p - 1), (1 << p) - 1)
+    entry = st.one_of(st.just(PFloat.zero(p)), st.builds(lambda m, s, e: PFloat(s * m, e, p), mag, st.sampled_from((1, -1)), st.integers(-300, 300)))
+    return draw(st.lists(entry, min_size=1, max_size=4))
+
+
+def _exact_fractions(vec):
+    ints, d = vec
+    return [Fraction(x, d) for x in ints]
+
+
+def _float_fractions(vec):
+    return [Fraction(f.m) * Fraction(2) ** f.e for f in vec]
+
+
+@given(st.lists(exact_vectors, min_size=1, max_size=3), st.lists(st.lists(exact_vectors, min_size=1, max_size=3), max_size=3))
+def test_trace_widths_of_exact_vectors_match_fractions(inputs, states):
+    trace = evaluator.EvalTrace(inputs, states)
+    assert trace.embedding_bits == _fraction_bits(x for v in inputs for x in _exact_fractions(v))
+    assert trace.layer_bits == [_fraction_bits(x for v in s for x in _exact_fractions(v)) for s in states]
+
+
+@given(st.lists(pfloat_vectors(), min_size=1, max_size=3), st.lists(st.lists(pfloat_vectors(), min_size=1, max_size=3), max_size=3))
+def test_trace_widths_of_pfloat_vectors_match_fractions(inputs, states):
+    trace = evaluator.EvalTrace(inputs, states)
+    assert trace.embedding_bits == _fraction_bits(x for v in inputs for x in _float_fractions(v))
+    assert trace.layer_bits == [_fraction_bits(x for v in s for x in _float_fractions(v)) for s in states]
+
+
+def test_no_width_is_computed_unless_read(monkeypatch, majority, uniform):
+    def refuse(vecs):
+        raise AssertionError("a width was computed")
+
+    monkeypatch.setattr(evaluator, "_bits_of", refuse)
+    assert eval_ahat(majority, "1101")[0] == Rat(1, 4)
+    assert eval_smat_pbit(uniform, "1101", 24) == PFloat(8388608, -25, 24)
+    assert eval_budgeted(uniform, "1101", Rat(1, 1 << 16)) == Rat(1, 4)
+    traces = evaluator._eval_smat(uniform, "1101", 24)[1], budget._eval_planned(uniform, "1101", Rat(1, 1 << 16))[1]
+    for trace in (eval_ahat(majority, "1101")[1], *traces):
+        with pytest.raises(AssertionError, match="width"):
+            trace.layer_bits
 
 
 # --- matmul calls -------------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 
 from exact_xformer import Rat, eval_ahat, eval_budgeted, eval_smat_pbit
 from exact_xformer.budget import plan_budget
+from exact_xformer.evaluator import _eval_smat
 from exact_xformer.model_ir import (
     AttentionHead,
     FFNN,
@@ -83,6 +84,15 @@ SMAT = {
     ("bacaab", 53): (-8146595564546128, -52),
     ("cabbac", 24): (-15173768, -23),
     ("cabbac", 53): (-8146354737207753, -52),
+}
+
+# The smat trace's widths at p = 24, each checked against the canonical
+# Fractions of its floats' m * 2^e: numerators fill the 24-bit significand,
+# and the embedded inputs i/6 round to floats with more bits below the point.
+SMAT_TRACE = {
+    # word: (embedding_bits, layer_bits)
+    "bacaab": ((24, 27), [(24, 24), (24, 26)]),
+    "cabbac": ((24, 26), [(24, 24), (24, 26)]),
 }
 
 # p = 256 and 1024 on five-letter words: poly(n)-bit precision, where
@@ -165,6 +175,13 @@ def test_ahat_three_layers_inverse_index(word):
 def test_smat_two_layers_with_layernorm(word, p):
     value = eval_smat_pbit(_model(12, "softmax", 2, True), word, p)
     assert (value.m, value.e, value.p) == SMAT[word, p] + (p,)
+
+
+@pytest.mark.parametrize("word", sorted(SMAT_TRACE))
+def test_smat_two_layers_with_layernorm_trace(word):
+    value, trace = _eval_smat(_model(12, "softmax", 2, True), word, 24)
+    assert (value.m, value.e) == SMAT[word, 24]
+    assert (trace.embedding_bits, trace.layer_bits) == SMAT_TRACE[word]
 
 
 @pytest.mark.parametrize("word, p", sorted(SMAT_WIDE))
