@@ -238,6 +238,7 @@ def test_eval_exact_zero_is_tie_exit(capsys):
     )
     assert code == 3
     assert json.loads(out)["decision"] == "tie"
+    assert json.loads(out)["value"] == {"decimal_approx": "0", "rat": "0"}
 
 
 def test_eval_below_margin_exit(capsys):
@@ -250,6 +251,7 @@ def test_eval_below_margin_exit(capsys):
     )
     assert code == 3
     assert json.loads(out)["decision"] == "below_margin"
+    assert json.loads(out)["value"] == {"decimal_approx": "0", "rat": "0"}
 
 
 def test_eval_missing_mode_argument(capsys):

@@ -6,13 +6,25 @@ stored canonically, so equality is string equality).
 """
 
 import copy
+import hashlib
 import json
 import pickle
+import random
 
 import pytest
 
 from exact_xformer import DomainError, ModelLoadError, Rat, eval_ahat, load_model, parse_model, serialize_model
-from exact_xformer.model_ir import BUILTIN_MODELS, PositionRule, position_embedding
+from exact_xformer.model_ir import (
+    BUILTIN_MODELS,
+    FFNN,
+    AttentionHead,
+    Layer,
+    LayerNorm,
+    Model,
+    OutputHead,
+    PositionRule,
+    position_embedding,
+)
 
 
 @pytest.fixture()
@@ -34,6 +46,121 @@ def _expect_error(doc, path_prefix):
 def test_builtin_round_trip(name):
     text = serialize_model(load_model(name))
     assert serialize_model(parse_model(text)) == text
+
+
+# A corpus over every part of the format: each position kind, layernorm on
+# and off, param_bits set and unset, both activations, causal and unmasked
+# heads with two heads in one layer.  Parameters are seeded draws from a few
+# small rationals, so every entry fits in 4 bits.
+_RATS = tuple(Rat.from_string(t) for t in ("0", "1", "-1", "1/2", "-3/4", "2/3", "5", "-7/8", "1/3"))
+
+
+def _corpus_model(seed, dim, rule, layers, param_bits=None):
+    """`layers` lists (head (kind, masking) pairs, activation, hidden, ln_attn, ln_ffnn)."""
+    rng = random.Random(seed)
+
+    def vec(n):
+        return tuple(rng.choice(_RATS) for _ in range(n))
+
+    def mat(rows, cols):
+        return tuple(vec(cols) for _ in range(rows))
+
+    def ln(on):
+        return LayerNorm(vec(dim), vec(dim), rng.choice((Rat(1, 4), Rat(1), Rat(2, 3)))) if on else None
+
+    built = []
+    for i, (heads, activation, hidden, ln_attn, ln_ffnn) in enumerate(layers):
+        hs = tuple(AttentionHead(mat(dim, dim), mat(dim, dim), mat(dim, dim), mat(dim, dim), k, m) for k, m in heads)
+        ffnn = FFNN(mat(hidden, dim), vec(hidden), activation, mat(dim, hidden), vec(dim))
+        built.append(Layer(hs, ffnn, ln(ln_attn), ln(ln_ffnn), residual_attn=i % 2 == 0, residual_ffnn=True))
+    alphabet = ("a", "b", "c")
+    emb = {s: vec(dim) for s in alphabet}
+    return Model(alphabet, dim, emb, rule, tuple(built), OutputHead(vec(dim), rng.choice(_RATS)), param_bits)
+
+
+_AH, _SM = "average_hard", "softmax"
+CORPUS = {
+    "scaled-ln-bits": _corpus_model(
+        1, 3, PositionRule("scaled_index", coordinate=2), [(((_AH, "causal"), (_AH, "none")), "relu", 2, True, True)], 4
+    ),
+    "table-bits": _corpus_model(
+        2,
+        2,
+        PositionRule("table", n_max=3, vectors=((Rat(1), Rat(-1, 2)), (Rat(0), Rat(2, 3)), (Rat(5), Rat(0)))),
+        [(((_SM, "causal"), (_SM, "none")), "identity", 3, True, False)],
+        4,
+    ),
+    "inverse-2layer": _corpus_model(
+        3,
+        2,
+        PositionRule("inverse_index", coordinate=0),
+        [(((_AH, "none"),), "relu", 1, False, False), (((_AH, "causal"), (_AH, "causal")), "identity", 2, False, False)],
+    ),
+    "none-softmax-ln": _corpus_model(
+        4, 2, PositionRule("none"), [(((_SM, "none"),), "identity", 2, False, True), (((_SM, "causal"),), "relu", 3, True, False)]
+    ),
+}
+CORPUS_SHA256 = "5b3f6fc4d8e1f9f7353782440affed9ecc661c332e6a24babda04cc1b44ebd89"
+
+
+def test_corpus_bytes_pinned():
+    models = [BUILTIN_MODELS[name]() for name in sorted(BUILTIN_MODELS)] + [CORPUS[name] for name in sorted(CORPUS)]
+    text = "\n".join(serialize_model(m) for m in models)
+    assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_SHA256
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_corpus_round_trip(name):
+    text = serialize_model(CORPUS[name])
+    assert parse_model(text) == CORPUS[name]
+    assert serialize_model(parse_model(text)) == text
+
+
+def _parts(doc):
+    """(path, object) for every object of a model document but the embeddings."""
+    yield "", doc
+    yield "position_rule", doc["position_rule"]
+    yield "output_head", doc["output_head"]
+    for i, layer in enumerate(doc["layers"]):
+        yield f"layers[{i}]", layer
+        yield f"layers[{i}].ffnn", layer["ffnn"]
+        for j, head in enumerate(layer["heads"]):
+            yield f"layers[{i}].heads[{j}]", head
+        for ln in ("layernorm_attn", "layernorm_ffnn"):
+            if layer[ln] is not None:
+                yield f"layers[{i}].{ln}", layer[ln]
+
+
+def _load_error(doc) -> str:
+    with pytest.raises(ModelLoadError) as exc_info:
+        parse_model(json.dumps(doc))
+    return str(exc_info.value)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_corpus_missing_and_unknown_keys(name):
+    doc = json.loads(serialize_model(CORPUS[name]))
+    for path, node in _parts(doc):
+        prefix = f"{path}: " if path else ""
+        for key in list(node):
+            value = node.pop(key)
+            if path == "" and key == "param_bits":
+                assert parse_model(json.dumps(doc)).param_bits is None
+            elif path == "position_rule" and key == "kind":
+                assert _load_error(doc) == "position_rule: expected an object with a 'kind' field"
+            else:
+                assert _load_error(doc) == f"{prefix}missing field {key!r}"
+            node[key] = value
+        node["extra"] = "0"
+        assert _load_error(doc) == (f"{path}.extra" if path else "extra") + ": unknown field"
+        del node["extra"]
+    assert serialize_model(parse_model(json.dumps(doc))) == serialize_model(CORPUS[name])
+
+
+def test_missing_field_names_its_part():
+    doc = json.loads(serialize_model(CORPUS["scaled-ln-bits"]))
+    del doc["layers"][0]["ffnn"]["b1"]
+    assert _load_error(doc) == "layers[0].ffnn: missing field 'b1'"
 
 
 def test_model_survives_pickle_and_deepcopy():
