@@ -46,8 +46,6 @@ def _int_str_limit() -> int:
 
 
 def _decimal_of_rat(r: Rat) -> str:
-    if r.num == 0:
-        return "0"
     return decimal_str(round_p(r, 64))
 
 

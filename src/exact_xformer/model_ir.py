@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable, Optional
 
 from .errors import DomainError, ModelLoadError
@@ -24,7 +24,13 @@ Matrix = tuple[Vector, ...]
 HEAD_KINDS = ("average_hard", "softmax")
 MASKINGS = ("none", "causal")
 ACTIVATIONS = ("relu", "identity")
-POSITION_KINDS = ("none", "scaled_index", "inverse_index", "table")
+_POSITION_KEYS = {
+    "none": ("kind",),
+    "scaled_index": ("kind", "coordinate"),
+    "inverse_index": ("kind", "coordinate"),
+    "table": ("kind", "n_max", "vectors"),
+}
+POSITION_KINDS = tuple(_POSITION_KEYS)
 FORMAT_VERSION = 1
 
 
@@ -94,6 +100,16 @@ class Model:
     compiled: Optional["Model"] = field(default=None, init=False, compare=False, repr=False)
 
 
+# The JSON keys of each part are its dataclass's init fields, for the parser
+# and the writer alike; the document adds format_version, and param_bits is
+# optional.  A position rule's keys are those of its kind.
+_KEYS = {
+    cls: tuple(f.name for f in fields(cls) if f.init)
+    for cls in (AttentionHead, FFNN, LayerNorm, Layer, OutputHead, Model)
+}
+_MODEL_KEYS = ("format_version",) + tuple(k for k in _KEYS[Model] if k != "param_bits")
+
+
 # --------------------------------------------------------------------------
 # parsing
 # --------------------------------------------------------------------------
@@ -154,12 +170,7 @@ def parse_model(text: str) -> Model:
         raise ModelLoadError("", f"invalid JSON: {exc}") from None
 
     probe = _Loader(None)
-    probe.keys(
-        doc,
-        "",
-        ("format_version", "alphabet", "dim", "token_embeddings", "position_rule", "layers", "output_head"),
-        ("param_bits",),
-    )
+    probe.keys(doc, "", _MODEL_KEYS, ("param_bits",))
     if doc["format_version"] != FORMAT_VERSION:
         raise ModelLoadError("format_version", f"unsupported version {doc['format_version']!r}")
 
@@ -196,7 +207,7 @@ def parse_model(text: str) -> Model:
     layers = tuple(_parse_layer(ld, node, f"layers[{i}]", dim) for i, node in enumerate(layers_node))
 
     head_node = doc["output_head"]
-    ld.keys(head_node, "output_head", ("weights", "bias"))
+    ld.keys(head_node, "output_head", _KEYS[OutputHead])
     output_head = OutputHead(
         ld.vector(head_node["weights"], "output_head.weights", dim),
         ld.rat(head_node["bias"], "output_head.bias"),
@@ -211,11 +222,10 @@ def _parse_position_rule(ld: _Loader, node, dim: int) -> PositionRule:
     kind = node["kind"]
     if kind not in POSITION_KINDS:
         raise ld.fail(f"{path}.kind", f"unknown kind {kind!r}")
+    ld.keys(node, path, _POSITION_KEYS[kind])
     if kind == "none":
-        ld.keys(node, path, ("kind",))
         return PositionRule("none")
     if kind == "table":
-        ld.keys(node, path, ("kind", "n_max", "vectors"))
         n_max = node["n_max"]
         if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
             raise ld.fail(f"{path}.n_max", "expected a positive integer")
@@ -224,7 +234,6 @@ def _parse_position_rule(ld: _Loader, node, dim: int) -> PositionRule:
             raise ld.fail(f"{path}.vectors", f"expected {n_max} vectors")
         table = tuple(ld.vector(v, f"{path}.vectors[{i}]", dim) for i, v in enumerate(vectors))
         return PositionRule("table", n_max=n_max, vectors=table)
-    ld.keys(node, path, ("kind", "coordinate"))
     coord = node["coordinate"]
     if not isinstance(coord, int) or isinstance(coord, bool) or not 0 <= coord < dim:
         raise ld.fail(f"{path}.coordinate", f"expected an index in [0, {dim})")
@@ -232,11 +241,7 @@ def _parse_position_rule(ld: _Loader, node, dim: int) -> PositionRule:
 
 
 def _parse_layer(ld: _Loader, node, path: str, dim: int) -> Layer:
-    ld.keys(
-        node,
-        path,
-        ("heads", "ffnn", "layernorm_attn", "layernorm_ffnn", "residual_attn", "residual_ffnn"),
-    )
+    ld.keys(node, path, _KEYS[Layer])
     heads_node = node["heads"]
     if not isinstance(heads_node, list) or not heads_node:
         raise ld.fail(f"{path}.heads", "expected a nonempty list")
@@ -255,7 +260,7 @@ def _parse_layer(ld: _Loader, node, path: str, dim: int) -> Layer:
 
 
 def _parse_head(ld: _Loader, node, path: str, dim: int) -> AttentionHead:
-    ld.keys(node, path, ("w_q", "w_k", "w_v", "w_o", "kind", "masking"))
+    ld.keys(node, path, _KEYS[AttentionHead])
     kind = node["kind"]
     if kind not in HEAD_KINDS:
         raise ld.fail(f"{path}.kind", f"unknown kind {kind!r}")
@@ -273,7 +278,7 @@ def _parse_head(ld: _Loader, node, path: str, dim: int) -> AttentionHead:
 
 
 def _parse_ffnn(ld: _Loader, node, path: str, dim: int) -> FFNN:
-    ld.keys(node, path, ("w1", "b1", "activation", "w2", "b2"))
+    ld.keys(node, path, _KEYS[FFNN])
     activation = node["activation"]
     if activation not in ACTIVATIONS:
         raise ld.fail(f"{path}.activation", f"unknown activation {activation!r}")
@@ -293,7 +298,7 @@ def _parse_ffnn(ld: _Loader, node, path: str, dim: int) -> FFNN:
 def _parse_layernorm(ld: _Loader, node, path: str, dim: int) -> Optional[LayerNorm]:
     if node is None:
         return None
-    ld.keys(node, path, ("gamma", "beta", "c"))
+    ld.keys(node, path, _KEYS[LayerNorm])
     c = ld.rat(node["c"], f"{path}.c")
     if c.num <= 0:
         raise ld.fail(f"{path}.c", "variance floor must be strictly positive")
@@ -309,68 +314,29 @@ def _parse_layernorm(ld: _Loader, node, path: str, dim: int) -> Optional[LayerNo
 # --------------------------------------------------------------------------
 
 
-def _vec(v: Vector) -> list[str]:
-    return [str(x) for x in v]
-
-
-def _mat(m: Matrix) -> list[list[str]]:
-    return [_vec(row) for row in m]
+def _doc(node):
+    """The JSON form of a model part: a Rat is its canonical string, a tuple
+    a list, and a dataclass its keys by name."""
+    if isinstance(node, Rat):
+        return str(node)
+    if isinstance(node, tuple):
+        return [_doc(x) for x in node]
+    if isinstance(node, dict):
+        return {k: _doc(v) for k, v in node.items()}
+    if isinstance(node, PositionRule):
+        return {k: _doc(getattr(node, k)) for k in _POSITION_KEYS[node.kind]}
+    if is_dataclass(node):
+        return {k: _doc(getattr(node, k)) for k in _KEYS[type(node)]}
+    return node
 
 
 def serialize_model(model: Model) -> str:
-    doc: dict = {
-        "format_version": FORMAT_VERSION,
-        "alphabet": list(model.alphabet),
-        "dim": model.dim,
-        "token_embeddings": {sym: _vec(model.token_embeddings[sym]) for sym in model.alphabet},
-        "position_rule": _rule_doc(model.position_rule),
-        "layers": [_layer_doc(layer) for layer in model.layers],
-        "output_head": {"weights": _vec(model.output_head.weights), "bias": str(model.output_head.bias)},
-    }
-    if model.param_bits is not None:
-        doc["param_bits"] = model.param_bits
+    """The canonical JSON text of a model, the form parse_model accepts."""
+    doc = _doc(model)
+    doc["format_version"] = FORMAT_VERSION
+    if model.param_bits is None:
+        del doc["param_bits"]
     return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def _rule_doc(rule: PositionRule) -> dict:
-    if rule.kind == "none":
-        return {"kind": "none"}
-    if rule.kind == "table":
-        return {"kind": "table", "n_max": rule.n_max, "vectors": [_vec(v) for v in rule.vectors]}
-    return {"kind": rule.kind, "coordinate": rule.coordinate}
-
-
-def _layer_doc(layer: Layer) -> dict:
-    return {
-        "heads": [
-            {
-                "w_q": _mat(h.w_q),
-                "w_k": _mat(h.w_k),
-                "w_v": _mat(h.w_v),
-                "w_o": _mat(h.w_o),
-                "kind": h.kind,
-                "masking": h.masking,
-            }
-            for h in layer.heads
-        ],
-        "ffnn": {
-            "w1": _mat(layer.ffnn.w1),
-            "b1": _vec(layer.ffnn.b1),
-            "activation": layer.ffnn.activation,
-            "w2": _mat(layer.ffnn.w2),
-            "b2": _vec(layer.ffnn.b2),
-        },
-        "layernorm_attn": _ln_doc(layer.layernorm_attn),
-        "layernorm_ffnn": _ln_doc(layer.layernorm_ffnn),
-        "residual_attn": layer.residual_attn,
-        "residual_ffnn": layer.residual_ffnn,
-    }
-
-
-def _ln_doc(ln: Optional[LayerNorm]) -> Optional[dict]:
-    if ln is None:
-        return None
-    return {"gamma": _vec(ln.gamma), "beta": _vec(ln.beta), "c": str(ln.c)}
 
 
 # --------------------------------------------------------------------------

@@ -7,11 +7,11 @@ Every operation here is the correctly rounded exact result, one core each:
 mul and div round once; every sum, f_add's two terms included, partitions
 its inputs into exponent blocks, adds the dominant nonzero block exactly,
 and rounds it once with the next nonzero block's sign breaking an exact
-tie; f_cmp is the sign of the rounded difference.  A dot product rounds
-each nonzero product once and block-sums the rounded products.
+tie.  A dot product rounds each nonzero product once and block-sums the
+rounded products.
 
 Layer 1: the rounding core, _round_pair, the one ties-to-even.
-Layer 2: two-ary ops and comparison, add and compare on layer 3's _sum_pairs.
+Layer 2: two-ary ops, add on layer 3's _sum_pairs.
 Layer 3: block summation and dot products, on plain (m, e) integer pairs.
 
 The public constructor checks its fields.  A result that comes out of
@@ -190,15 +190,6 @@ def f_neg(x: PFloat) -> PFloat:
     if x.m == 0:
         return x
     return PFloat(-x.m, x.e, x.p)
-
-
-def f_cmp(x: PFloat, y: PFloat) -> int:
-    """Exact comparison: -1, 0 or 1, the sign of the correctly rounded x - y,
-    which rounding keeps; the block sum never materializes 2^|e1 - e2|."""
-    p = _check_pair(x, y)
-    nz = [(m, e) for m, e in ((x.m, x.e), (-y.m, y.e)) if m]
-    m, _ = _sum_pairs([m for m, _ in nz], [e for _, e in nz], p)
-    return (m > 0) - (m < 0)
 
 
 # --------------------------------------------------------------------------

@@ -9,7 +9,8 @@ rounding uses float enumeration, summation uses the exact-rational total,
 exp uses a direct integer-fixpoint series enclosure (no range reduction, no
 log2 constant), sqrt uses integer square roots plus exact breakpoint
 squaring, and the two perturbation-lemma suites check their inequalities on
-rigorous interval enclosures.
+rigorous interval enclosures.  Monotonicity, of rounding and of exp, is
+checked on the floats' exact rationals, not on float comparison.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Optional
 from .budget import invsqrt_delta, softmax_delta, sqrt_bounds
 from .elementary import f_exp, f_sqrt
 from .errors import DomainError
-from .pfloat import PFloat, f_cmp, f_sum_blocks, f_sum_oracle, float_to_rat, partition_blocks, round_p
+from .pfloat import PFloat, f_sum_blocks, f_sum_oracle, float_to_rat, partition_blocks, round_p
 from .rational import RAT_ZERO, Rat, rat_sum
 
 SUITES = ("round", "sum", "exp", "sqrt", "softmax-delta", "invsqrt-delta")
@@ -268,9 +269,9 @@ def _run_round(p: int) -> SuiteResult:
         grid = [ra, mid - step, mid, mid + step, rb]
         outs = [round_p(v, p) for v in grid]
         for u, v in zip(outs, outs[1:]):
-            if f_cmp(u, v) > 0:
+            if float_to_rat(u) > float_to_rat(v):
                 res.failures.append(CaseFailure("not-monotone", f"{p}:{ra}", f"{u} > {v}"))
-        if prev_out is not None and f_cmp(prev_out, outs[0]) > 0:
+        if prev_out is not None and float_to_rat(prev_out) > float_to_rat(outs[0]):
             res.failures.append(CaseFailure("not-monotone", f"{p}:{ra}", "across gaps"))
         prev_out = outs[-1]
     return res
@@ -331,8 +332,8 @@ def _run_exp(p: int, cases: int, seed: int) -> SuiteResult:
             res.failures.append(CaseFailure("rel-error", tag, f"exp({x}) = {y} deviates"))
         if idx % 8 == 0:
             x2 = PFloat(_rand_sig(rng, p), rng.randint(-p - 2, top), p)
-            a, b = (x, x2) if f_cmp(x, x2) <= 0 else (x2, x)
-            if f_cmp(f_exp(a), f_exp(b)) > 0:
+            a, b = (x, x2) if float_to_rat(x) <= float_to_rat(x2) else (x2, x)
+            if float_to_rat(f_exp(a)) > float_to_rat(f_exp(b)):
                 res.failures.append(CaseFailure("not-monotone", tag, f"exp({a}) > exp({b})"))
     return res
 

@@ -27,7 +27,7 @@ from exact_xformer import (
     load_model,
     round_p,
 )
-from exact_xformer.pfloat import _ilog10, block_threshold, decimal_str, f_cmp, f_dot, f_neg, f_sum_oracle, float_to_rat
+from exact_xformer.pfloat import _ilog10, block_threshold, decimal_str, f_dot, f_neg, f_sum_oracle, float_to_rat
 
 
 def _frac(x: PFloat) -> Fraction:
@@ -333,28 +333,9 @@ def _gapped_pairs(draw, p):
 
 @pytest.mark.parametrize("p", [3, 53, 113])
 @given(data=st.data())
-def test_add_and_cmp_across_gaps(p, data):
+def test_add_across_gaps(p, data):
     x, y = data.draw(_gapped_pairs(p))
     assert f_add(x, y) == f_add(y, x) == f_sum_oracle([x, y])
-    fx, fy = _frac(x), _frac(y)
-    assert f_cmp(x, y) == (fx > fy) - (fx < fy)
-    assert f_cmp(y, x) == (fy > fx) - (fy < fx)
-
-
-# --- comparison -----------------------------------------------------------------
-
-
-def test_cmp_across_binades():
-    assert f_cmp(PFloat(-7, 10, 3), PFloat(4, -10, 3)) == -1
-    assert f_cmp(PFloat(4, -10, 3), PFloat(-7, 10, 3)) == 1
-    assert f_cmp(PFloat.zero(3), PFloat.zero(3)) == 0
-
-
-@given(any_p.flatmap(lambda p: st.tuples(_pfloats(p), _pfloats(p))))
-def test_cmp_matches_rational_order(pair):
-    x, y = pair
-    fx, fy = _frac(x), _frac(y)
-    assert f_cmp(x, y) == (fx > fy) - (fx < fy)
 
 
 # --- block threshold ----------------------------------------------------------------
