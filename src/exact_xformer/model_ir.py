@@ -5,7 +5,10 @@ string ("a", or "a/b" with b >= 2 and gcd 1).  Loading is strict: unknown
 fields, malformed or non-canonical rationals, shape mismatches, and a
 nonpositive layernorm floor are all rejected with the offending field path.
 An optional "param_bits" field restricts every parameter to numerator in
-[-2^bits, 2^bits) and denominator in [1, 2^bits).
+[-2^bits, 2^bits) and denominator in [1, 2^bits), checked by bit length, so
+a huge bits value costs nothing.  Each distinct literal string is checked
+once per document: its later occurrences share the first one's Rat, and a
+literal that fails is reported at its first occurrence.
 """
 
 from __future__ import annotations
@@ -118,6 +121,10 @@ _MODEL_KEYS = ("format_version",) + tuple(k for k in _KEYS[Model] if k != "param
 class _Loader:
     def __init__(self, param_bits: Optional[int]):
         self.param_bits = param_bits
+        # Every literal that has passed rat() in this document.  param_bits
+        # is fixed per document, so a literal that passes once passes
+        # everywhere, and a Rat is immutable, so one object serves each use.
+        self.seen: dict[str, Rat] = {}
 
     def fail(self, path: str, message: str) -> ModelLoadError:
         return ModelLoadError(path, message)
@@ -141,16 +148,27 @@ class _Loader:
             raise self.fail(path, str(exc)) from None
         if str(value) != node:
             raise self.fail(path, f"non-canonical rational {node!r}")
-        if self.param_bits is not None:
-            bound = 1 << self.param_bits
-            if not (-bound <= value.num < bound and value.den < bound):
-                raise self.fail(path, f"rational exceeds the {self.param_bits}-bit parameter range")
+        bits = self.param_bits
+        if bits is not None:
+            # -2^bits <= num < 2^bits and den < 2^bits, by bit length: ~num
+            # is -num - 1, and 2^bits itself is never built
+            num = value.num
+            if (num if num >= 0 else ~num).bit_length() > bits or value.den.bit_length() > bits:
+                raise self.fail(path, f"rational exceeds the {bits}-bit parameter range")
+        self.seen[node] = value
         return value
 
     def vector(self, node, path: str, dim: int) -> Vector:
         if not isinstance(node, list) or len(node) != dim:
             raise self.fail(path, f"expected a list of {dim} rationals")
-        return tuple(self.rat(v, f"{path}[{i}]") for i, v in enumerate(node))
+        seen = self.seen
+        out = []
+        for i, v in enumerate(node):
+            # a non-string, unhashable or not, never reaches the dict; a miss
+            # goes through rat() with its own path
+            value = seen.get(v) if isinstance(v, str) else None
+            out.append(value if value is not None else self.rat(v, f"{path}[{i}]"))
+        return tuple(out)
 
     def matrix(self, node, path: str, rows: int, cols: int) -> Matrix:
         if not isinstance(node, list) or len(node) != rows:

@@ -13,7 +13,17 @@ import random
 
 import pytest
 
-from exact_xformer import DomainError, ModelLoadError, Rat, eval_ahat, load_model, parse_model, serialize_model
+from exact_xformer import (
+    DomainError,
+    ModelLoadError,
+    Rat,
+    eval_ahat,
+    eval_budgeted,
+    eval_smat_pbit,
+    load_model,
+    parse_model,
+    serialize_model,
+)
 from exact_xformer.model_ir import (
     BUILTIN_MODELS,
     FFNN,
@@ -195,6 +205,16 @@ def test_load_model_unknown_builtin():
         load_model("no-such-model")
 
 
+def _get(doc, keys):
+    for key in keys:
+        doc = doc[key]
+    return doc
+
+
+def _set(doc, keys, value):
+    _get(doc, keys[:-1])[keys[-1]] = value
+
+
 # --- field-path errors ----------------------------------------------------------
 
 
@@ -246,17 +266,130 @@ def test_rejects_bad_param_bits(doc, bad):
 
 
 def test_param_bits_bounds_every_parameter(doc):
+    # at 4 bits: numerators in [-16, 16), denominators below 16
     doc["param_bits"] = 4
     parse_model(json.dumps(doc))  # all entries fit in 4 bits
-    doc["token_embeddings"]["1"][0] = "17"
-    _expect_error(doc, "token_embeddings.1[0]")
-    doc["token_embeddings"]["1"][0] = "1/17"
-    _expect_error(doc, "token_embeddings.1[0]")
+    for keys in (("token_embeddings", "1", 0), ("layers", 0, "heads", 0, "w_q", 1, 0), ("output_head", "bias")):
+        old = _get(doc, keys)
+        for text in ("-16", "15", "1/15", "-15/14"):
+            _set(doc, keys, text)
+            assert parse_model(json.dumps(doc)).param_bits == 4
+        path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys).lstrip(".")
+        for text in ("-17", "16", "17", "1/16", "-1/17"):
+            _set(doc, keys, text)
+            assert _load_error(doc) == f"{path}: rational exceeds the 4-bit parameter range"
+        _set(doc, keys, old)
+
+
+def test_huge_param_bits_parses_at_once(doc):
+    # the bound is checked by bit length: 2^(2^64) is never built
+    doc["param_bits"] = 2**64
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    model = parse_model(text)
+    assert model.param_bits == 2**64
+    assert serialize_model(model) == text
 
 
 def test_rejects_malformed_json():
     with pytest.raises(ModelLoadError):
         parse_model("{not json")
+
+
+# --- one check per distinct literal ---------------------------------------------
+
+
+def test_literals_are_checked_again_in_each_document(doc):
+    doc["token_embeddings"]["1"][0] = "16"
+    parse_model(json.dumps(doc))
+    doc["param_bits"] = 4
+    assert _load_error(doc) == "token_embeddings.1[0]: rational exceeds the 4-bit parameter range"
+
+
+def test_seen_literal_keeps_layernorm_floor_check():
+    doc = json.loads(serialize_model(CORPUS["scaled-ln-bits"]))
+    for text in ("0", "-7/8"):
+        assert text in _literals(doc["token_embeddings"])  # already seen as a weight
+        doc["layers"][0]["layernorm_attn"]["c"] = text
+        assert _load_error(doc) == "layers[0].layernorm_attn.c: variance floor must be strictly positive"
+
+
+def test_bad_literal_after_repeats_fails_at_its_index(doc):
+    for node in doc["layers"][0]["heads"][0].values():
+        if isinstance(node, list):
+            for row in node:
+                row[:] = ["1/2"] * len(row)
+    doc["layers"][0]["heads"][0]["w_v"][1][1] = "2/4"
+    assert _load_error(doc) == "layers[0].heads[0].w_v[1][1]: non-canonical rational '2/4'"
+
+
+@pytest.mark.parametrize("entry", [1, [], None, {}, True, 0.5])
+def test_non_string_among_repeats_fails_at_its_path(entry):
+    doc = json.loads(serialize_model(CORPUS["table-bits"]))
+    ffnn = doc["layers"][0]["ffnn"]
+    ffnn["b1"] = ["1/2", "1/2", entry]
+    assert _load_error(doc) == "layers[0].ffnn.b1[2]: rationals must be strings"
+    ffnn["b1"] = ["1/2", entry, "1/2"]
+    assert _load_error(doc) == "layers[0].ffnn.b1[1]: rationals must be strings"
+
+
+def test_first_out_of_range_occurrence_is_reported(doc):
+    doc["param_bits"] = 4
+    _set(doc, ("token_embeddings", "1", 1), "17")
+    _set(doc, ("layers", 0, "heads", 0, "w_k", 0, 0), "17")
+    assert _load_error(doc) == "token_embeddings.1[1]: rational exceeds the 4-bit parameter range"
+    _set(doc, ("token_embeddings", "1", 1), "0")
+    assert _load_error(doc) == "layers[0].heads[0].w_k[0][0]: rational exceeds the 4-bit parameter range"
+
+
+def _map_literals(node, f, key=None):
+    """Replace every rational literal of a model document by f(literal)."""
+    if isinstance(node, dict):
+        return {k: _map_literals(v, f, k) for k, v in node.items()}
+    if isinstance(node, list):
+        return node if key == "alphabet" else [_map_literals(v, f, key) for v in node]
+    if isinstance(node, str) and key not in ("kind", "masking", "activation"):
+        return f(node)
+    return node
+
+
+def _literals(doc) -> list[str]:
+    found = []
+    _map_literals(doc, found.append)
+    return found
+
+
+# Outputs of the two extremes, the same as when every literal was parsed on its own.
+_DISTINCT_AHAT = (
+    "35751716447913146163687798358412061386691373/28182409280372598939569512247397580800000",
+    "585643208240067386462948911430878205658863/461443110139505688161319236479795200000",
+)
+_EXTREMES = {
+    # every literal distinct: k/(k+1) for the k-th
+    "distinct": (_DISTINCT_AHAT, ((11348042, -19), (11348041, -19)), ("1418505/65536",) * 2),
+    # one literal fills every numeric field
+    "one": (("33/2", "33/2"), ((12582912, -22),) * 2, ("3", "3")),
+}
+
+
+@pytest.mark.parametrize("extreme", sorted(_EXTREMES))
+def test_memo_extremes_round_trip_and_evaluate(extreme):
+    ahat, smat, budgeted = _EXTREMES[extreme]
+    for name in ("inverse-2layer", "none-softmax-ln"):
+        ks = iter(range(1, 1000))
+        relabel = (lambda _: str(Rat(k := next(ks), k + 1))) if extreme == "distinct" else (lambda _: "1/2")
+        doc = _map_literals(json.loads(serialize_model(CORPUS[name])), relabel)
+        literals = _literals(doc)
+        assert len(set(literals)) == (len(literals) if extreme == "distinct" else 1)
+        text = json.dumps(doc, indent=2, sort_keys=True)
+        model = parse_model(text)
+        assert serialize_model(model) == text
+        for i, w in enumerate(("a", "cbbacab")):
+            if name == "inverse-2layer":
+                assert str(eval_ahat(model, w)[0]) == ahat[i]
+            else:
+                out = eval_smat_pbit(model, w, 24)
+                assert (out.m, out.e, out.p) == (*smat[i], 24)
+                assert str(eval_budgeted(model, w, Rat(1, 2**16))) == budgeted[i]
 
 
 # --- position rules -----------------------------------------------------------------
