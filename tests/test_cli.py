@@ -5,6 +5,7 @@ errors, 3 range/indeterminate outcomes (overflow, a value past the int-string
 limit, exact tie, below margin).
 """
 
+import hashlib
 import json
 import os
 import random
@@ -16,7 +17,7 @@ import mpmath
 import pytest
 
 from exact_xformer import Rat, budget, cli, serialize_model
-from exact_xformer.model_ir import FFNN, AttentionHead, Layer, Model, OutputHead, PositionRule
+from exact_xformer.model_ir import FFNN, AttentionHead, Layer, LayerNorm, Model, OutputHead, PositionRule
 from exact_xformer.verify import SUITES, SuiteResult
 
 
@@ -512,3 +513,156 @@ WITHOUT_NUMPY = "import sys; sys.modules['numpy'] = None; from exact_xformer imp
 def test_runs_without_numpy(argv):
     proc = _run_python("-c", WITHOUT_NUMPY, *argv.split())
     assert proc.returncode == 0, proc.stderr
+
+
+# --- pinned corpus ------------------------------------------------------------------
+
+
+def _corpus_model(seed: int, kind: str, layernorm: bool, rule: PositionRule) -> Model:
+    """One two-head layer (one causal head, one unmasked) over the letters
+    a and b, dim 3, with small parameters k/2^j drawn from `seed`."""
+    rng = random.Random(seed)
+
+    def vec(n):
+        return tuple(Rat(rng.randint(-3, 3), 1 << rng.randint(0, 2)) for _ in range(n))
+
+    def mat(rows, cols):
+        return tuple(vec(cols) for _ in range(rows))
+
+    def norm():
+        return LayerNorm(tuple(Rat(rng.randint(1, 4), 2) for _ in range(3)), vec(3), Rat(1, 2)) if layernorm else None
+
+    heads = tuple(AttentionHead(mat(3, 3), mat(3, 3), mat(3, 3), mat(3, 3), kind, m) for m in ("causal", "none"))
+    layer = Layer(heads, FFNN(mat(4, 3), vec(4), "relu", mat(3, 4), vec(3)), norm(), norm(), True, True)
+    return Model(("a", "b"), 3, {s: vec(3) for s in "ab"}, rule, (layer,), OutputHead(vec(3), vec(1)[0]))
+
+
+def _corpus_files(tmp_path) -> None:
+    """The model files the corpus reads: seeded models, a table-position model
+    (length 4 at most), a softmax model whose exp overflows at p = 3, an ahat
+    model whose exact output has 8,429 decimal digits, and broken documents."""
+    table = PositionRule("table", n_max=4, vectors=tuple((Rat(i, 4), Rat(0), Rat(1, i)) for i in range(1, 5)))
+    models = {
+        "soft-ln": _corpus_model(3, "softmax", True, PositionRule("scaled_index", 2)),
+        "soft": _corpus_model(4, "softmax", False, PositionRule("inverse_index", 1)),
+        "hard": _corpus_model(5, "average_hard", False, PositionRule("inverse_index", 2)),
+        "hard-table": _corpus_model(6, "average_hard", False, table),
+    }
+    for name, model in models.items():
+        (tmp_path / f"{name}.json").write_text(serialize_model(model))
+    (tmp_path / "hot.json").write_text(json.dumps(_one_softmax_head_doc()))
+    zero, big = ((Rat(0),),), (Rat(1 << 14000),)
+    head = AttentionHead(zero, zero, zero, zero, "average_hard", "none")
+    wide = Layer((head,), FFNN(zero, (Rat(0),), "relu", zero, (Rat(0),)), None, None, True, True)
+    model = Model(("a",), 1, {"a": big}, PositionRule("none"), (wide,), OutputHead(big, Rat(0)))
+    (tmp_path / "wide.json").write_text(serialize_model(model))
+    (tmp_path / "broken.json").write_text("{broken")
+    edits = {
+        "version": lambda d: d.update(format_version=2),
+        "head-kind": lambda d: d["layers"][0]["heads"][0].update(kind="bogus"),
+        "masking": lambda d: d["layers"][0]["heads"][0].update(masking="left"),
+        "activation": lambda d: d["layers"][0]["ffnn"].update(activation="tanh"),
+        "position-kind": lambda d: d.update(position_rule={"kind": "sinus"}),
+        "unknown-field": lambda d: d["layers"][0].update(extra=1),
+        "missing-field": lambda d: d["output_head"].pop("bias"),
+        "bad-rational": lambda d: d["output_head"].update(bias="2/4"),
+    }
+    for name, edit in edits.items():
+        doc = _one_softmax_head_doc()
+        edit(doc)
+        (tmp_path / f"bad-{name}.json").write_text(json.dumps(doc))
+
+
+def _cli_corpus() -> list[str]:
+    """Argument lines over every subcommand, output form and exit path."""
+    lines = []
+    evals = {
+        "majority": ["1101", "100", "10"],
+        "softmax-uniform": ["1101", "10"],
+        "inverse-index": ["1101"],
+        "@soft-ln": ["abba", "b"],
+        "@soft": ["aab"],
+        "@hard": ["abab", "a"],
+        "@hard-table": ["abb"],
+    }
+    modes = ["--mode ahat"] + [f"--mode smat --precision {p}" for p in (8, 24, 53)]
+    modes += [f"--mode budgeted --epsilon 1/{1 << k}" for k in (16, 64)]
+    for model, words in evals.items():
+        for word in words:
+            for mode in modes:
+                for flags in ("", " --json", " --trace", " --json --trace"):
+                    lines.append(f"eval --model {model} --input {word} {mode}{flags}")
+    for rest in ("--mode ahat", "--mode ahat --json", "--mode smat --precision 3", "--mode smat --precision 3 --json"):
+        lines += [f"eval --model @hot --input aa {rest}", f"eval --model @wide --input a {rest}"]
+    lines += [f"eval --model @{name} --input a --mode ahat" for name in (
+        "broken", "bad-version", "bad-head-kind", "bad-masking", "bad-activation",
+        "bad-position-kind", "bad-unknown-field", "bad-missing-field", "bad-bad-rational",
+    )]
+    lines += [
+        "eval --model no-such --input 1 --mode ahat",
+        "eval --model @ --input 1 --mode ahat --json",
+        "eval --model majority --input 10x --mode ahat",
+        "eval --model @hard-table --input abbab --mode ahat --json",
+        "eval --model majority --input 1 --mode smat",
+        "eval --model softmax-uniform --input 1 --mode smat --precision 0",
+        "eval --model softmax-uniform --input 1 --mode smat --precision 14285",
+        "eval --model softmax-uniform --input 1 --mode smat --precision 14285 --json",
+        "eval --model softmax-uniform --input 1 --mode budgeted",
+        "eval --model softmax-uniform --input 1 --mode budgeted --epsilon x",
+        "eval --model softmax-uniform --input 1 --mode budgeted --epsilon 0",
+        "eval --model softmax-uniform --input 1 --mode budgeted --epsilon -1/2 --json",
+        "eval --model softmax-uniform --input 1 --mode sideways",
+        "eval --model softmax-uniform --mode ahat",
+        "eval --model majority --input 1 --mode ahat --precision 8 --epsilon 1/2",
+    ]
+    for suite in SUITES:
+        for p in (1, 2, 3, 5, 17):
+            for flags in ("", " --json"):
+                lines.append(f"verify --suite {suite} --p {p} --cases 6 --seed 7{flags}")
+        lines.append(f"verify --suite {suite} --cases 4 --json")
+    lines += [
+        "verify --suite all --p 1 --cases 3",
+        "verify --suite all --p 4 --cases 3 --json",
+        "verify --suite all --cases 2 --seed 9 --json",
+        "verify --suite bogus",
+        "verify --suite exp --cases 0",
+        "verify --suite exp --p 0",
+        "verify --suite exp --p -1 --json",
+    ]
+    for model in ("majority", "inverse-index", "@hard", "@hard-table", "softmax-uniform", "@soft", "no-such", "@broken"):
+        for lengths in ("4,8,16", "2,3", "4", "0,8", "4,x", ""):
+            for flags in ("", " --json"):
+                lines.append(f"bitgrowth --model {model} --lengths {lengths}{flags}")
+    lines += ["bitgrowth --model majority --json", "", "frobnicate", "eval"]
+    return lines
+
+
+def _corpus_path(tmp_path, arg: str) -> str:
+    return str(tmp_path / f"{arg[1:]}.json") if arg[1:] else str(tmp_path)
+
+
+def _corpus_records(capsys, tmp_path) -> list:
+    records = []
+    for line in _cli_corpus():
+        # @name is the model file tmp_path/name.json, and a bare @ the directory
+        argv = [_corpus_path(tmp_path, arg) if arg.startswith("@") else arg for arg in line.split()]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        out = "".join(x for x in captured.out.splitlines(True) if not x.startswith("elapsed: "))
+        records.append([line, out.replace(str(tmp_path), "<tmp>"), captured.err.replace(str(tmp_path), "<tmp>"), code])
+    return records
+
+
+# sha256 over the JSON list of [argument line, stdout without its elapsed:
+# lines, stderr, exit code] for every line of _cli_corpus().  Any change to a
+# message, an exit code or an output byte shows here; the argparse usage text
+# depends on COLUMNS, fixed below.
+CLI_CORPUS_SHA256 = "3e5b71106c1107a42420949a2b0716c0ab2776f0fbec25e4216498f80d11fdc3"
+
+
+def test_cli_corpus_is_pinned(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    _corpus_files(tmp_path)
+    records = _corpus_records(capsys, tmp_path)
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == CLI_CORPUS_SHA256, json.dumps(records[:3], indent=1)
