@@ -5,10 +5,11 @@ Subcommands:
   verify     run the property suites against their independent oracles
   bitgrowth  measure exact-arithmetic bit growth across input lengths
 
-Exit codes: 0 success, 1 a verify suite reported failures, 2 usage or
-model-loading errors (including mode mismatches), 3 numeric range errors
-and undecided outcomes (overflow, a value past the int-string limit, tie,
-below-margin).
+Exit codes: 0 success; 1 a verify suite reported failures; 2 a usage error,
+ModelLoadError, EvalModeError (model and mode do not fit) or DomainError; 3
+FloatRangeError (overflow) or an undecided outcome (a value past the
+int-string limit, tie, below-margin).  main maps each library error to its
+code in one place and prints it as one "error:" line, with nothing on stdout.
 
 JSON output (--json) is byte-deterministic for fixed inputs: keys are
 sorted and no timing information is included.  --trace adds one trace in
@@ -39,28 +40,34 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RANGE = 3
 
+# The exit code of each library error a command may raise.
+_EXIT_OF_ERROR = {
+    ModelLoadError: EXIT_USAGE,
+    EvalModeError: EXIT_USAGE,
+    DomainError: EXIT_USAGE,
+    FloatRangeError: EXIT_RANGE,
+}
+
 
 def _int_str_limit() -> int:
     """The interpreter's int-string digit limit; 0 when it has none."""
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
-def _decimal_of_rat(r: Rat) -> str:
-    return decimal_str(round_p(r, 64))
+def _decimal(value) -> str:
+    """The advisory decimal of a float, or of an exact value rounded to 64 bits."""
+    return decimal_str(value if isinstance(value, PFloat) else round_p(value, 64))
 
 
 def _value_json(value) -> dict:
-    if isinstance(value, PFloat):
-        d = value.to_json_dict()
-        d["decimal_approx"] = decimal_str(value)
-        return d
-    return {"rat": str(value), "decimal_approx": _decimal_of_rat(value)}
+    d = value.to_json_dict() if isinstance(value, PFloat) else {"rat": str(value)}
+    d["decimal_approx"] = _decimal(value)
+    return d
 
 
 def _value_human(value) -> str:
-    if isinstance(value, PFloat):
-        return f"<{value.m}|{value.e}> at p={value.p} (~ {decimal_str(value)})"
-    return f"{value} (~ {_decimal_of_rat(value)})"
+    normative = f"<{value.m}|{value.e}> at p={value.p}" if isinstance(value, PFloat) else str(value)
+    return f"{normative} (~ {_decimal(value)})"
 
 
 def _parse_rat_arg(parser: argparse.ArgumentParser, text: str, flag: str) -> Rat:
@@ -93,7 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--precision", type=int, help="significand bits (smat mode)")
     p_eval.add_argument("--epsilon", help="output error budget, a rational (budgeted mode)")
     p_eval.add_argument("--trace", action="store_true", help="add operand widths per layer, in every mode (and the budget plan)")
-    p_eval.add_argument("--json", action="store_true", help="machine-readable output")
 
     p_verify = sub.add_parser("verify", help="run property suites")
     p_verify.add_argument(
@@ -105,7 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--p", type=int, help="significand bits for precision-indexed suites")
     p_verify.add_argument("--cases", type=int, help="number of cases (suites with generators)")
     p_verify.add_argument("--seed", type=int, default=0, help="base seed (default: 0)")
-    p_verify.add_argument("--json", action="store_true", help="machine-readable output")
 
     p_bits = sub.add_parser("bitgrowth", help="measure bit growth over input lengths")
     p_bits.add_argument("--model", required=True, help="model file path or builtin name")
@@ -114,7 +119,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default="4,8,16,32,64,128,256",
         help="comma-separated input lengths (default: 4,8,16,32,64,128,256)",
     )
-    p_bits.add_argument("--json", action="store_true", help="machine-readable output")
+    for command in (p_eval, p_verify, p_bits):
+        command.add_argument("--json", action="store_true", help="machine-readable output")
     return parser
 
 
@@ -123,30 +129,15 @@ def _build_parser() -> argparse.ArgumentParser:
 # --------------------------------------------------------------------------
 
 
-def _render_eval(args, value, decision: str, eps, trace_info: Optional[dict], elapsed: float) -> str:
+def _render_eval(as_json: bool, fields: dict, value, decision: str, trace_info: Optional[dict], elapsed: float) -> str:
     """The eval report, JSON or human; raises ValueError when a number is
     past the int-string limit."""
-    if args.json:
-        payload = {
-            "command": "eval",
-            "decision": decision,
-            "input": args.input,
-            "mode": args.mode,
-            "model": args.model,
-            "value": _value_json(value),
-        }
-        if args.mode == "smat":
-            payload["precision"] = args.precision
-        if args.mode == "budgeted":
-            payload["epsilon"] = str(eps)
+    if as_json:
+        payload = {"command": "eval", "decision": decision, **fields, "value": _value_json(value)}
         if trace_info is not None:
             payload["trace"] = trace_info
         return json.dumps(payload, indent=2, sort_keys=True)
-    lines = [f"model: {args.model}", f"input: {args.input}", f"mode: {args.mode}"]
-    if args.mode == "smat":
-        lines.append(f"precision: {args.precision}")
-    if args.mode == "budgeted":
-        lines.append(f"epsilon: {eps}")
+    lines = [f"{key}: {val}" for key, val in fields.items()]
     lines += [f"value: {_value_human(value)}", f"decision: {decision}"]
     if trace_info is not None:
         lines += [f"trace.{key}: {val}" for key, val in trace_info.items()]
@@ -155,6 +146,8 @@ def _render_eval(args, value, decision: str, eps, trace_info: Optional[dict], el
 
 
 def _cmd_eval(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    # the report's fields: the arguments, and each mode's own parameter
+    fields = {"model": args.model, "input": args.input, "mode": args.mode}
     if args.mode == "smat":
         if args.precision is None:
             parser.error("--precision is required with --mode smat")
@@ -165,6 +158,7 @@ def _cmd_eval(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         if limit and args.precision >= (10**limit).bit_length():
             print(f"error: --precision {args.precision} is past the {limit}-digit int-string limit", file=sys.stderr)
             return EXIT_USAGE
+        fields["precision"] = args.precision
     eps = None
     if args.mode == "budgeted":
         if args.epsilon is None:
@@ -172,29 +166,18 @@ def _cmd_eval(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         eps = _parse_rat_arg(parser, args.epsilon, "--epsilon")
         if not eps > Rat(0):
             parser.error("--epsilon must be positive")
+        fields["epsilon"] = str(eps)
     if not args.input:
         parser.error("--input must be a nonempty word")
 
-    try:
-        model = load_model(args.model)
-    except ModelLoadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    model = load_model(args.model)
     started = time.perf_counter()
-    try:
-        if args.mode == "ahat":
-            value, trace = eval_ahat(model, args.input)
-        elif args.mode == "smat":
-            value, trace = _eval_smat(model, args.input, args.precision)
-        else:
-            value, trace = _eval_planned(model, args.input, eps)
-    except (EvalModeError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FloatRangeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RANGE
+    if args.mode == "ahat":
+        value, trace = eval_ahat(model, args.input)
+    elif args.mode == "smat":
+        value, trace = _eval_smat(model, args.input, args.precision)
+    else:
+        value, trace = _eval_planned(model, args.input, eps)
     elapsed = time.perf_counter() - started
     trace_info = trace.to_json_dict() if args.trace else None
 
@@ -207,7 +190,7 @@ def _cmd_eval(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
     # render before printing: an exact value can be past the int-string limit
     try:
-        text = _render_eval(args, value, decision, eps, trace_info, elapsed)
+        text = _render_eval(args.json, fields, value, decision, trace_info, elapsed)
     except ValueError:
         print(f"error: the value is past the {_int_str_limit()}-digit int-string limit", file=sys.stderr)
         return EXIT_RANGE
@@ -228,14 +211,10 @@ def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
         parser.error("--p must be a positive integer")
 
     started = time.perf_counter()
-    try:
-        if args.suite == "all":
-            results = run_all(p=args.p, cases=args.cases, seed=args.seed)
-        else:
-            results = [run_suite(args.suite, p=args.p, cases=args.cases, seed=args.seed)]
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.suite == "all":
+        results = run_all(p=args.p, cases=args.cases, seed=args.seed)
+    else:
+        results = [run_suite(args.suite, p=args.p, cases=args.cases, seed=args.seed)]
     elapsed = time.perf_counter() - started
     total_failures = sum(len(r.failures) for r in results)
 
@@ -275,19 +254,10 @@ def _cmd_bitgrowth(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
     if len(lengths) < 2 or any(n < 1 for n in lengths):
         parser.error("--lengths needs at least two positive lengths")
 
-    try:
-        model = load_model(args.model)
-    except ModelLoadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    model = load_model(args.model)
     started = time.perf_counter()
-    try:
-        rows = bit_growth_trace(model, lengths)
-        slope = fit_loglog_slope(rows)
-    except (EvalModeError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    rows = bit_growth_trace(model, lengths)
+    slope = fit_loglog_slope(rows)
     elapsed = time.perf_counter() - started
 
     if args.json:
@@ -305,21 +275,17 @@ def _cmd_bitgrowth(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
+    commands = {"eval": _cmd_eval, "verify": _cmd_verify, "bitgrowth": _cmd_bitgrowth}
     try:
         args = parser.parse_args(argv)
-        if args.command == "eval":
-            return _cmd_eval(parser, args)
-        if args.command == "verify":
-            return _cmd_verify(parser, args)
-        return _cmd_bitgrowth(parser, args)
+        return commands[args.command](parser, args)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
-
-
-def main_entry() -> None:
-    sys.exit(main())
+    except tuple(_EXIT_OF_ERROR) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for cls, code in _EXIT_OF_ERROR.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":
-    main_entry()
+    sys.exit(main())

@@ -118,6 +118,25 @@ _MODEL_KEYS = ("format_version",) + tuple(k for k in _KEYS[Model] if k != "param
 # --------------------------------------------------------------------------
 
 
+def _check_keys(node, path: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
+    if not isinstance(node, dict):
+        raise ModelLoadError(path, f"expected an object, got {type(node).__name__}")
+    for key in node:
+        if key not in required and key not in optional:
+            raise ModelLoadError(f"{path}.{key}" if path else key, "unknown field")
+    for key in required:
+        if key not in node:
+            raise ModelLoadError(path, f"missing field {key!r}")
+
+
+def _choice(node: dict, key: str, choices: tuple[str, ...], path: str) -> str:
+    """node[key], which must be one of `choices`."""
+    value = node[key]
+    if value not in choices:
+        raise ModelLoadError(f"{path}.{key}", f"unknown {key} {value!r}")
+    return value
+
+
 class _Loader:
     def __init__(self, param_bits: Optional[int]):
         self.param_bits = param_bits
@@ -126,41 +145,28 @@ class _Loader:
         # everywhere, and a Rat is immutable, so one object serves each use.
         self.seen: dict[str, Rat] = {}
 
-    def fail(self, path: str, message: str) -> ModelLoadError:
-        return ModelLoadError(path, message)
-
-    def keys(self, node, path: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):
-        if not isinstance(node, dict):
-            raise self.fail(path, f"expected an object, got {type(node).__name__}")
-        for key in node:
-            if key not in required and key not in optional:
-                raise self.fail(f"{path}.{key}" if path else key, "unknown field")
-        for key in required:
-            if key not in node:
-                raise self.fail(path, f"missing field {key!r}")
-
     def rat(self, node, path: str) -> Rat:
         if not isinstance(node, str):
-            raise self.fail(path, "rationals must be strings")
+            raise ModelLoadError(path, "rationals must be strings")
         try:
             value = Rat.from_string(node)
         except DomainError as exc:
-            raise self.fail(path, str(exc)) from None
+            raise ModelLoadError(path, str(exc)) from None
         if str(value) != node:
-            raise self.fail(path, f"non-canonical rational {node!r}")
+            raise ModelLoadError(path, f"non-canonical rational {node!r}")
         bits = self.param_bits
         if bits is not None:
             # -2^bits <= num < 2^bits and den < 2^bits, by bit length: ~num
             # is -num - 1, and 2^bits itself is never built
             num = value.num
             if (num if num >= 0 else ~num).bit_length() > bits or value.den.bit_length() > bits:
-                raise self.fail(path, f"rational exceeds the {bits}-bit parameter range")
+                raise ModelLoadError(path, f"rational exceeds the {bits}-bit parameter range")
         self.seen[node] = value
         return value
 
     def vector(self, node, path: str, dim: int) -> Vector:
         if not isinstance(node, list) or len(node) != dim:
-            raise self.fail(path, f"expected a list of {dim} rationals")
+            raise ModelLoadError(path, f"expected a list of {dim} rationals")
         seen = self.seen
         out = []
         for i, v in enumerate(node):
@@ -172,12 +178,12 @@ class _Loader:
 
     def matrix(self, node, path: str, rows: int, cols: int) -> Matrix:
         if not isinstance(node, list) or len(node) != rows:
-            raise self.fail(path, f"expected {rows} rows")
+            raise ModelLoadError(path, f"expected {rows} rows")
         return tuple(self.vector(row, f"{path}[{r}]", cols) for r, row in enumerate(node))
 
     def boolean(self, node, path: str) -> bool:
         if not isinstance(node, bool):
-            raise self.fail(path, "expected true or false")
+            raise ModelLoadError(path, "expected true or false")
         return node
 
 
@@ -187,9 +193,9 @@ def parse_model(text: str) -> Model:
     except json.JSONDecodeError as exc:
         raise ModelLoadError("", f"invalid JSON: {exc}") from None
 
-    probe = _Loader(None)
-    probe.keys(doc, "", _MODEL_KEYS, ("param_bits",))
-    if doc["format_version"] != FORMAT_VERSION:
+    _check_keys(doc, "", _MODEL_KEYS, ("param_bits",))
+    # only the int itself: True and 1.0 compare equal to 1
+    if type(doc["format_version"]) is not int or doc["format_version"] != FORMAT_VERSION:
         raise ModelLoadError("format_version", f"unsupported version {doc['format_version']!r}")
 
     param_bits = None
@@ -225,7 +231,7 @@ def parse_model(text: str) -> Model:
     layers = tuple(_parse_layer(ld, node, f"layers[{i}]", dim) for i, node in enumerate(layers_node))
 
     head_node = doc["output_head"]
-    ld.keys(head_node, "output_head", _KEYS[OutputHead])
+    _check_keys(head_node, "output_head", _KEYS[OutputHead])
     output_head = OutputHead(
         ld.vector(head_node["weights"], "output_head.weights", dim),
         ld.rat(head_node["bias"], "output_head.bias"),
@@ -236,33 +242,31 @@ def parse_model(text: str) -> Model:
 def _parse_position_rule(ld: _Loader, node, dim: int) -> PositionRule:
     path = "position_rule"
     if not isinstance(node, dict) or "kind" not in node:
-        raise ld.fail(path, "expected an object with a 'kind' field")
-    kind = node["kind"]
-    if kind not in POSITION_KINDS:
-        raise ld.fail(f"{path}.kind", f"unknown kind {kind!r}")
-    ld.keys(node, path, _POSITION_KEYS[kind])
+        raise ModelLoadError(path, "expected an object with a 'kind' field")
+    kind = _choice(node, "kind", POSITION_KINDS, path)
+    _check_keys(node, path, _POSITION_KEYS[kind])
     if kind == "none":
         return PositionRule("none")
     if kind == "table":
         n_max = node["n_max"]
         if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
-            raise ld.fail(f"{path}.n_max", "expected a positive integer")
+            raise ModelLoadError(f"{path}.n_max", "expected a positive integer")
         vectors = node["vectors"]
         if not isinstance(vectors, list) or len(vectors) != n_max:
-            raise ld.fail(f"{path}.vectors", f"expected {n_max} vectors")
+            raise ModelLoadError(f"{path}.vectors", f"expected {n_max} vectors")
         table = tuple(ld.vector(v, f"{path}.vectors[{i}]", dim) for i, v in enumerate(vectors))
         return PositionRule("table", n_max=n_max, vectors=table)
     coord = node["coordinate"]
     if not isinstance(coord, int) or isinstance(coord, bool) or not 0 <= coord < dim:
-        raise ld.fail(f"{path}.coordinate", f"expected an index in [0, {dim})")
+        raise ModelLoadError(f"{path}.coordinate", f"expected an index in [0, {dim})")
     return PositionRule(kind, coordinate=coord)
 
 
 def _parse_layer(ld: _Loader, node, path: str, dim: int) -> Layer:
-    ld.keys(node, path, _KEYS[Layer])
+    _check_keys(node, path, _KEYS[Layer])
     heads_node = node["heads"]
     if not isinstance(heads_node, list) or not heads_node:
-        raise ld.fail(f"{path}.heads", "expected a nonempty list")
+        raise ModelLoadError(f"{path}.heads", "expected a nonempty list")
     heads = tuple(_parse_head(ld, h, f"{path}.heads[{i}]", dim) for i, h in enumerate(heads_node))
     ffnn = _parse_ffnn(ld, node["ffnn"], f"{path}.ffnn", dim)
     ln_attn = _parse_layernorm(ld, node["layernorm_attn"], f"{path}.layernorm_attn", dim)
@@ -278,13 +282,9 @@ def _parse_layer(ld: _Loader, node, path: str, dim: int) -> Layer:
 
 
 def _parse_head(ld: _Loader, node, path: str, dim: int) -> AttentionHead:
-    ld.keys(node, path, _KEYS[AttentionHead])
-    kind = node["kind"]
-    if kind not in HEAD_KINDS:
-        raise ld.fail(f"{path}.kind", f"unknown kind {kind!r}")
-    masking = node["masking"]
-    if masking not in MASKINGS:
-        raise ld.fail(f"{path}.masking", f"unknown masking {masking!r}")
+    _check_keys(node, path, _KEYS[AttentionHead])
+    kind = _choice(node, "kind", HEAD_KINDS, path)
+    masking = _choice(node, "masking", MASKINGS, path)
     return AttentionHead(
         ld.matrix(node["w_q"], f"{path}.w_q", dim, dim),
         ld.matrix(node["w_k"], f"{path}.w_k", dim, dim),
@@ -296,13 +296,11 @@ def _parse_head(ld: _Loader, node, path: str, dim: int) -> AttentionHead:
 
 
 def _parse_ffnn(ld: _Loader, node, path: str, dim: int) -> FFNN:
-    ld.keys(node, path, _KEYS[FFNN])
-    activation = node["activation"]
-    if activation not in ACTIVATIONS:
-        raise ld.fail(f"{path}.activation", f"unknown activation {activation!r}")
+    _check_keys(node, path, _KEYS[FFNN])
+    activation = _choice(node, "activation", ACTIVATIONS, path)
     w1 = node["w1"]
     if not isinstance(w1, list) or not w1:
-        raise ld.fail(f"{path}.w1", "expected a nonempty matrix")
+        raise ModelLoadError(f"{path}.w1", "expected a nonempty matrix")
     hidden = len(w1)
     return FFNN(
         ld.matrix(w1, f"{path}.w1", hidden, dim),
@@ -316,10 +314,10 @@ def _parse_ffnn(ld: _Loader, node, path: str, dim: int) -> FFNN:
 def _parse_layernorm(ld: _Loader, node, path: str, dim: int) -> Optional[LayerNorm]:
     if node is None:
         return None
-    ld.keys(node, path, _KEYS[LayerNorm])
+    _check_keys(node, path, _KEYS[LayerNorm])
     c = ld.rat(node["c"], f"{path}.c")
     if c.num <= 0:
-        raise ld.fail(f"{path}.c", "variance floor must be strictly positive")
+        raise ModelLoadError(f"{path}.c", "variance floor must be strictly positive")
     return LayerNorm(
         ld.vector(node["gamma"], f"{path}.gamma", dim),
         ld.vector(node["beta"], f"{path}.beta", dim),

@@ -367,12 +367,13 @@ def _ilog10(n: int) -> int:
 
 
 def decimal_str(x: PFloat, digits: int = 12) -> str:
-    """Advisory decimal rendering; the (m, e, p) triple is the normative form."""
+    """Advisory decimal rendering; the (m, e, p) triple is the normative form.
+    The exact value rounded half up while |e| <= 2^18, approximate beyond."""
     if x.m == 0:
         return "0"
     s = "-" if x.m < 0 else ""
     A = abs(x.m)
-    if abs(x.e) > 4096:
+    if abs(x.e) > 1 << 18:
         log10 = (math.log2(A) + x.e) * math.log10(2)
         k = math.floor(log10)
         lead = 10 ** (log10 - k)
@@ -384,10 +385,8 @@ def decimal_str(x: PFloat, digits: int = 12) -> str:
 
     def scaled(k10: int) -> int:
         sh = digits - 1 - k10
-        if sh >= 0:
-            return (num * 10**sh + den // 2) // den
-        q = 10**-sh
-        return (num + den * q // 2) // (den * q)
+        n, d = (num * 10**sh, den) if sh >= 0 else (num, den * 10**-sh)
+        return (n + d // 2) // d
 
     k10 = _ilog10(num) - _ilog10(den)
     mant = scaled(k10)

@@ -16,6 +16,7 @@ checked on the floats' exact rationals, not on float comparison.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -24,10 +25,6 @@ from .elementary import f_exp, f_sqrt
 from .errors import DomainError
 from .pfloat import PFloat, f_sum_blocks, f_sum_oracle, float_to_rat, partition_blocks, round_p
 from .rational import RAT_ZERO, Rat, rat_sum
-
-SUITES = ("round", "sum", "exp", "sqrt", "softmax-delta", "invsqrt-delta")
-DEFAULT_CASES = {"round": 0, "sum": 10000, "exp": 1000, "sqrt": 1000, "softmax-delta": 1000, "invsqrt-delta": 1000}
-DEFAULT_P = {"round": 3, "sum": 3, "exp": 8, "sqrt": 8}
 
 
 @dataclass
@@ -152,6 +149,12 @@ def _case_rng(seed: int, suite: str, idx: int) -> random.Random:
     return random.Random(f"{seed}:{suite}:{idx}")
 
 
+def _cases(seed: int, suite: str, cases: int):
+    """Each case's index, generator and tag (the generator's seed)."""
+    for idx in range(cases):
+        yield idx, _case_rng(seed, suite, idx), f"{seed}:{suite}:{idx}"
+
+
 def _rand_sig(rng: random.Random, p: int) -> int:
     return rng.randint(1 << (p - 1), (1 << p) - 1) * rng.choice((1, -1))
 
@@ -233,7 +236,7 @@ def _sum_case(rng: random.Random, p: int) -> list[PFloat]:
 # --------------------------------------------------------------------------
 
 
-def _run_round(p: int) -> SuiteResult:
+def _run_round(p: int, cases: int, seed: int) -> SuiteResult:
     """Exhaustive midpoint/evenness/idempotence/monotonicity over e in [-8, 8]."""
     res = SuiteResult("round", p, 0)
     floats = [
@@ -279,9 +282,7 @@ def _run_round(p: int) -> SuiteResult:
 
 def _run_sum(p: int, cases: int, seed: int) -> SuiteResult:
     res = SuiteResult("sum", p, cases)
-    for idx in range(cases):
-        rng = _case_rng(seed, "sum", idx)
-        tag = f"{seed}:sum:{idx}"
+    for idx, rng, tag in _cases(seed, "sum", cases):
         xs = _sum_case(rng, p)
         got = f_sum_blocks(xs)
         want = f_sum_oracle(xs)
@@ -319,9 +320,7 @@ def _run_exp(p: int, cases: int, seed: int) -> SuiteResult:
     res = SuiteResult("exp", p, cases)
     tol = Rat(1, 1 << p)
     top = min(6 - p, -1)  # |x| < 2^min(6, p-1), inside f_exp's range
-    for idx in range(cases):
-        rng = _case_rng(seed, "exp", idx)
-        tag = f"{seed}:exp:{idx}"
+    for idx, rng, tag in _cases(seed, "exp", cases):
         m = _rand_sig(rng, p)
         x = PFloat(m, rng.randint(-p - 2, top), p)
         y = f_exp(x)
@@ -340,9 +339,7 @@ def _run_exp(p: int, cases: int, seed: int) -> SuiteResult:
 
 def _run_sqrt(p: int, cases: int, seed: int) -> SuiteResult:
     res = SuiteResult("sqrt", p, cases)
-    for idx in range(cases):
-        rng = _case_rng(seed, "sqrt", idx)
-        tag = f"{seed}:sqrt:{idx}"
+    for idx, rng, tag in _cases(seed, "sqrt", cases):
         m = rng.randint(1 << (p - 1), (1 << p) - 1)
         x = PFloat(m, rng.randint(-64, 64), p)
         got = f_sqrt(x)
@@ -357,13 +354,11 @@ def _rand_frac(rng: random.Random, bound: Rat) -> Rat:
     return bound * Rat(num, 16)
 
 
-def _run_softmax_delta(cases: int, seed: int) -> SuiteResult:
+def _run_softmax_delta(p: Optional[int], cases: int, seed: int) -> SuiteResult:
     """The perturbed-softmax inequality: score errors and exp relative errors
     within delta keep every weight within 16*delta of the true softmax."""
     res = SuiteResult("softmax-delta", None, cases)
-    for idx in range(cases):
-        rng = _case_rng(seed, "softmax-delta", idx)
-        tag = f"{seed}:softmax-delta:{idx}"
+    for idx, rng, tag in _cases(seed, "softmax-delta", cases):
         n = rng.randint(2, 6)
         scores = [Rat(rng.randint(-8, 8), rng.randint(1, 8)) for _ in range(n)]
         eps = Rat(rng.randint(1, 15), 1 << rng.randint(0, 12))
@@ -396,7 +391,7 @@ def _softmax_dev_within(scores, hs, etas, limit: Rat, bits: int) -> bool:
     return True
 
 
-def _run_invsqrt_delta(cases: int, seed: int) -> SuiteResult:
+def _run_invsqrt_delta(p: Optional[int], cases: int, seed: int) -> SuiteResult:
     """The inverse-sqrt inequality: input error within the planned delta and
     sqrt relative error within the site's production envelope keep 1/sqrt
     within eps.
@@ -408,9 +403,7 @@ def _run_invsqrt_delta(cases: int, seed: int) -> SuiteResult:
     """
     res = SuiteResult("invsqrt-delta", None, cases)
     c_choices = (Rat(1, 4), Rat(1), Rat(4))
-    for idx in range(cases):
-        rng = _case_rng(seed, "invsqrt-delta", idx)
-        tag = f"{seed}:invsqrt-delta:{idx}"
+    for idx, rng, tag in _cases(seed, "invsqrt-delta", cases):
         c = c_choices[idx % 3]
         x = c + Rat(rng.randint(0, 64), rng.randint(1, 8))
         eps = Rat(rng.randint(1, 15), 1 << rng.randint(0, 12))
@@ -438,42 +431,45 @@ def _invsqrt_dev_within(x: Rat, h: Rat, eta: Rat, eps: Rat, bits: int) -> bool:
 # --------------------------------------------------------------------------
 
 
+# Each suite's run(p, cases, seed), default case count and p, and least and
+# greatest p (None: unbounded, or precision-free).  round enumerates 17*2^(p-1)
+# floats and a 1-bit significand is odd; exp and sqrt shift by p - 1.
+_Suite = namedtuple("_Suite", "run cases p least_p greatest_p", defaults=(None, None, None))
+_TABLE = {
+    "round": _Suite(_run_round, 0, 3, 2, 16),
+    "sum": _Suite(_run_sum, 10000, 3, 2),
+    "exp": _Suite(_run_exp, 1000, 8, 1),
+    "sqrt": _Suite(_run_sqrt, 1000, 8, 1),
+    "softmax-delta": _Suite(_run_softmax_delta, 1000),
+    "invsqrt-delta": _Suite(_run_invsqrt_delta, 1000),
+}
+SUITES = tuple(_TABLE)
+
+
 def _p_problem(name: str, p: Optional[int]) -> Optional[str]:
     """Why suite `name` cannot run at precision p, or None if it can."""
-    if name == "round" and not 2 <= p <= 16:
-        # 17 * 2^(p-1) floats are enumerated; every 1-bit significand is odd
-        return f"the round suite needs 2 <= p <= 16, got {p}"
-    if name == "sum" and p < 2:
-        return f"the sum suite needs p >= 2, got {p}"
-    return None
+    least, greatest = _TABLE[name].least_p, _TABLE[name].greatest_p
+    if least is None or least <= p and (greatest is None or p <= greatest):
+        return None
+    bound = f"p >= {least}" if greatest is None else f"{least} <= p <= {greatest}"
+    return f"the {name} suite needs {bound}, got {p}"
 
 
 def run_suite(name: str, p: Optional[int] = None, cases: Optional[int] = None, seed: int = 0) -> SuiteResult:
-    if name not in SUITES:
+    if name not in _TABLE:
         raise DomainError(f"unknown suite {name!r} (choose from {', '.join(SUITES)})")
-    if cases is None:
-        cases = DEFAULT_CASES[name]
+    suite = _TABLE[name]
     if p is None:
-        p = DEFAULT_P.get(name)
+        p = suite.p
     problem = _p_problem(name, p)
     if problem:
         raise DomainError(problem)
-    if name == "round":
-        return _run_round(p)
-    if name == "sum":
-        return _run_sum(p, cases, seed)
-    if name == "exp":
-        return _run_exp(p, cases, seed)
-    if name == "sqrt":
-        return _run_sqrt(p, cases, seed)
-    if name == "softmax-delta":
-        return _run_softmax_delta(cases, seed)
-    return _run_invsqrt_delta(cases, seed)
+    return suite.run(p, suite.cases if cases is None else cases, seed)
 
 
 def run_all(p: Optional[int] = None, cases: Optional[int] = None, seed: int = 0) -> list[SuiteResult]:
     """Every suite at p, or at its default precision where p is out of its range."""
     return [
-        run_suite(name, p=DEFAULT_P[name] if p is not None and _p_problem(name, p) else p, cases=cases, seed=seed)
+        run_suite(name, p=_TABLE[name].p if p is not None and _p_problem(name, p) else p, cases=cases, seed=seed)
         for name in SUITES
     ]

@@ -469,6 +469,30 @@ def test_unreadable_model_path_is_load_error(capsys, tmp_path, command, kind):
 # --- top level ---------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        ("eval --model no-such --input 1 --mode ahat", 2, "no such model file or builtin fixture: 'no-such'"),
+        ("eval --model majority --input 1 --mode smat --precision 8", 2, "layers[0].heads[0] is average_hard; smat_pbit needs softmax"),
+        ("eval --model majority --input 10x --mode ahat", 2, "symbol 'x' not in the model alphabet"),
+        ("eval --model @hot --input aa --mode smat --precision 3", 3, "exp argument magnitude 2^6 puts k outside [-2^3, 2^3)"),
+        ("verify --suite round --p 17", 2, "the round suite needs 2 <= p <= 16, got 17"),
+        ("bitgrowth --model no-such", 2, "no such model file or builtin fixture: 'no-such'"),
+        ("bitgrowth --model softmax-uniform --lengths 4,8", 2, "layers[0].heads[0] is softmax; ahat_exact needs average_hard"),
+        ("bitgrowth --model majority --lengths 4,4", 2, "slope fit needs at least two distinct lengths"),
+    ],
+    ids=[
+        "eval-ModelLoadError", "eval-EvalModeError", "eval-DomainError", "eval-FloatRangeError",
+        "verify-DomainError", "bitgrowth-ModelLoadError", "bitgrowth-EvalModeError", "bitgrowth-DomainError",
+    ],
+)
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_library_errors_exit_with_their_code(capsys, tmp_path, argv, code, message, json_flag):
+    (tmp_path / "hot.json").write_text(json.dumps(_one_softmax_head_doc()))
+    argv = [str(tmp_path / "hot.json") if arg == "@hot" else arg for arg in argv.split()]
+    assert run_cli(capsys, *argv, *json_flag) == (code, "", f"error: {message}\n")
+
+
 def test_no_subcommand_is_usage_error(capsys):
     assert cli.main([]) == 2
 

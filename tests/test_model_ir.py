@@ -219,8 +219,11 @@ def _set(doc, keys, value):
 
 
 def test_rejects_wrong_format_version(doc):
-    doc["format_version"] = 2
-    _expect_error(doc, "format_version")
+    # True and 1.0 compare equal to 1, but only the int 1 is version 1
+    for version in (2, True, 1.0, "1"):
+        doc["format_version"] = version
+        err = _expect_error(doc, "format_version")
+        assert str(err) == f"format_version: unsupported version {version!r}"
 
 
 def test_rejects_unknown_top_level_field(doc):
@@ -232,6 +235,23 @@ def test_rejects_unknown_nested_field(doc):
     doc["layers"][0]["heads"][0]["w_x"] = [["0"]]
     err = _expect_error(doc, "layers[0].heads[0].w_x")
     assert "unknown" in str(err)
+
+
+@pytest.mark.parametrize(
+    "path, key, value, matrix",
+    [
+        ("layers[0].heads[0]", "kind", "bogus", "w_q"),
+        ("layers[0].heads[0]", "masking", "left", "w_q"),
+        ("layers[0].ffnn", "activation", "tanh", "w1"),
+    ],
+)
+def test_unknown_choice_is_reported_before_the_matrices(doc, path, key, value, matrix):
+    # with a bad matrix beside it, the bad choice is still the error reported
+    node = doc["layers"][0]["heads"][0] if "heads" in path else doc["layers"][0]["ffnn"]
+    node[key] = value
+    node[matrix][0][0] = "x"
+    err = _expect_error(doc, f"{path}.{key}")
+    assert str(err) == f"{path}.{key}: unknown {key} {value!r}"
 
 
 def test_rejects_noncanonical_rational(doc):

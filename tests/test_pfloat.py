@@ -8,6 +8,8 @@ rounded" is never checked against itself.
 import copy
 import math
 import pickle
+import random
+from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 
 import pytest
@@ -196,6 +198,20 @@ def _decimal_cases(draw):
 def test_decimal_str_matches_string_length_reference(case):
     x, digits = case
     assert decimal_str(x, digits) == _decimal_str_by_string_length(x, digits)
+
+
+@pytest.mark.parametrize("p", [1024, 4200, 8192])
+def test_decimal_str_is_rounded_half_up_past_e_4096(p):
+    # the poly(n)-bit precisions reach exponents past 4096; up to 2^18 the
+    # digits must be those of the exact value, rounded half up
+    rng = random.Random(p)
+    edges = [4097, -4097, 1 << 18, -(1 << 18)]
+    for e in edges + [rng.choice((1, -1)) * rng.randint(4097, 1 << 18) for _ in range(8)]:
+        x = PFloat(rng.choice((1, -1)) * rng.randint(1 << (p - 1), (1 << p) - 1), e, p)
+        num, den = (Decimal(x.m << e), Decimal(1)) if e >= 0 else (Decimal(x.m), Decimal(1 << -e))
+        for digits in (12, 17):
+            want = Context(prec=digits, rounding=ROUND_HALF_UP).divide(num, den)
+            assert decimal_str(x, digits) == f"{want:.{digits - 1}e}", (p, e)
 
 
 powers_of_ten = st.integers(min_value=1, max_value=4000).map(lambda k: 10**k)

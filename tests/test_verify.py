@@ -70,6 +70,15 @@ def test_suites_pass_at_the_papers_precision(suite, p):
     assert r.passed, r.failures[:3]
 
 
+@pytest.mark.parametrize("p", [0, -1])
+@pytest.mark.parametrize(
+    "suite, bound", [("round", "2 <= p <= 16"), ("sum", "p >= 2"), ("exp", "p >= 1"), ("sqrt", "p >= 1")]
+)
+def test_precision_below_the_least_is_a_domain_error(suite, bound, p):
+    with pytest.raises(DomainError, match=f"^the {suite} suite needs {bound}, got {p}$"):
+        run_suite(suite, p=p, cases=4)
+
+
 def test_round_suite_is_exhaustive_per_precision():
     r = run_suite("round", p=2)
     assert r.passed
