@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from typing import Optional
@@ -273,11 +274,27 @@ def _cmd_bitgrowth(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
     return EXIT_OK
 
 
+# argparse takes a value that starts with "-" for an option unless it looks
+# like a negative number, and a fraction does not; so main passes `--epsilon
+# -1/2` on as `--epsilon=-1/2`, and the value reaches --epsilon's own check.
+_NEGATIVE_FRACTION = re.compile(r"-[0-9]+/[0-9]+")
+
+
+def _attach_negative_fractions(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--epsilon" and _NEGATIVE_FRACTION.fullmatch(arg):
+            out[-1] = f"--epsilon={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     commands = {"eval": _cmd_eval, "verify": _cmd_verify, "bitgrowth": _cmd_bitgrowth}
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_fractions(sys.argv[1:] if argv is None else argv))
         return commands[args.command](parser, args)
     except SystemExit as exc:
         code = exc.code

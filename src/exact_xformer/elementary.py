@@ -17,6 +17,14 @@
   is the rounding of S, and it has relative error at most 2^-p (the series
   runs at roughly 2p bits because the final rounding already spends nearly
   the whole 2^-p allowance).
+  A first pass comes before that, at w1 = p + 24 working bits when that is
+  below the series' 2p + 8 (Ziv's strategy: a narrow pass decides almost
+  every argument).  It encloses S1, the shorter exp_plan(w1)-term sum, in
+  s1-bit fixed point in the same way.  S exceeds S1 by its terms past
+  exp_plan(w1), which are nonnegative and total less than 2^-(w1 + 2)
+  (exp_plan's tail bound), so lo1 <= S * 2^s1 < lo1 + 2 * terms1 +
+  2^(s1 - w1 - 2); when both ends round alike, that float is again the
+  rounding of S, and otherwise the full width decides as above.
 
 The rational variants for the error-budgeted evaluator return dyadics with
 a stated relative error: exp is the floored fixed-point enclosure, sqrt an
@@ -30,7 +38,7 @@ import math
 from functools import lru_cache
 
 from .errors import DomainError, FloatRangeError
-from .pfloat import PFloat, _check_precision, _round_dyadic, _round_pair, _round_ratio, float_to_rat
+from .pfloat import PFloat, _check_precision, _round_dyadic, _round_pair, _round_ratio
 from .rational import RAT_ONE, Rat
 
 # Fraction bits of the fixed-point exp enclosure beyond the series' working
@@ -40,6 +48,13 @@ from .rational import RAT_ONE, Rat
 # round apart (and the exact sum decides) on about a 2^-(p + 8 + _EXP_GUARD)
 # share of arguments.
 _EXP_GUARD = 8
+
+# Working bits beyond p of f_exp's first pass, which runs when p + _EXP_FIRST
+# is below the series' width 2p + 8.  Its enclosure is about 2^(6 +
+# terms1.bit_length()) units wide (the tail allowance dominates), and rounding
+# to p bits drops _EXP_FIRST + 9 + terms1.bit_length() low bits, so the full
+# width decides on about a 2^-(_EXP_FIRST + 3) share of arguments.
+_EXP_FIRST = 24
 
 
 @lru_cache(maxsize=None)
@@ -115,23 +130,24 @@ def _exp_enclosure(rn: int, rd: int, terms: int, shift: int) -> tuple[int, int]:
     return lo, lo + 2 * terms
 
 
-def _exp_reduced(x: Rat, w: int, log_mag: int) -> tuple[int, int, int, int, int, int]:
-    """The range reduction and enclosure shared by f_exp and rat_exp_approx.
-
-    With log_mag = floor(log2 |x|) and lam = log2_const(w + max(2, log_mag + 2)
-    + 8) <= log 2, x = k * lam + rn / rd exactly with k = floor(x / lam), and
-    lo <= S * 2^shift < hi encloses S, the exp_plan(w)-term Taylor sum of
-    exp(rn / rd) (lo < hi, see _exp_enclosure).  Returns (k, rn, rd, shift,
-    lo, hi).
-    """
+def _exp_reduced(num: int, den: int, w: int, log_mag: int) -> tuple[int, int, int]:
+    """The range reduction shared by f_exp and rat_exp_approx, of x = num / den
+    (den >= 1, in lowest terms or not): with log_mag = floor(log2 |x|) and
+    lam = log2_const(w + max(2, log_mag + 2) + 8) <= log 2, x = k * lam +
+    rn / rd exactly with k = floor(x / lam).  Returns (k, rn, rd)."""
     lam = log2_const(w + max(2, log_mag + 2) + 8)
-    k = (x.num * lam.den) // (x.den * lam.num)  # exact floor(x / lam)
-    rn = x.num * lam.den - k * lam.num * x.den
-    rd = x.den * lam.den
+    k = (num * lam.den) // (den * lam.num)  # exact floor(x / lam)
+    rn = num * lam.den - k * lam.num * den
+    rd = den * lam.den
+    return k, rn, rd
+
+
+def _exp_fixed(rn: int, rd: int, w: int) -> tuple[int, int, int]:
+    """(shift, lo, hi) with lo <= S * 2^shift < hi, S the exp_plan(w)-term
+    Taylor sum of exp(rn / rd) (see _exp_enclosure)."""
     terms = exp_plan(w)
     shift = w + _EXP_GUARD + terms.bit_length()
-    lo, hi = _exp_enclosure(rn, rd, terms, shift)
-    return k, rn, rd, shift, lo, hi
+    return (shift, *_exp_enclosure(rn, rd, terms, shift))
 
 
 def f_sqrt(x: PFloat) -> PFloat:
@@ -171,12 +187,20 @@ def f_exp(x: PFloat, p: int | None = None) -> PFloat:
         # |x| >= 2^(p+1) forces |k| >= 2^(p+1)/log2 > 2^p
         raise FloatRangeError(f"exp argument magnitude 2^{log_mag} puts k outside [-2^{p}, 2^{p})")
     w = 2 * p + 8
-    k, rn, rd, shift, lo, hi = _exp_reduced(float_to_rat(x), w, log_mag)
+    num, den = (x.m << x.e, 1) if x.e >= 0 else (x.m, 1 << -x.e)
+    k, rn, rd = _exp_reduced(num, den, w, log_mag)
     if not -(1 << p) <= k < (1 << p):
         raise FloatRangeError(f"exp scaling k={k} outside [-2^{p}, 2^{p})")
-    y = _round_pair(lo, k - shift, p)
-    if y == _round_pair(hi, k - shift, p):
-        return PFloat._raw(*y, p)
+    w1 = p + _EXP_FIRST
+    for width in (w1, w) if w1 < w else (w,):
+        shift, lo, hi = _exp_fixed(rn, rd, width)
+        if width < w:
+            # the sum's terms past exp_plan(width) add less than 2^-(width+2),
+            # in units of 2^-shift at most this (a whole unit at least)
+            hi += 1 << max(0, shift - width - 2)
+        y = _round_pair(lo, k - shift, p)
+        if y == _round_pair(hi, k - shift, p):
+            return PFloat._raw(*y, p)
     total = _exp_series(Rat(rn, rd), exp_plan(w))
     return _round_ratio(total.num, total.den, k, p)
 
@@ -216,7 +240,9 @@ def rat_exp_approx(x: Rat, rel_bits: int) -> Rat:
         raise DomainError("rel_bits must be >= 1")
     if x.num == 0:
         return RAT_ONE
-    k, _, _, shift, lo, _ = _exp_reduced(x, rel_bits + 4, rat_floor_log2(x))
+    w = rel_bits + 4
+    k, rn, rd = _exp_reduced(x.num, x.den, w, rat_floor_log2(x))
+    shift, lo, _ = _exp_fixed(rn, rd, w)
     return _dyadic(lo, k - shift)
 
 

@@ -39,11 +39,12 @@ integer numerators over one denominator D >= 1 with gcd(D, *ints) == 1.  D
 is then the lcm of the entries' canonical denominators, and entry x/D is
 the canonical (x/g)/(D/g), g = gcd(x, D); so the form of a vector is
 unique, and every stage that makes one reduces by one multi-argument gcd.
-They run on `compile_rows(model)`, the counterpart of smat's
-`round_model`, made on a model's first exact evaluation and kept with it:
-each weight matrix becomes its rows' nonzero (index, integer numerator)
-pairs over one matrix denominator Dm, a bias and each token embedding
-become vectors.  A matmul output is then the integer row dots over Dm * D,
+They run on `compile_rows(model)`, made on a model's first exact evaluation
+and kept with it (Model.compiled), as smat keeps its counterpart, the
+`round_model` result for the last p it ran at (Model.rounded).  The compile
+makes each weight matrix its rows' nonzero (index, integer numerator) pairs
+over one matrix denominator Dm, and a bias and each token embedding
+vectors.  A matmul output is then the integer row dots over Dm * D,
 the bias folded in over the lcm of that and its own denominator, and one
 gcd.  A matrix of only zero rows, or the identity, with no bias makes no
 row dots at all: one shared zero vector, or the input vectors themselves.
@@ -506,7 +507,8 @@ def round_model(model: Model, p: int) -> Model:
 
 def _pbit_backend(p: int) -> Backend:
     """p-bit floats.  A dot product is f_dot: each nonzero product rounded
-    once, then one block sum with the bias.  A sum is one f_sum_blocks.
+    once, then their exact sum with the bias rounded once.  A sum is one
+    f_sum_blocks.
     Every rounding is pfloat's _round_pair, its one ties-to-even."""
 
     def matmul(rows, vecs, biases=None):
@@ -531,8 +533,14 @@ def _pbit_backend(p: int) -> Backend:
 
 
 def _eval_smat(model: Model, w: str, p: int) -> tuple[PFloat, EvalTrace]:
+    """Every call checks the heads; the model rounded to p bits is kept
+    with the model (Model.rounded) until an evaluation at another p."""
     check_heads(model, "softmax", "smat_pbit needs softmax")
-    rounded = round_model(model, p)
+    kept = model.rounded
+    if kept is None or kept[0] != p:
+        kept = p, round_model(model, p)
+        object.__setattr__(model, "rounded", kept)
+    rounded = kept[1]
     xs = [[round_p(Rat(x, d), p) for x in ints] for ints, d in embed_input(model, w)]
     (value,), states = forward(rounded, xs, _pbit_backend(p))
     return value, EvalTrace(xs, states)

@@ -7,8 +7,12 @@ Every operation here is the correctly rounded exact result, one core each:
 mul and div round once; every sum, f_add's two terms included, partitions
 its inputs into exponent blocks, adds the dominant nonzero block exactly,
 and rounds it once with the next nonzero block's sign breaking an exact
-tie.  A dot product rounds each nonzero product once and block-sums the
-rounded products.
+tie.  A dot product rounds each nonzero product once and sums the rounded
+products, with its bias, in one fused pass: an exact integer total over the
+least exponent seen, rounded once.  That is the correctly rounded exact sum,
+which the block sum also returns, so the two agree bit for bit; the fused
+pass hands over to the block sum once the exponents span
+block_threshold(p, len(u) + 1), which keeps its total's width polynomial.
 
 Layer 1: the rounding core, _round_pair, the one ties-to-even.
 Layer 2: two-ary ops, add on layer 3's _sum_pairs.
@@ -305,39 +309,65 @@ def f_dot(u: Sequence[PFloat], v: Sequence[PFloat], p: int, bias: PFloat | None 
     Each product is rounded inline, with _round_pair's ties-to-even: two
     normalized p-bit significands multiply to 2p - 1 or 2p bits, so the
     shift is p - 1 or p, and 0 (nothing to round) only at p = 1.
+
+    One fused pass adds each rounded product, and the bias, straight into an
+    exact integer total over 2^low, low the least exponent seen so far, and
+    rounds that total once: the correctly rounded exact sum, which is what
+    _sum_pairs returns too.  The total stays narrow while the exponents span
+    less than block_threshold(p, len(u) + 1); once they span that or more,
+    the rounded products go to _sum_pairs, whose blocks keep its widths
+    polynomial whatever the span.
     """
-    ms, es = [], []
     top = 1 << p
+    theta = block_threshold(p, len(u) + 1)
+    total, low, high = 0, None, None
+    if bias is not None and bias.m and bias.p == p:
+        total, low, high = bias.m, bias.e, bias.e
     for a, b in zip(u, v):
         if a.p != p or b.p != p:
             raise DomainError(f"mixed precisions {p} and {b.p if a.p == p else a.p}")
-        if a.m and b.m:
+        if a.m and b.m and total is not None:
             M = a.m * b.m
             A = abs(M)
             shift = A.bit_length() - p
             if shift <= 0:
-                ms.append(M << -shift)
-                es.append(a.e + b.e + shift)
-                continue
-            m = A >> shift
-            low = A & ((1 << shift) - 1)
-            half = 1 << (shift - 1)
-            if low > half or (low == half and m & 1):
-                m += 1
-                if m == top:
-                    m >>= 1
-                    shift += 1
-            ms.append(m if M > 0 else -m)
-            es.append(a.e + b.e + shift)
-    if bias is not None:
-        if bias.p != p:
-            raise DomainError(f"mixed precisions {p} and {bias.p}")
-        if bias.m:
-            ms.append(bias.m)
-            es.append(bias.e)
-    if not ms:
+                m = M << -shift
+            else:
+                m = A >> shift
+                rest = A & ((1 << shift) - 1)
+                half = 1 << (shift - 1)
+                if rest > half or (rest == half and m & 1):
+                    m += 1
+                    if m == top:
+                        m >>= 1
+                        shift += 1
+                if M < 0:
+                    m = -m
+            e = a.e + b.e + shift
+            if low is None:
+                total, low, high = m, e, e
+            elif e < low:
+                if high - e >= theta:
+                    total = None
+                    continue
+                total = (total << (low - e)) + m
+                low = e
+            elif e - low < theta:
+                total += m << (e - low)
+                if e > high:
+                    high = e
+            else:
+                total = None
+    if bias is not None and bias.p != p:
+        raise DomainError(f"mixed precisions {p} and {bias.p}")
+    if total is None:
+        pairs = [_round_pair(a.m * b.m, a.e + b.e, p) for a, b in zip(u, v) if a.m and b.m]
+        if bias is not None and bias.m:
+            pairs.append((bias.m, bias.e))
+        return PFloat._raw(*_sum_pairs([m for m, _ in pairs], [e for _, e in pairs], p), p)
+    if low is None:
         return PFloat.zero(p)
-    return PFloat._raw(*_sum_pairs(ms, es, p), p)
+    return PFloat._raw(*_round_pair(total, low, p), p)
 
 
 def f_sum_oracle(xs: Sequence[PFloat]) -> PFloat:

@@ -193,6 +193,22 @@ def test_eval_budgeted_fine_epsilon_prints_value(capsys, tmp_path):
     assert value.den <= 1 << 128
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [("-1/2", "--epsilon must be positive"), ("-01/2", "--epsilon expects a rational like 3/4, got '-01/2'")],
+)
+def test_eval_negative_fraction_epsilon_spaced_as_attached(capsys, value, message):
+    # argparse would read a spaced "-1/2" as an option ("expected one argument")
+    base = "eval --model softmax-uniform --input 1 --mode budgeted".split()
+    spaced = run_cli(capsys, *base, "--epsilon", value, "--json")
+    assert spaced == run_cli(capsys, *base, f"--epsilon={value}", "--json")
+    code, out, err = spaced
+    assert (code, out) == (2, "") and err.endswith(f"error: {message}\n")
+    # a value that is no number stays the usage error it was
+    code, out, err = run_cli(capsys, *base, "--epsilon", "-x")
+    assert (code, out) == (2, "") and err.endswith("error: argument --epsilon: expected one argument\n")
+
+
 def test_eval_smat_output_past_int_string_limit(capsys, tmp_path):
     # output 2^16000 at p = 14000: as an integer it has 4,817 decimal digits,
     # more than str(int) converts by default
@@ -681,7 +697,7 @@ def _corpus_records(capsys, tmp_path) -> list:
 # lines, stderr, exit code] for every line of _cli_corpus().  Any change to a
 # message, an exit code or an output byte shows here; the argparse usage text
 # depends on COLUMNS, fixed below.
-CLI_CORPUS_SHA256 = "3e5b71106c1107a42420949a2b0716c0ab2776f0fbec25e4216498f80d11fdc3"
+CLI_CORPUS_SHA256 = "91e83324f52fd9e824c82bc5f89609919c605e7bc0fc543550ab2ff67e0d6e12"
 
 
 def test_cli_corpus_is_pinned(capsys, tmp_path, monkeypatch):

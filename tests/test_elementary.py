@@ -6,6 +6,7 @@ enclosures and squared-integer comparisons, never a binary float library.
 """
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -192,6 +193,41 @@ def test_exp_fallback_keeps_exact_series_result(p, monkeypatch):
     for x in cases:
         _same_exp(x)
     assert 0 < len(fallbacks) < len(cases)
+
+
+@given(p=st.sampled_from((1, 3, 24, 53, 256)), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_exp_first_pass_defers_to_full_width(p, data):
+    # the first pass patched down to w1 <= p + 8 < 2p + 8 bits leaves every
+    # result as it was; at one bit its ends round apart at any p >= 5, so the
+    # full-width enclosure or the exact series decides
+    x = data.draw(_pfloats(p, -(3 * p + 20), 3))
+    w1 = data.draw(st.sampled_from((1, 2, p // 2 + 1, p, p + 8)))
+    widths = []
+    fixed = elementary._exp_fixed
+    with mock.patch.object(elementary, "_EXP_FIRST", w1 - p), mock.patch.object(
+        elementary, "_exp_fixed", lambda rn, rd, w: widths.append(w) or fixed(rn, rd, w)
+    ):
+        _same_exp(x)
+    assert widths in ([], [w1], [w1, 2 * p + 8])
+    if w1 == 1 and p >= 5 and widths:
+        assert widths == [1, 2 * p + 8]
+
+
+@pytest.mark.parametrize("w1", [1, 2, 3])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_exp_narrow_first_pass_matches_exact_series_exhaustive(p, w1):
+    # at one to three bits the first pass's sum stops short of the full
+    # series by up to 2^-(w1 + 2), as much as a p-bit rounding step: its
+    # enclosure must carry that tail to return the same floats
+    passes = []
+    fixed = elementary._exp_fixed
+    with mock.patch.object(elementary, "_EXP_FIRST", w1 - p), mock.patch.object(
+        elementary, "_exp_fixed", lambda rn, rd, w: passes.append(w) or fixed(rn, rd, w)
+    ):
+        for x in _exp_grid(p):
+            _same_exp(x)
+    assert w1 in passes
 
 
 # --- log2 constant ---------------------------------------------------------------

@@ -29,6 +29,7 @@ from exact_xformer import (
     load_model,
     round_p,
 )
+from exact_xformer import pfloat
 from exact_xformer.pfloat import _ilog10, block_threshold, decimal_str, f_dot, f_neg, f_sum_oracle, float_to_rat
 
 
@@ -367,14 +368,15 @@ def test_block_threshold_values():
 
 
 def _dot_cases(p: int):
-    """(u, v, bias) with zero factors, and exponents spread over [-spread,
-    spread], so the rounded products fall into one block or several
-    (block_threshold is 2p + ceil(log2 n) + 1)."""
+    """(u, v, bias) of up to 20 pairs (smat's context dots have 8-16), with
+    zero factors, and exponents spread over [-spread, spread], so the rounded
+    products fall into one block or several (block_threshold is 2p +
+    ceil(log2 n) + 1)."""
 
     def build(spread):
         factor = st.one_of(st.just(PFloat.zero(p)), _pfloats(p, -spread, spread))
         bias = st.one_of(st.none(), st.just(PFloat.zero(p)), _pfloats(p, -2 * spread, 2 * spread))
-        pairs = st.lists(st.tuples(factor, factor), max_size=8)
+        pairs = st.lists(st.tuples(factor, factor), max_size=20)
         return st.tuples(pairs, bias).map(lambda c: ([a for a, _ in c[0]], [b for _, b in c[0]], c[1]))
 
     return st.integers(min_value=0, max_value=3 * p).flatmap(build)
@@ -389,6 +391,46 @@ def test_dot_equals_sum_of_rounded_products(case):
         assert got == PFloat.zero(p)
         return
     assert got == f_sum_blocks(terms) == f_sum_oracle(terms)
+
+
+def _dot_span_cases(p: int, n: int, gap: int):
+    """(u, bias) of length n whose nonzero terms' exponents span exactly
+    `gap`, for a dot of u with ones (each product is then exact).  The far
+    term is reached from above and from below, after a dominant block that
+    cancels to zero, as the bias, and as the sign that breaks a tie: 1 +
+    2^-p lies halfway between two p-bit floats."""
+    big, far = PFloat((1 << p) - 1, 0, p), PFloat(-((1 << p) - 1), -gap, p)
+    unit, tie = PFloat(1 << (p - 1), 1 - p, p), PFloat(1 << (p - 1), 1 - 2 * p, p)
+    rows = [
+        ([big, far], None),
+        ([far, big], None),
+        ([big, PFloat(-big.m, 0, p), far], None),
+        ([big], far),
+        ([unit, tie, PFloat(1 << (p - 1), 1 - p - gap, p)], None),
+    ]
+    return [(u + [PFloat.zero(p)] * (n - len(u)), bias) for u, bias in rows if len(u) <= n]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 24, 53])
+@pytest.mark.parametrize("n", [1, 3, 4, 16, 20])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_dot_routes_at_the_block_threshold(p, n, offset, monkeypatch):
+    # a span below block_threshold(p, n + 1) is summed in the fused pass;
+    # at or past it, the rounded products go to _sum_pairs.  Both give the
+    # correctly rounded exact sum.
+    theta = block_threshold(p, n + 1)
+    one = PFloat(1 << (p - 1), 1 - p, p)
+    routed = []
+    sum_pairs = pfloat._sum_pairs
+    monkeypatch.setattr(pfloat, "_sum_pairs", lambda ms, es, q: routed.append(len(ms)) or sum_pairs(ms, es, q))
+    cases = _dot_span_cases(p, n, theta + offset)
+    assert cases
+    for u, bias in cases:
+        routed.clear()
+        terms = [x for x in u if x.m] + ([bias] if bias is not None else [])
+        got = f_dot(u, [one] * n, p, bias)
+        assert routed == ([] if offset < 0 else [len(terms)])
+        assert got == f_sum_blocks(terms) == f_sum_oracle(terms)
 
 
 def test_dot_of_empty_vectors_is_zero_at_p():
