@@ -275,16 +275,22 @@ def _cmd_bitgrowth(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
 
 
 # argparse takes a value that starts with "-" for an option unless it looks
-# like a negative number, and a fraction does not; so main passes `--epsilon
-# -1/2` on as `--epsilon=-1/2`, and the value reaches --epsilon's own check.
+# like a negative number, and a fraction does not; so main passes `eval
+# --epsilon -1/2`, or any abbreviation of --epsilon, on as `--epsilon=-1/2`,
+# and the value reaches --epsilon's own check.  No other eval option starts
+# with "--e", and the tokens after "--" are left as they are.
 _NEGATIVE_FRACTION = re.compile(r"-[0-9]+/[0-9]+")
 
 
 def _attach_negative_fractions(argv: list[str]) -> list[str]:
+    if argv[:1] != ["eval"]:
+        return argv
     out: list[str] = []
-    for arg in argv:
-        if out and out[-1] == "--epsilon" and _NEGATIVE_FRACTION.fullmatch(arg):
-            out[-1] = f"--epsilon={arg}"
+    for i, arg in enumerate(argv):
+        if arg == "--":
+            return out + argv[i:]
+        if out and len(out[-1]) > 2 and "--epsilon".startswith(out[-1]) and _NEGATIVE_FRACTION.fullmatch(arg):
+            out[-1] += "=" + arg
         else:
             out.append(arg)
     return out

@@ -130,24 +130,24 @@ def _exp_enclosure(rn: int, rd: int, terms: int, shift: int) -> tuple[int, int]:
     return lo, lo + 2 * terms
 
 
-def _exp_reduced(num: int, den: int, w: int, log_mag: int) -> tuple[int, int, int]:
-    """The range reduction shared by f_exp and rat_exp_approx, of x = num / den
-    (den >= 1, in lowest terms or not): with log_mag = floor(log2 |x|) and
-    lam = log2_const(w + max(2, log_mag + 2) + 8) <= log 2, x = k * lam +
-    rn / rd exactly with k = floor(x / lam).  Returns (k, rn, rd)."""
+def _exp_reduced(num: int, den: int, w: int, log_mag: int, sum_w: int) -> tuple[int, int, int, int, int, int]:
+    """The range reduction and enclosure shared by f_exp and rat_exp_approx.
+
+    With x = num / den (den >= 1, in lowest terms or not), log_mag =
+    floor(log2 |x|) and lam = log2_const(w + max(2, log_mag + 2) + 8) <=
+    log 2, x = k * lam + rn / rd exactly with k = floor(x / lam), and lo <=
+    S * 2^shift < hi encloses S, the exp_plan(sum_w)-term Taylor sum of
+    exp(rn / rd) (lo < hi, see _exp_enclosure).  sum_w is w but in f_exp's
+    first pass.  Returns (k, rn, rd, shift, lo, hi).
+    """
     lam = log2_const(w + max(2, log_mag + 2) + 8)
     k = (num * lam.den) // (den * lam.num)  # exact floor(x / lam)
     rn = num * lam.den - k * lam.num * den
     rd = den * lam.den
-    return k, rn, rd
-
-
-def _exp_fixed(rn: int, rd: int, w: int) -> tuple[int, int, int]:
-    """(shift, lo, hi) with lo <= S * 2^shift < hi, S the exp_plan(w)-term
-    Taylor sum of exp(rn / rd) (see _exp_enclosure)."""
-    terms = exp_plan(w)
-    shift = w + _EXP_GUARD + terms.bit_length()
-    return (shift, *_exp_enclosure(rn, rd, terms, shift))
+    terms = exp_plan(sum_w)
+    shift = sum_w + _EXP_GUARD + terms.bit_length()
+    lo, hi = _exp_enclosure(rn, rd, terms, shift)
+    return k, rn, rd, shift, lo, hi
 
 
 def f_sqrt(x: PFloat) -> PFloat:
@@ -188,16 +188,14 @@ def f_exp(x: PFloat, p: int | None = None) -> PFloat:
         raise FloatRangeError(f"exp argument magnitude 2^{log_mag} puts k outside [-2^{p}, 2^{p})")
     w = 2 * p + 8
     num, den = (x.m << x.e, 1) if x.e >= 0 else (x.m, 1 << -x.e)
-    k, rn, rd = _exp_reduced(num, den, w, log_mag)
-    if not -(1 << p) <= k < (1 << p):
-        raise FloatRangeError(f"exp scaling k={k} outside [-2^{p}, 2^{p})")
     w1 = p + _EXP_FIRST
-    for width in (w1, w) if w1 < w else (w,):
-        shift, lo, hi = _exp_fixed(rn, rd, width)
-        if width < w:
-            # the sum's terms past exp_plan(width) add less than 2^-(width+2),
-            # in units of 2^-shift at most this (a whole unit at least)
-            hi += 1 << max(0, shift - width - 2)
+    for sum_w in (w1, w) if w1 < w else (w,):
+        k, rn, rd, shift, lo, hi = _exp_reduced(num, den, w, log_mag, sum_w)
+        if not -(1 << p) <= k < (1 << p):
+            raise FloatRangeError(f"exp scaling k={k} outside [-2^{p}, 2^{p})")
+        if sum_w < w:
+            # the sum's terms past exp_plan(sum_w) add less than 2^-(sum_w + 2)
+            hi += 1 << (shift - sum_w - 2)
         y = _round_pair(lo, k - shift, p)
         if y == _round_pair(hi, k - shift, p):
             return PFloat._raw(*y, p)
@@ -241,8 +239,7 @@ def rat_exp_approx(x: Rat, rel_bits: int) -> Rat:
     if x.num == 0:
         return RAT_ONE
     w = rel_bits + 4
-    k, rn, rd = _exp_reduced(x.num, x.den, w, rat_floor_log2(x))
-    shift, lo, _ = _exp_fixed(rn, rd, w)
+    k, _, _, shift, lo, _ = _exp_reduced(x.num, x.den, w, rat_floor_log2(x), w)
     return _dyadic(lo, k - shift)
 
 

@@ -39,12 +39,11 @@ integer numerators over one denominator D >= 1 with gcd(D, *ints) == 1.  D
 is then the lcm of the entries' canonical denominators, and entry x/D is
 the canonical (x/g)/(D/g), g = gcd(x, D); so the form of a vector is
 unique, and every stage that makes one reduces by one multi-argument gcd.
-They run on `compile_rows(model)`, made on a model's first exact evaluation
-and kept with it (Model.compiled), as smat keeps its counterpart, the
-`round_model` result for the last p it ran at (Model.rounded).  The compile
-makes each weight matrix its rows' nonzero (index, integer numerator) pairs
-over one matrix denominator Dm, and a bias and each token embedding
-vectors.  A matmul output is then the integer row dots over Dm * D,
+They run on `compile_rows(model)`, the counterpart of smat's
+`round_model`, made on a model's first exact evaluation and kept with it:
+each weight matrix becomes its rows' nonzero (index, integer numerator)
+pairs over one matrix denominator Dm, a bias and each token embedding
+become vectors.  A matmul output is then the integer row dots over Dm * D,
 the bias folded in over the lcm of that and its own denominator, and one
 gcd.  A matrix of only zero rows, or the identity, with no bias makes no
 row dots at all: one shared zero vector, or the input vectors themselves.
@@ -500,9 +499,19 @@ def layernorm_pbit(x: list[PFloat], ln_gamma: list[PFloat], ln_beta: list[PFloat
 
 def round_model(model: Model, p: int) -> Model:
     """The model with every attention, FFNN, layernorm and output-head
-    parameter rounded once to p bits (embeddings are rounded after lookup)."""
-    rv = lambda vec: tuple(round_p(x, p) for x in vec)
-    return _map_params(model, lambda rows: tuple(map(rv, rows)), rv, rv, lambda x: round_p(x, p))
+    parameter rounded once to p bits (embeddings are rounded after lookup).
+    Each distinct value is rounded once per call, as a model's parameters
+    may repeat a few values many times (the zoo's models do)."""
+    rounded: dict[Rat, PFloat] = {}
+
+    def r(x: Rat) -> PFloat:
+        y = rounded.get(x)
+        if y is None:
+            y = rounded[x] = round_p(x, p)
+        return y
+
+    rv = lambda vec: tuple(map(r, vec))
+    return _map_params(model, lambda rows: tuple(map(rv, rows)), rv, rv, r)
 
 
 def _pbit_backend(p: int) -> Backend:
@@ -533,14 +542,8 @@ def _pbit_backend(p: int) -> Backend:
 
 
 def _eval_smat(model: Model, w: str, p: int) -> tuple[PFloat, EvalTrace]:
-    """Every call checks the heads; the model rounded to p bits is kept
-    with the model (Model.rounded) until an evaluation at another p."""
     check_heads(model, "softmax", "smat_pbit needs softmax")
-    kept = model.rounded
-    if kept is None or kept[0] != p:
-        kept = p, round_model(model, p)
-        object.__setattr__(model, "rounded", kept)
-    rounded = kept[1]
+    rounded = round_model(model, p)
     xs = [[round_p(Rat(x, d), p) for x in ints] for ints, d in embed_input(model, w)]
     (value,), states = forward(rounded, xs, _pbit_backend(p))
     return value, EvalTrace(xs, states)

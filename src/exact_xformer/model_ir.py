@@ -101,10 +101,6 @@ class Model:
     # each, biases and token embeddings as integer vectors), kept on its
     # first exact evaluation; it takes no part in ==, repr or serialization.
     compiled: Optional["Model"] = field(default=None, init=False, compare=False, repr=False)
-    # Not a parameter either: smat's last (p, model rounded to p bits) pair
-    # (evaluator.round_model), kept by its evaluation for the next one at the
-    # same p.  One slot keeps the memory of a model bounded.
-    rounded: Optional[tuple[int, "Model"]] = field(default=None, init=False, compare=False, repr=False)
 
 
 # The JSON keys of each part are its dataclass's init fields, for the parser

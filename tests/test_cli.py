@@ -193,20 +193,25 @@ def test_eval_budgeted_fine_epsilon_prints_value(capsys, tmp_path):
     assert value.den <= 1 << 128
 
 
+@pytest.mark.parametrize("option", ["--epsilon", "--eps", "--e"])
 @pytest.mark.parametrize(
     "value, message",
     [("-1/2", "--epsilon must be positive"), ("-01/2", "--epsilon expects a rational like 3/4, got '-01/2'")],
 )
-def test_eval_negative_fraction_epsilon_spaced_as_attached(capsys, value, message):
-    # argparse would read a spaced "-1/2" as an option ("expected one argument")
+def test_eval_negative_fraction_epsilon_spaced_as_attached(capsys, option, value, message):
+    # argparse would read a spaced "-1/2" as an option ("expected one argument"),
+    # after --epsilon or any abbreviation of it
     base = "eval --model softmax-uniform --input 1 --mode budgeted".split()
-    spaced = run_cli(capsys, *base, "--epsilon", value, "--json")
+    spaced = run_cli(capsys, *base, option, value, "--json")
     assert spaced == run_cli(capsys, *base, f"--epsilon={value}", "--json")
     code, out, err = spaced
     assert (code, out) == (2, "") and err.endswith(f"error: {message}\n")
     # a value that is no number stays the usage error it was
-    code, out, err = run_cli(capsys, *base, "--epsilon", "-x")
+    code, out, err = run_cli(capsys, *base, option, "-x")
     assert (code, out) == (2, "") and err.endswith("error: argument --epsilon: expected one argument\n")
+    # and after "--" nothing is an option's value
+    code, out, err = run_cli(capsys, *base, "--epsilon=1/2", "--", option, value)
+    assert (code, out) == (2, "") and err.endswith(f"error: unrecognized arguments: -- {option} {value}\n")
 
 
 def test_eval_smat_output_past_int_string_limit(capsys, tmp_path):

@@ -135,13 +135,15 @@ def _exp_reference(x, p=None):
 
 
 def _same_exp(x, p=None):
+    """Whether exp(x) is in range, after checking f_exp against the reference."""
     try:
         want = _exp_reference(x, p)
     except FloatRangeError:
         with pytest.raises(FloatRangeError):
             f_exp(x, p)
-        return
+        return False
     assert f_exp(x, p) == want, (x, p)
+    return True
 
 
 def _exp_grid(p):
@@ -200,17 +202,18 @@ def test_exp_fallback_keeps_exact_series_result(p, monkeypatch):
 def test_exp_first_pass_defers_to_full_width(p, data):
     # the first pass patched down to w1 <= p + 8 < 2p + 8 bits leaves every
     # result as it was; at one bit its ends round apart at any p >= 5, so the
-    # full-width enclosure or the exact series decides
+    # full-width enclosure or the exact series decides (a k out of range
+    # raises after the first reduction)
     x = data.draw(_pfloats(p, -(3 * p + 20), 3))
     w1 = data.draw(st.sampled_from((1, 2, p // 2 + 1, p, p + 8)))
     widths = []
-    fixed = elementary._exp_fixed
+    reduced = elementary._exp_reduced
     with mock.patch.object(elementary, "_EXP_FIRST", w1 - p), mock.patch.object(
-        elementary, "_exp_fixed", lambda rn, rd, w: widths.append(w) or fixed(rn, rd, w)
+        elementary, "_exp_reduced", lambda *args: widths.append(args[4]) or reduced(*args)
     ):
-        _same_exp(x)
+        in_range = _same_exp(x)
     assert widths in ([], [w1], [w1, 2 * p + 8])
-    if w1 == 1 and p >= 5 and widths:
+    if w1 == 1 and p >= 5 and widths and in_range:
         assert widths == [1, 2 * p + 8]
 
 
@@ -221,9 +224,9 @@ def test_exp_narrow_first_pass_matches_exact_series_exhaustive(p, w1):
     # series by up to 2^-(w1 + 2), as much as a p-bit rounding step: its
     # enclosure must carry that tail to return the same floats
     passes = []
-    fixed = elementary._exp_fixed
+    reduced = elementary._exp_reduced
     with mock.patch.object(elementary, "_EXP_FIRST", w1 - p), mock.patch.object(
-        elementary, "_exp_fixed", lambda rn, rd, w: passes.append(w) or fixed(rn, rd, w)
+        elementary, "_exp_reduced", lambda *args: passes.append(args[4]) or reduced(*args)
     ):
         for x in _exp_grid(p):
             _same_exp(x)

@@ -10,7 +10,6 @@ import copy
 import dataclasses
 import math
 import operator
-import pickle
 import random
 from fractions import Fraction
 
@@ -324,35 +323,23 @@ def test_smat_eval_compiles_nothing():
     assert model.compiled is not None and eval_smat_pbit(model, "1101", 24) == want
 
 
-def test_smat_keeps_the_model_rounded_at_its_last_p(monkeypatch):
-    # one round_model per (model, p) run: a new p rounds again and replaces
-    # the one kept slot; the heads are checked on every call
-    rounds, checks = [], []
-    round_model, check_heads = evaluator.round_model, evaluator.check_heads
-    monkeypatch.setattr(evaluator, "round_model", lambda model, p: rounds.append(p) or round_model(model, p))
-    monkeypatch.setattr(evaluator, "check_heads", lambda *args: checks.append(args[1]) or check_heads(*args))
+def test_round_model_rounds_each_distinct_value_once(monkeypatch):
+    # the result is the model with each parameter rounded by round_p; a
+    # value that repeats is rounded once per call, and a second call rounds
+    # again (nothing is kept between calls)
     model = load_model("softmax-uniform")
-    text, shown = serialize_model(model), repr(model)
-    want = {p: eval_smat_pbit(load_model("softmax-uniform"), "1101", p) for p in (24, 53)}
-    rounds.clear()
-    for p in (24, 24, 24, 53, 53, 24):
-        assert eval_smat_pbit(model, "1101", p) == want[p]
-    assert rounds == [24, 53, 24] and model.rounded[0] == 24
-    assert checks == ["softmax"] * 8 and model.compiled is None
-    # the slot takes no part in ==, repr or serialization
-    assert model == load_model("softmax-uniform") and repr(model) == shown
-    assert serialize_model(model) == text and parse_model(text) == model
-    # copies keep the slot, and an equal model is rounded for itself
-    for clone in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model), copy.copy(model)):
-        assert clone == model and clone.rounded[0] == 24
-        assert eval_smat_pbit(clone, "1101", 24) == want[24]
-    assert rounds == [24, 53, 24]
-    assert eval_smat_pbit(load_model("softmax-uniform"), "1101", 24) == want[24]
-    assert rounds == [24, 53, 24, 24]
-    # a refused precision keeps the slot as it was
+    params = []
+    evaluator._map_params(model, lambda rows: [params.extend(r) for r in rows], params.extend, params.extend, params.append)
+    assert len(set(params)) < len(params)
+    rv = lambda vec: tuple(round_p(x, 24) for x in vec)
+    want = evaluator._map_params(model, lambda rows: tuple(map(rv, rows)), rv, rv, lambda x: round_p(x, 24))
+    seen = []
+    monkeypatch.setattr(evaluator, "round_p", lambda x, p: seen.append(x) or round_p(x, p))
+    assert evaluator.round_model(model, 24) == want
+    assert sorted(seen) == sorted(set(params))
+    assert evaluator.round_model(model, 24) == want and len(seen) == 2 * len(set(params))
     with pytest.raises(DomainError):
-        eval_smat_pbit(model, "1101", 0)
-    assert model.rounded[0] == 24 and eval_smat_pbit(model, "1101", 24) == want[24]
+        evaluator.round_model(model, 0)
 
 
 def test_a_filled_cache_skips_no_mode_check(majority):
