@@ -348,8 +348,8 @@ def _eval_planned(model: Model, w: str, epsilon: Rat) -> tuple[Rat, EvalTrace]:
         lambda scores, li, hi: softmax_budgeted(scores, deltas[("layer", li, "head", hi, "softmax")]),
         lambda x, ln, li, site: layernorm_budgeted(x, ln, deltas[("layer", li, site)]),
     )
-    ((num,), den), states = forward(compiled, xs, backend)
-    return _round_to_grid(Rat(num, den), _bits_for(epsilon)), EvalTrace(xs, states, budget)
+    ((num,), den), states, final = forward(compiled, xs, backend)
+    return _round_to_grid(Rat(num, den), _bits_for(epsilon)), EvalTrace(xs, states, final, budget)
 
 
 def margin_recognize(model: Model, w: str, epsilon_margin: Rat) -> Decision:

@@ -275,21 +275,27 @@ def _cmd_bitgrowth(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
 
 
 # argparse takes a value that starts with "-" for an option unless it looks
-# like a negative number, and a fraction does not; so main passes `eval
-# --epsilon -1/2`, or any abbreviation of --epsilon, on as `--epsilon=-1/2`,
-# and the value reaches --epsilon's own check.  No other eval option starts
-# with "--e", and the tokens after "--" are left as they are.
-_NEGATIVE_FRACTION = re.compile(r"-[0-9]+/[0-9]+")
+# like a negative number, and neither a fraction nor a list does; so main
+# passes `eval --epsilon -1/2` on as `--epsilon=-1/2`, and `bitgrowth
+# --lengths -4,8` as `--lengths=-4,8`, or any abbreviation of either option,
+# and the value reaches the option's own check.  No other option of those
+# commands starts with "--e" or "--l", and the tokens after "--" are left
+# as they are.
+_SPACED_NEGATIVES = {
+    "eval": ("--epsilon", re.compile(r"-[0-9]+/[0-9]+")),
+    "bitgrowth": ("--lengths", re.compile(r"-[0-9]+,.*")),
+}
 
 
-def _attach_negative_fractions(argv: list[str]) -> list[str]:
-    if argv[:1] != ["eval"]:
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    if not argv or argv[0] not in _SPACED_NEGATIVES:
         return argv
+    option, negative = _SPACED_NEGATIVES[argv[0]]
     out: list[str] = []
     for i, arg in enumerate(argv):
         if arg == "--":
             return out + argv[i:]
-        if out and len(out[-1]) > 2 and "--epsilon".startswith(out[-1]) and _NEGATIVE_FRACTION.fullmatch(arg):
+        if out and len(out[-1]) > 2 and option.startswith(out[-1]) and negative.fullmatch(arg):
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -300,7 +306,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     commands = {"eval": _cmd_eval, "verify": _cmd_verify, "bitgrowth": _cmd_bitgrowth}
     try:
-        args = parser.parse_args(_attach_negative_fractions(sys.argv[1:] if argv is None else argv))
+        args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
         return commands[args.command](parser, args)
     except SystemExit as exc:
         code = exc.code

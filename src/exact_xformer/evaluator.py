@@ -21,18 +21,20 @@ whose vectors are magnitude bounds.  Recognition follows the strict-sign convent
 positive output accepts, negative rejects, exact zero is a tie.
 
 `forward` runs each stage over the whole sequence: one `matmul` call per
-weight matrix per layer, over every position's vector (the output head is a
-one-row matrix on the last position).  No stage mutates a vector, so a
-backend may hand one vector to several positions or stages.
+weight matrix per layer, over every position's vector.  The final layer
+runs at the last position only, the one the output head (a one-row matrix)
+reads: its keys and values are made at every position, and the rest at the
+last one, whose query sees every key, so each head attends once with that
+one query.  No stage mutates a vector, so a backend may hand one vector to
+several positions or stages.
 
 A backend's `attend` step runs once per head, on keys and values it
 prepares once, and gives each query its context vector (query i of a causal
 head sees positions 0..i).  An unmasked head's positions all see the same
-keys and values, so `forward` passes its distinct queries only; in the
-majority fixture there is one, zero.  smat and budgeted attend in three
-steps: the score dots, the normalizer, then the context dots.  ahat picks
-the maximizers and averages their values directly, and an all-zero query
-ties every key without a score dot.
+keys and values, so `forward` passes its distinct queries only.  smat and
+budgeted attend in three steps: the score dots, the normalizer, then the
+context dots.  ahat picks the maximizers and averages their values
+directly, and an all-zero query ties every key without a score dot.
 
 Both exact modes pass one vector form between stages: a pair (ints, D) of
 integer numerators over one denominator D >= 1 with gcd(D, *ints) == 1.  D
@@ -41,8 +43,8 @@ the canonical (x/g)/(D/g), g = gcd(x, D); so the form of a vector is
 unique, and every stage that makes one reduces by one multi-argument gcd.
 They run on `compile_rows(model)`, the counterpart of smat's
 `round_model`, made on a model's first exact evaluation and kept with it:
-each weight matrix becomes its rows' nonzero (index, integer numerator)
-pairs over one matrix denominator Dm, a bias and each token embedding
+each weight matrix becomes its rows' integer numerators, zeros included,
+over one matrix denominator Dm, and a bias and each token embedding
 become vectors.  A matmul output is then the integer row dots over Dm * D,
 the bias folded in over the lcm of that and its own denominator, and one
 gcd.  A matrix of only zero rows, or the identity, with no bias makes no
@@ -53,15 +55,17 @@ budgeted scores each key over its own denominator, and its normalizer and
 layernorm take and return Rats.  Rats are made only there and at the
 output head.  Every mode's run makes an `EvalTrace` of its embedded inputs
 and the layer outputs `forward` returns; the widths that `EvalTrace` reads
-come off their integers, in either vector form, and only when asked.
+come off their integers, in either vector form, and only when asked, and
+the first read runs the final layer again at every position.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from math import gcd, lcm
+from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
 from .elementary import f_exp, f_sqrt
@@ -81,7 +85,7 @@ class Backend(NamedTuple):
 
     relu(vec)               each entry kept where positive, else zero
     matmul(rows, vecs, biases=None)  for each vector v of vecs, [row . v
-                            (+ bias) for each row], zero products skipped;
+                            (+ bias) for each row];
                             rows is a weight matrix of the model that
                             `forward` is given, prepared for this backend
                             (round_model, compile_rows), and biases its
@@ -115,56 +119,73 @@ def check_heads(model: Model, kind: str, reason: str, layernorm: bool = True) ->
             raise EvalModeError(f"layers[{li}] has layernorm; ahat_exact forbids it")
 
 
-def forward(model: Model, xs: list, backend: Backend) -> tuple[object, list[list]]:
+def forward(model: Model, xs: list, backend: Backend) -> tuple[object, list[list], Callable | None]:
     """The encoder over embedded inputs `xs`, on a model mapped by
-    `_map_params`; returns the output head's one-entry vector and each
-    layer's output vectors.  Each stage runs over the whole sequence: one
-    matmul per weight matrix per layer."""
-    relu, matmul, total, add, attend, layernorm = backend
+    `_map_params`.  Returns the output head's one-entry vector, each layer's
+    output vectors but the final layer's, and a function that makes the
+    final layer's output at every position (None without layers).  The
+    final layer itself runs at the last position only, which is all the
+    output head reads."""
     states = []
-    for li, layer in enumerate(model.layers):
-        per_head = []
-        for hi, head in enumerate(layer.heads):
-            qs, ks, vs = matmul(head.w_q, xs), matmul(head.w_k, xs), matmul(head.w_v, xs)
-            if head.masking == "causal":
-                per_head.append(matmul(head.w_o, attend(qs, ks, vs, li, hi, True)))
-                continue
-            # Every position sees the same keys and values, so equal queries
-            # have equal outputs: attend on the distinct queries only.  A
-            # repeat of the previous query object (matmul may share one
-            # vector between positions) reuses its slot without hashing.
-            slot: dict = {}
-            distinct, picks = [], []
-            prev = None
-            for q in qs:
-                if q is not prev:
-                    j = slot.get(key := tuple(q))
-                    if j is None:
-                        j = slot[key] = len(distinct)
-                        distinct.append(q)
-                    prev = q
-                picks.append(j)
-            outs = matmul(head.w_o, attend(distinct, ks, vs, li, hi, False))
-            per_head.append([outs[j] for j in picks])
-
-        terms = per_head + [xs] if layer.residual_attn else per_head
-        # one head, no residual: its outputs are the sum
-        acc = terms[0] if len(terms) == 1 else list(map(total, zip(*terms)))
-        if layer.layernorm_attn is not None:
-            acc = [layernorm(a, layer.layernorm_attn, li, "ln_attn") for a in acc]
-        ffnn = layer.ffnn
-        hidden = matmul(ffnn.w1, acc, ffnn.b1)
-        if ffnn.activation == "relu":
-            hidden = list(map(relu, hidden))
-        xs = matmul(ffnn.w2, hidden, ffnn.b2)
-        if layer.residual_ffnn:
-            xs = list(map(add, acc, xs))
-        if layer.layernorm_ffnn is not None:
-            xs = [layernorm(x, layer.layernorm_ffnn, li, "ln_ffnn") for x in xs]
+    for li, layer in enumerate(model.layers[:-1]):
+        xs = _layer(layer, li, xs, backend, False)
         states.append(xs)
-
+    final = None
+    if model.layers:
+        li = len(model.layers) - 1
+        final = partial(_layer, model.layers[-1], li, xs, backend, False)
+        xs = _layer(model.layers[-1], li, xs, backend, True)
     out_head = model.output_head
-    return matmul(out_head.weights, [xs[-1]], out_head.bias)[0], states
+    return backend.matmul(out_head.weights, [xs[-1]], out_head.bias)[0], states, final
+
+
+def _layer(layer: Layer, li: int, xs: list, backend: Backend, last_only: bool) -> list:
+    """Layer `li` over the vectors `xs`: its output at every position, or
+    with `last_only` at the last position only.  Keys and values are made at
+    every position either way; the rest runs on the positions whose output
+    is made, one matmul per weight matrix."""
+    relu, matmul, total, add, attend, layernorm = backend
+    ys = xs[-1:] if last_only else xs
+    per_head = []
+    for hi, head in enumerate(layer.heads):
+        qs, ks, vs = matmul(head.w_q, ys), matmul(head.w_k, xs), matmul(head.w_v, xs)
+        if last_only or head.masking == "causal":
+            # the last query of a causal head sees every position
+            per_head.append(matmul(head.w_o, attend(qs, ks, vs, li, hi, not last_only)))
+            continue
+        # Every position sees the same keys and values, so equal queries
+        # have equal outputs: attend on the distinct queries only.  A
+        # repeat of the previous query object (matmul may share one
+        # vector between positions) reuses its slot without hashing.
+        slot: dict = {}
+        distinct, picks = [], []
+        prev = None
+        for q in qs:
+            if q is not prev:
+                j = slot.get(key := tuple(q))
+                if j is None:
+                    j = slot[key] = len(distinct)
+                    distinct.append(q)
+                prev = q
+            picks.append(j)
+        outs = matmul(head.w_o, attend(distinct, ks, vs, li, hi, False))
+        per_head.append([outs[j] for j in picks])
+
+    terms = per_head + [ys] if layer.residual_attn else per_head
+    # one head, no residual: its outputs are the sum
+    acc = terms[0] if len(terms) == 1 else list(map(total, zip(*terms)))
+    if layer.layernorm_attn is not None:
+        acc = [layernorm(a, layer.layernorm_attn, li, "ln_attn") for a in acc]
+    ffnn = layer.ffnn
+    hidden = matmul(ffnn.w1, acc, ffnn.b1)
+    if ffnn.activation == "relu":
+        hidden = list(map(relu, hidden))
+    out = matmul(ffnn.w2, hidden, ffnn.b2)
+    if layer.residual_ffnn:
+        out = list(map(add, acc, out))
+    if layer.layernorm_ffnn is not None:
+        out = [layernorm(x, layer.layernorm_ffnn, li, "ln_ffnn") for x in out]
+    return out
 
 
 def _same(x):
@@ -225,9 +246,9 @@ def _bias(xs: Sequence[Rat]) -> tuple | None:
 
 
 class _Compiled(tuple):
-    """A weight matrix over one denominator `den`: each row the (index,
-    integer numerator) pairs of its nonzero entries.  _compile_matrix sets
-    two flags once: `zero` when every row is zero, and `identity` when the
+    """A weight matrix over one denominator `den`: each row a tuple of its
+    entries' integer numerators, zeros included.  _compile_matrix sets two
+    flags once: `zero` when every entry is zero, and `identity` when the
     matrix is the identity."""
 
     den = 1
@@ -236,15 +257,16 @@ class _Compiled(tuple):
     @cached_property
     def norm(self) -> Rat:
         """The operator infinity norm: the largest row sum of |entries|."""
-        return Rat(max((sum(abs(a) for _, a in row) for row in self), default=0), self.den)
+        return Rat(max((sum(map(abs, row)) for row in self), default=0), self.den)
 
 
 def _compile_matrix(rows: Sequence[Sequence[Rat]]) -> _Compiled:
     den = lcm(*[x.den for row in rows for x in row])
-    out = _Compiled(tuple((k, x.num * (den // x.den)) for k, x in enumerate(row) if x.num) for row in rows)
+    out = _Compiled(tuple([x.num * (den // x.den) for x in row]) for row in rows)
     out.den = den
-    out.zero = not any(out)
-    out.identity = den == 1 and all(len(row) == len(rows) for row in rows) and all(r == ((i, 1),) for i, r in enumerate(out))
+    out.zero = not any(map(any, out))
+    n = len(rows)
+    out.identity = den == 1 and all(r == tuple(int(c == i) for c in range(n)) for i, r in enumerate(out))
     return out
 
 
@@ -262,12 +284,7 @@ def _exact_matmul(rows: _Compiled, vecs: Sequence[tuple], biases: tuple | None =
     out = []
     for ints, d in vecs:
         den = rows.den * d
-        nums = []
-        for row in rows:
-            num = 0
-            for k, a in row:
-                num += a * ints[k]
-            nums.append(num)
+        nums = [sum(map(mul, row, ints)) for row in rows]
         if biases is not None:
             bints, bd = biases
             big = lcm(den, bd)
@@ -344,12 +361,14 @@ def exact_backend(normalize: Callable, layernorm: Callable) -> Backend:
 class EvalTrace:
     """A run's operand widths, as (max numerator bits, max denominator bits)
     of the canonical rationals of the entries, at least (1, 1): of the
-    embedded inputs and of each layer's outputs.  An entry is x/D of an
-    exact vector (ints, D), or m * 2^e of a p-bit vector's PFloat.  Each is
-    computed when first read.  A budgeted run keeps its ErrorBudget."""
+    embedded inputs and of each layer's outputs at every position.  An
+    entry is x/D of an exact vector (ints, D), or m * 2^e of a p-bit
+    vector's PFloat.  Each is computed when first read; `final`, the one
+    `forward` returns, then makes the final layer's outputs at the positions
+    the run skipped.  A budgeted run keeps its ErrorBudget."""
 
-    def __init__(self, inputs: list, states: list[list], budget=None):
-        self._inputs, self._states, self.budget = inputs, states, budget
+    def __init__(self, inputs: list, states: list[list], final: Callable | None = None, budget=None):
+        self._inputs, self._states, self._final, self.budget = inputs, states, final, budget
 
     @cached_property
     def embedding_bits(self) -> tuple[int, int]:
@@ -357,7 +376,8 @@ class EvalTrace:
 
     @cached_property
     def layer_bits(self) -> list[tuple[int, int]]:
-        return [_bits_of(s) for s in self._states]
+        states = self._states if self._final is None else [*self._states, self._final()]
+        return [_bits_of(s) for s in states]
 
     def to_json_dict(self) -> dict:
         out = {"embedding_bits": list(self.embedding_bits), "layer_bits": [list(b) for b in self.layer_bits]}
@@ -459,8 +479,8 @@ def eval_ahat(model: Model, w: str) -> tuple[Rat, EvalTrace]:
     check_heads(model, "average_hard", "ahat_exact needs average_hard", layernorm=False)
     compiled = compile_rows(model)
     xs = embed_input(model, w)
-    ((num,), den), states = forward(compiled, xs, _AHAT)
-    return Rat(num, den), EvalTrace(xs, states)
+    ((num,), den), states, final = forward(compiled, xs, _AHAT)
+    return Rat(num, den), EvalTrace(xs, states, final)
 
 
 # --------------------------------------------------------------------------
@@ -545,8 +565,8 @@ def _eval_smat(model: Model, w: str, p: int) -> tuple[PFloat, EvalTrace]:
     check_heads(model, "softmax", "smat_pbit needs softmax")
     rounded = round_model(model, p)
     xs = [[round_p(Rat(x, d), p) for x in ints] for ints, d in embed_input(model, w)]
-    (value,), states = forward(rounded, xs, _pbit_backend(p))
-    return value, EvalTrace(xs, states)
+    (value,), states, final = forward(rounded, xs, _pbit_backend(p))
+    return value, EvalTrace(xs, states, final)
 
 
 def eval_smat_pbit(model: Model, w: str, p: int) -> PFloat:

@@ -97,7 +97,7 @@ def test_cases_reach_every_shortcut(monkeypatch):
         def attend(qs, ks, vs, layer, head, causal):
             if any(not any(ints) for ints, _ in qs):  # (integers, denominator) pairs
                 seen.add("zero query")
-            if len(qs) < len(ks):
+            if 1 < len(qs) < len(ks):  # the final layer's one query is no dedupe
                 seen.add("repeated query")
             return backend.attend(qs, ks, vs, layer, head, causal)
 

@@ -214,6 +214,32 @@ def test_eval_negative_fraction_epsilon_spaced_as_attached(capsys, option, value
     assert (code, out) == (2, "") and err.endswith(f"error: unrecognized arguments: -- {option} {value}\n")
 
 
+@pytest.mark.parametrize("option", ["--lengths", "--len", "--l"])
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("-4,8", "--lengths needs at least two positive lengths"),
+        ("-4,x", "--lengths expects comma-separated integers, got '-4,x'"),
+    ],
+)
+def test_bitgrowth_negative_lengths_spaced_as_attached(capsys, option, value, message):
+    # argparse would read a spaced "-4,8" as an option ("expected one argument"),
+    # after --lengths or any abbreviation of it
+    base = "bitgrowth --model majority".split()
+    spaced = run_cli(capsys, *base, option, value)
+    assert spaced == run_cli(capsys, *base, f"--lengths={value}")
+    code, out, err = spaced
+    assert (code, out) == (2, "") and err.endswith(f"error: {message}\n")
+    # a value that is no list stays the usage error it was
+    code, out, err = run_cli(capsys, *base, option, "-x")
+    assert (code, out) == (2, "") and err.endswith("error: argument --lengths: expected one argument\n")
+    # the epsilon rewrite is eval's alone, and after "--" nothing is an option's value
+    code, out, err = run_cli(capsys, *base, "--epsilon", "-1/2")
+    assert (code, out) == (2, "") and err.endswith("error: unrecognized arguments: --epsilon -1/2\n")
+    code, out, err = run_cli(capsys, *base, "--lengths=4,8", "--", option, value)
+    assert (code, out) == (2, "") and err.endswith(f"error: unrecognized arguments: -- {option} {value}\n")
+
+
 def test_eval_smat_output_past_int_string_limit(capsys, tmp_path):
     # output 2^16000 at p = 14000: as an integer it has 4,817 decimal digits,
     # more than str(int) converts by default

@@ -591,21 +591,24 @@ def _letter_query_model(kind: str) -> Model:
 
 @pytest.mark.parametrize("kind", ["average_hard", "softmax"])
 def test_unmasked_head_attends_once_per_distinct_query(monkeypatch, kind):
+    # layer 0 runs at every position; the final layer, layer 1, at the last
+    # one, where either head's one query sees every key
     calls = _counting_attends(monkeypatch)
-    model = _letter_query_model(kind)
+    one = _letter_query_model(kind)
+    model = dataclasses.replace(one, layers=one.layers * 2)
     word = "abcabbca"
     if kind == "average_hard":
         eval_ahat(model, word)
     else:
         eval_smat_pbit(model, word, 24)
     n = len(word)
-    assert calls == [(0, 0, n, n, True), (0, 1, len(set(word)), n, False)]
+    assert calls == [(0, 0, n, n, True), (0, 1, len(set(word)), n, False), (1, 0, 1, n, False), (1, 1, 1, n, False)]
 
 
 def test_majority_attends_once_per_word(monkeypatch, majority):
     calls = _counting_attends(monkeypatch)
     eval_ahat(majority, "110100101011011")
-    assert calls == [(0, 0, 1, 15, False)]  # every query is zero
+    assert calls == [(0, 0, 1, 15, False)]  # its one layer is the final one: one query
 
 
 # --- traces -------------------------------------------------------------------------
