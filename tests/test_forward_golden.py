@@ -7,12 +7,13 @@ up as a mismatch.
 """
 
 import hashlib
+import json
 import random
 
 import pytest
 
 from exact_xformer import Rat, eval_ahat, eval_budgeted, eval_smat_pbit
-from exact_xformer.budget import plan_budget
+from exact_xformer.budget import _eval_planned, plan_budget
 from exact_xformer.evaluator import _eval_smat
 from exact_xformer.model_ir import (
     AttentionHead,
@@ -158,6 +159,46 @@ PLANS = {
     (12, 3, True, 6, 64): "bf96d404379693dc28d7a8717ed5b33d3c1bac48abe778f683b60d574a46a535",
 }
 
+# Two layers and no position rule, so each letter's layer-0 query is the
+# same at every position where it occurs: the unmasked head of layer 0 sees
+# repeated queries, and each must get its own context.  Budgeted pins its
+# value and a sha256 of its trace's JSON, plan included.
+REPEATED_WORDS = ("abcabbca", "ccbaabac")
+
+AHAT_REPEATED = {
+    # word: (value, embedding_bits, layer_bits), seed 15
+    "abcabbca": ("-438423/2048", (2, 3), [(13, 8), (22, 12)]),
+    "ccbaabac": ("-483591/2048", (2, 3), [(13, 8), (17, 11)]),
+}
+
+SMAT_REPEATED = {
+    # (word, p): ((m, e), embedding_bits, layer_bits), seed 12 with layernorm
+    ("abcabbca", 24): ((-15173710, -23), (2, 2), [(24, 24), (24, 26)]),
+    ("abcabbca", 53): ((-8146323766839775, -52), (2, 2), [(53, 53), (53, 55)]),
+    ("ccbaabac", 24): ((-15174702, -23), (2, 2), [(24, 24), (24, 26)]),
+    ("ccbaabac", 53): ((-8146854100948359, -52), (2, 2), [(53, 53), (53, 55)]),
+}
+
+BUDGETED_REPEATED = {
+    # (word, log2(1/eps)): (value, sha256 of the trace JSON), seed 12 with layernorm
+    ("abcabbca", 16): (
+        "Rat(-118545, 65536)",
+        "89089b71a5a3e86d48ae5a37606128a7c037d27c5ead5752484acb759f0fcee3",
+    ),
+    ("abcabbca", 64): (
+        "Rat(-33367342148975709157, 18446744073709551616)",
+        "cf3a62fda9a02476e9abab2f3c725161f41f4ea7b264c1a4574df22955224733",
+    ),
+    ("ccbaabac", 16): (
+        "Rat(-14819, 8192)",
+        "5ff59fce3148bacf6eb6aa4dbc36e25e79e6dd56a2b44c743a267aa0e47fed47",
+    ),
+    ("ccbaabac", 64): (
+        "Rat(-8342378599371117565, 4611686018427387904)",
+        "359c7a7bad8d5fa48061a5a96db9d8691bf7c0f8d5e7816e97e10a9477203064",
+    ),
+}
+
 
 @pytest.mark.parametrize("word", sorted(AHAT))
 def test_ahat_two_layers_mixed_masks(word):
@@ -214,3 +255,22 @@ def test_plan_budget_sites_and_tolerances(seed, layers, layernorm, n, bits):
     budget = plan_budget(_model(seed, "softmax", layers, layernorm), n, Rat(1, 1 << bits))
     lines = sorted(f"{key}: {value}" for d in (budget.site_deltas, budget.stage_tolerances) for key, value in d.items())
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == PLANS[seed, layers, layernorm, n, bits]
+
+
+@pytest.mark.parametrize("word", REPEATED_WORDS)
+def test_ahat_repeated_queries(word):
+    value, trace = eval_ahat(_model(15, "average_hard", 2, False, "none"), word)
+    assert (str(value), trace.embedding_bits, trace.layer_bits) == AHAT_REPEATED[word]
+
+
+@pytest.mark.parametrize("word, p", sorted(SMAT_REPEATED))
+def test_smat_repeated_queries(word, p):
+    value, trace = _eval_smat(_model(12, "softmax", 2, True, "none"), word, p)
+    assert ((value.m, value.e), trace.embedding_bits, trace.layer_bits) == SMAT_REPEATED[word, p]
+
+
+@pytest.mark.parametrize("word, bits", sorted(BUDGETED_REPEATED))
+def test_budgeted_repeated_queries(word, bits):
+    value, trace = _eval_planned(_model(12, "softmax", 2, True, "none"), word, Rat(1, 1 << bits))
+    digest = hashlib.sha256(json.dumps(trace.to_json_dict(), sort_keys=True).encode()).hexdigest()
+    assert (repr(value), digest) == BUDGETED_REPEATED[word, bits]
