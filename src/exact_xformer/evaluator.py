@@ -28,13 +28,13 @@ last one, whose query sees every key, so each head attends once with that
 one query.  No stage mutates a vector, so a backend may hand one vector to
 several positions or stages.
 
-A backend's `attend` step runs once per head, on keys and values it
-prepares once, and gives each query its context vector (query i of a causal
-head sees positions 0..i).  An unmasked head's positions all see the same
-keys and values, so `forward` passes its distinct queries only.  smat and
-budgeted attend in three steps: the score dots, the normalizer, then the
-context dots.  ahat picks the maximizers and averages their values
-directly, and an all-zero query ties every key without a score dot.
+A backend's `attend` step runs once per head, on all its queries and on
+keys and values it prepares once, and gives each query its context vector
+(query i of a causal head sees positions 0..i).  smat and budgeted attend
+in three steps: the score dots, the normalizer, then the context dots.
+ahat picks the maximizers and averages their values directly; an all-zero
+query ties every key without a score dot, and on an unmasked head all such
+queries share one context, the mean of every value.
 
 Both exact modes pass one vector form between stages: a pair (ints, D) of
 integer numerators over one denominator D >= 1 with gcd(D, *ints) == 1.  D
@@ -94,9 +94,9 @@ class Backend(NamedTuple):
     add(u, v)               u + v
     attend(qs, ks, vs, layer, head, causal)  the context vector of each
                             query of qs over the keys ks and values vs, one
-                            call per head, which prepares ks and vs once
-                            (into new vectors); with causal, query i sees
-                            positions 0..i
+                            call per head on all its queries, which prepares
+                            ks and vs once (into new vectors); with causal,
+                            query i sees positions 0..i
     layernorm(x, ln, layer, site)   site is "ln_attn" or "ln_ffnn"
     """
 
@@ -143,33 +143,16 @@ def _layer(layer: Layer, li: int, xs: list, backend: Backend, last_only: bool) -
     """Layer `li` over the vectors `xs`: its output at every position, or
     with `last_only` at the last position only.  Keys and values are made at
     every position either way; the rest runs on the positions whose output
-    is made, one matmul per weight matrix."""
+    is made, one matmul per weight matrix and one attend per head on all
+    its queries."""
     relu, matmul, total, add, attend, layernorm = backend
     ys = xs[-1:] if last_only else xs
     per_head = []
     for hi, head in enumerate(layer.heads):
         qs, ks, vs = matmul(head.w_q, ys), matmul(head.w_k, xs), matmul(head.w_v, xs)
-        if last_only or head.masking == "causal":
-            # the last query of a causal head sees every position
-            per_head.append(matmul(head.w_o, attend(qs, ks, vs, li, hi, not last_only)))
-            continue
-        # Every position sees the same keys and values, so equal queries
-        # have equal outputs: attend on the distinct queries only.  A
-        # repeat of the previous query object (matmul may share one
-        # vector between positions) reuses its slot without hashing.
-        slot: dict = {}
-        distinct, picks = [], []
-        prev = None
-        for q in qs:
-            if q is not prev:
-                j = slot.get(key := tuple(q))
-                if j is None:
-                    j = slot[key] = len(distinct)
-                    distinct.append(q)
-                prev = q
-            picks.append(j)
-        outs = matmul(head.w_o, attend(distinct, ks, vs, li, hi, False))
-        per_head.append([outs[j] for j in picks])
+        # the last query of a causal head sees every position
+        causal = head.masking == "causal" and not last_only
+        per_head.append(matmul(head.w_o, attend(qs, ks, vs, li, hi, causal)))
 
     terms = per_head + [ys] if layer.residual_attn else per_head
     # one head, no residual: its outputs are the sum
@@ -430,16 +413,28 @@ def ahardmax_weights(scores: Sequence) -> list[Rat]:
     return [share if s == top else RAT_ZERO for s in scores]
 
 
+def _mean(vecs: Sequence[tuple]) -> tuple:
+    """One vector itself, or the sum of more over their count."""
+    return vecs[0] if len(vecs) == 1 else _total(vecs, len(vecs))
+
+
 def _ahat_attend(qs: list[tuple], ks: list[tuple], vs: list[tuple], layer: int, head: int, causal: bool) -> list[tuple]:
     """Each query's context: the mean of the values at its score maximizers.
     An all-zero query scores every key 0, a full tie, so it makes no score
-    dots.  Otherwise the scores are integer numerators over one positive
-    denominator: q's integers, times the keys over the lcm of all their
-    denominators, which the first such query makes once for the head.  One
-    maximizer gives its value vector itself, and more give their sum over
-    hits times the lcm of their denominators."""
-    out, kints = [], None
+    dots; on an unmasked head every such query shares one context, the mean
+    of all values, made once per call.  Otherwise the scores are integer
+    numerators over one positive denominator: q's integers, times the keys
+    over the lcm of all their denominators, which the first such query
+    makes once for the head.  One maximizer gives its value vector itself,
+    and more give their sum over hits times the lcm of their
+    denominators."""
+    out, kints, tie = [], None, None
     for i, (q, _) in enumerate(qs):
+        if not (causal or any(q)):
+            if tie is None:
+                tie = _mean(vs)
+            out.append(tie)
+            continue
         seen = vs[: i + 1] if causal else vs
         if any(q):
             if kints is None:
@@ -453,7 +448,7 @@ def _ahat_attend(qs: list[tuple], ks: list[tuple], vs: list[tuple], layer: int, 
                 scores.append(score)
             weights = ahardmax_weights(scores)
             seen = [v for v, a in zip(seen, weights) if a.num]
-        out.append(seen[0] if len(seen) == 1 else _total(seen, len(seen)))
+        out.append(_mean(seen))
     return out
 
 

@@ -398,16 +398,22 @@ def _ilog10(n: int) -> int:
 
 def decimal_str(x: PFloat, digits: int = 12) -> str:
     """Advisory decimal rendering; the (m, e, p) triple is the normative form.
-    The exact value rounded half up while |e| <= 2^18, approximate beyond."""
+    The exact value rounded half up while |e| <= 2^18, approximate beyond.
+    Either way the form is Python's `e` format with an unpadded exponent:
+    `digits` significant digits of a mantissa in [1, 10), with a point only
+    when there are two or more."""
     if x.m == 0:
         return "0"
     s = "-" if x.m < 0 else ""
     A = abs(x.m)
     if abs(x.e) > 1 << 18:
         log10 = (math.log2(A) + x.e) * math.log10(2)
-        k = math.floor(log10)
-        lead = 10 ** (log10 - k)
-        return f"{s}{lead:.{digits - 1}f}e{k:+d}"
+        k10 = math.floor(log10)
+        text = f"{10 ** (log10 - k10):.{digits - 1}f}".replace(".", "")
+        if len(text) > digits:  # the lead rounded up to 10
+            k10 += 1
+            text = text[:digits]
+        return _e_form(s, text, k10)
     if x.e >= 0:
         num, den = A << x.e, 1
     else:
@@ -426,5 +432,10 @@ def decimal_str(x: PFloat, digits: int = 12) -> str:
     while mant < 10 ** (digits - 1):
         k10 -= 1
         mant = scaled(k10)
-    text = str(mant)
-    return f"{s}{text[0]}.{text[1:]}e{k10:+d}"
+    return _e_form(s, str(mant), k10)
+
+
+def _e_form(sign: str, text: str, k10: int) -> str:
+    """sign d[.ddd]e+k10 for the significant digits `text`, d then ddd."""
+    point = "." if len(text) > 1 else ""
+    return f"{sign}{text[0]}{point}{text[1:]}e{k10:+d}"

@@ -407,6 +407,57 @@ def test_ahat_attend_ties_across_denominators():
     assert _ahat_attend([qf], _forms(neg), vf, 0, 0, False)[0] is vf[1]
 
 
+def _counting_totals(monkeypatch) -> list:
+    """Record the vector count of every `_total` call made through the
+    module (ahat's means and `_add`)."""
+    calls, total = [], evaluator._total
+
+    def counting_total(vecs, parts=1):
+        calls.append(len(vecs))
+        return total(vecs, parts)
+
+    monkeypatch.setattr(evaluator, "_total", counting_total)
+    return calls
+
+
+_TIE_KS = [[Rat(1, 2), Rat(0)], [Rat(-1, 3), Rat(2)], [Rat(0), Rat(1, 5)]]
+_TIE_VS = [[Rat(1), Rat(-3, 5)], [Rat(1, 3), Rat(1, 7)], [Rat(9), Rat(-2)]]
+
+
+@pytest.mark.parametrize("k", [2, 5])
+def test_unmasked_zero_queries_share_one_tie(monkeypatch, k):
+    # every all-zero query of an unmasked head ties all keys: one context,
+    # the mean of all values, made once and handed to each
+    totals = _counting_totals(monkeypatch)
+    zero = _vector([Rat(0)] * 2)
+    got = _ahat_attend([zero] * k, _forms(_TIE_KS), _forms(_TIE_VS), 0, 0, False)
+    assert len(got) == k and all(g is got[0] for g in got)
+    assert _fracs(got[0]) == [sum(map(_frac, col), Fraction(0)) / 3 for col in zip(*_TIE_VS)]
+    assert totals == [3]
+
+
+def test_causal_zero_queries_take_each_prefix_mean(monkeypatch):
+    totals = _counting_totals(monkeypatch)
+    zero = _vector([Rat(0)] * 2)
+    vf = _forms(_TIE_VS)
+    got = _ahat_attend([zero] * 3, _forms(_TIE_KS), vf, 0, 0, True)
+    assert got[0] is vf[0]  # the first prefix has one value
+    assert [_fracs(g) for g in got] == [[sum(map(_frac, col), Fraction(0)) / i for col in zip(*_TIE_VS[:i])] for i in (1, 2, 3)]
+    assert totals == [2, 3]
+
+
+def test_bit_growth_makes_one_tie_per_head(monkeypatch):
+    # inverse-index's one unmasked head has an all-zero query matrix; its
+    # traced pass shares one tie per evaluation, so the mean count does not
+    # grow with n
+    model = load_model("inverse-index")
+    totals = _counting_totals(monkeypatch)
+    bit_growth_trace(model, (4, 8))
+    short = len(totals)
+    bit_growth_trace(model, (128, 256))
+    assert len(totals) == 2 * short
+
+
 def _square_weights(scores, layer, head) -> list[Rat]:
     """A rational normalizer: weights in proportion to 1 + score^2."""
     ws = [Rat(1) + s * s for s in scores]
@@ -590,9 +641,10 @@ def _letter_query_model(kind: str) -> Model:
 
 
 @pytest.mark.parametrize("kind", ["average_hard", "softmax"])
-def test_unmasked_head_attends_once_per_distinct_query(monkeypatch, kind):
-    # layer 0 runs at every position; the final layer, layer 1, at the last
-    # one, where either head's one query sees every key
+def test_each_head_attends_once_on_all_its_queries(monkeypatch, kind):
+    # layer 0 runs at every position, and its unmasked head gets every
+    # query, repeated letters' included; the final layer, layer 1, runs at
+    # the last one, where either head's one query sees every key
     calls = _counting_attends(monkeypatch)
     one = _letter_query_model(kind)
     model = dataclasses.replace(one, layers=one.layers * 2)
@@ -602,7 +654,7 @@ def test_unmasked_head_attends_once_per_distinct_query(monkeypatch, kind):
     else:
         eval_smat_pbit(model, word, 24)
     n = len(word)
-    assert calls == [(0, 0, n, n, True), (0, 1, len(set(word)), n, False), (1, 0, 1, n, False), (1, 1, 1, n, False)]
+    assert calls == [(0, 0, n, n, True), (0, 1, n, n, False), (1, 0, 1, n, False), (1, 1, 1, n, False)]
 
 
 def test_majority_attends_once_per_word(monkeypatch, majority):

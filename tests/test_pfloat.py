@@ -144,6 +144,28 @@ def test_decimal_str_forms():
     assert decimal_str(PFloat.zero(8)) == "0"
     assert decimal_str(round_p(Rat(1, 4), 8)) == "2.50000000000e-1"
     assert decimal_str(PFloat(-160, -2, 8)) == "-4.00000000000e+1"
+    # one significant digit has no point in either branch, as in Python's
+    # f"{5.0:.0e}" (which pads its exponent to two digits)
+    assert decimal_str(PFloat(5, 0, 3), 1) == "5e+0"
+    assert decimal_str(PFloat(3, (1 << 18) + 1, 2), 1) == "1e+78914"  # 9.67e+78913, not 10e+78913
+
+
+@pytest.mark.parametrize("digits", range(1, 21))
+def test_decimal_str_form_past_e_2_18(digits):
+    # the approximate branch: `digits` significant digits of a mantissa in
+    # [1, 10), a point only before a second digit, and within half a unit
+    # of the last digit (plus the float logarithm's error) of the value
+    ctx = Context(prec=40)
+    for e in [*range((1 << 18) + 1, (1 << 18) + 401), *range(-(1 << 18) - 40, -(1 << 18))]:
+        x = PFloat(-3, e, 2) if e % 2 else PFloat(5, e, 3)
+        text = decimal_str(x, digits)
+        mant, k10 = text.lstrip("-").split("e")
+        assert text.startswith("-") == (x.m < 0)
+        assert len(mant) == (digits + 1 if digits > 1 else 1) and mant.replace(".", "").isdigit()
+        assert (mant[1] == ".") if digits > 1 else mant.isdigit()
+        assert 1 <= Decimal(mant) < 10
+        exact = ctx.divide(ctx.multiply(Decimal(abs(x.m)), ctx.power(Decimal(2), e)), ctx.power(Decimal(10), int(k10)))
+        assert abs(Decimal(mant) - exact) <= Decimal(10) ** (1 - digits) / 2 + Decimal("1e-9"), (e, text)
 
 
 def _decimal_str_by_string_length(x: PFloat, digits: int = 12) -> str:
@@ -179,7 +201,7 @@ def _decimal_str_by_string_length(x: PFloat, digits: int = 12) -> str:
         k10 -= 1
         mant = scaled(k10)
     text = str(mant)
-    return f"{s}{text[0]}.{text[1:]}e{k10:+d}"
+    return f"{s}{text[0]}.{text[1:]}e{k10:+d}" if digits > 1 else f"{s}{text}e{k10:+d}"
 
 
 @st.composite
