@@ -421,13 +421,10 @@ def _mean(vecs: Sequence[tuple]) -> tuple:
 def _ahat_attend(qs: list[tuple], ks: list[tuple], vs: list[tuple], layer: int, head: int, causal: bool) -> list[tuple]:
     """Each query's context: the mean of the values at its score maximizers.
     An all-zero query scores every key 0, a full tie, so it makes no score
-    dots; on an unmasked head every such query shares one context, the mean
-    of all values, made once per call.  Otherwise the scores are integer
-    numerators over one positive denominator: q's integers, times the keys
-    over the lcm of all their denominators, which the first such query
-    makes once for the head.  One maximizer gives its value vector itself,
-    and more give their sum over hits times the lcm of their
-    denominators."""
+    dots, and on an unmasked head all such queries share one mean.
+    Otherwise the scores are integer numerators over one positive
+    denominator: q's integers, times the keys over the lcm of all their
+    denominators, which the first such query makes once for the head."""
     out, kints, tie = [], None, None
     for i, (q, _) in enumerate(qs):
         if not (causal or any(q)):

@@ -398,44 +398,33 @@ def _ilog10(n: int) -> int:
 
 def decimal_str(x: PFloat, digits: int = 12) -> str:
     """Advisory decimal rendering; the (m, e, p) triple is the normative form.
-    The exact value rounded half up while |e| <= 2^18, approximate beyond.
-    Either way the form is Python's `e` format with an unpadded exponent:
-    `digits` significant digits of a mantissa in [1, 10), with a point only
-    when there are two or more."""
+    The exact value rounded half up while |e| <= 2^18, approximate beyond;
+    either way `digits` significant digits of a mantissa in [1, 10), as in
+    Python's `e` format with an unpadded exponent."""
     if x.m == 0:
         return "0"
-    s = "-" if x.m < 0 else ""
     A = abs(x.m)
     if abs(x.e) > 1 << 18:
         log10 = (math.log2(A) + x.e) * math.log10(2)
         k10 = math.floor(log10)
         text = f"{10 ** (log10 - k10):.{digits - 1}f}".replace(".", "")
-        if len(text) > digits:  # the lead rounded up to 10
-            k10 += 1
-            text = text[:digits]
-        return _e_form(s, text, k10)
-    if x.e >= 0:
-        num, den = A << x.e, 1
+        k10 += len(text) - digits  # a lead rounded up to 10 carries
     else:
-        num, den = A, 1 << -x.e
+        num, den = (A << x.e, 1) if x.e >= 0 else (A, 1 << -x.e)
 
-    def scaled(k10: int) -> int:
-        sh = digits - 1 - k10
-        n, d = (num * 10**sh, den) if sh >= 0 else (num, den * 10**-sh)
-        return (n + d // 2) // d
+        def scaled(k10: int) -> int:
+            sh = digits - 1 - k10
+            n, d = (num * 10**sh, den) if sh >= 0 else (num, den * 10**-sh)
+            return (n + d // 2) // d
 
-    k10 = _ilog10(num) - _ilog10(den)
-    mant = scaled(k10)
-    while mant >= 10**digits:
-        k10 += 1
+        k10 = _ilog10(num) - _ilog10(den)
         mant = scaled(k10)
-    while mant < 10 ** (digits - 1):
-        k10 -= 1
-        mant = scaled(k10)
-    return _e_form(s, str(mant), k10)
-
-
-def _e_form(sign: str, text: str, k10: int) -> str:
-    """sign d[.ddd]e+k10 for the significant digits `text`, d then ddd."""
-    point = "." if len(text) > 1 else ""
-    return f"{sign}{text[0]}{point}{text[1:]}e{k10:+d}"
+        while mant >= 10**digits:
+            k10 += 1
+            mant = scaled(k10)
+        while mant < 10 ** (digits - 1):
+            k10 -= 1
+            mant = scaled(k10)
+        text = str(mant)
+    point = "." if digits > 1 else ""
+    return f"{'-' if x.m < 0 else ''}{text[0]}{point}{text[1:digits]}e{k10:+d}"
