@@ -5,9 +5,11 @@ at full counts) and pin the oracle machinery itself: the direct-series exp
 enclosure and the squared-integer sqrt rounder.
 """
 
+import hashlib
+
 import pytest
 
-from exact_xformer import DomainError, PFloat, Rat, f_sqrt, run_suite
+from exact_xformer import DomainError, PFloat, Rat, f_sqrt, run_suite, verify
 from exact_xformer.verify import SUITES, SuiteResult, exp_enclosure, run_all, sqrt_round_oracle
 
 
@@ -95,3 +97,73 @@ def test_run_all_covers_every_suite():
     res = run_all(cases=20, seed=2)
     assert [r.suite for r in res] == list(SUITES)
     assert all(r.passed for r in res)
+
+
+# --- goldens: every case drawn and every verdict ---------------------------------------
+#
+# Pinned on the direct-series exp enclosure and the randint/choice draws; any
+# faster oracle or draw must keep every case and every verdict byte for byte.
+
+GOLDEN_SEEDS = (0, 1, 2)
+GOLDEN_PS = (2, 3, 8, 24, 53, 256)
+GOLDEN_CASES = {"sum": 200, "exp": 100, "sqrt": 100, "softmax-delta": 100, "invsqrt-delta": 100}
+CASES_SHA256 = "3b454f5c1cb4ec96659b25cb3aa21595817dbd33e3b06b2996de054d18b8a1b0"
+VERDICTS_SHA256 = "4c88fce9bb080312c289fcc459d504addd7bc572ac144ba74682eb51d786c855"
+
+
+def _sha256(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _golden_runs():
+    """(suite, p, cases, seed) of every golden run; round ignores the seed
+    and the case count, so it runs once per precision in its range."""
+    for p in GOLDEN_PS:
+        if p <= 8:
+            yield "round", p, None, 0
+    for seed in GOLDEN_SEEDS:
+        for p in GOLDEN_PS:
+            for suite in ("sum", "exp", "sqrt"):
+                yield suite, p, GOLDEN_CASES[suite], seed
+        for suite in ("softmax-delta", "invsqrt-delta"):
+            yield suite, None, GOLDEN_CASES[suite], seed
+
+
+def test_case_streams_are_pinned(monkeypatch):
+    """Every float the sum, exp and sqrt suites hand to the code under test."""
+    lines = []
+
+    def recording(fn):
+        def wrapped(x):
+            lines.append(" ".join(f"{f.m},{f.e}" for f in (x if isinstance(x, list) else [x])))
+            return fn(x)
+
+        return wrapped
+
+    for name in ("f_sum_blocks", "f_exp", "f_sqrt"):
+        monkeypatch.setattr(verify, name, recording(getattr(verify, name)))
+    for suite, p, cases, seed in _golden_runs():
+        if suite in ("sum", "exp", "sqrt"):
+            lines.append(f"{suite} p={p} seed={seed}")
+            run_suite(suite, p=p, cases=cases, seed=seed)
+    assert _sha256(lines) == CASES_SHA256
+
+
+def _nudged(x: PFloat) -> PFloat:
+    """x with the low bit of its significand flipped: a neighbouring float."""
+    return x if x.m == 0 else PFloat(x.sign * (abs(x.m) ^ 1), x.e, x.p)
+
+
+def test_suite_verdicts_are_pinned(monkeypatch):
+    """to_json_dict of all six suites; then of sum, exp and sqrt with the code
+    under test fed a neighbouring input, so that some cases fail and their
+    failure text is pinned too."""
+    lines = [str(run_suite(*run).to_json_dict()) for run in _golden_runs()]
+    f_sum_blocks, f_exp, f_sqrt = verify.f_sum_blocks, verify.f_exp, verify.f_sqrt
+    monkeypatch.setattr(verify, "f_sum_blocks", lambda xs: f_sum_blocks([_nudged(xs[0]), *xs[1:]]))
+    monkeypatch.setattr(verify, "f_exp", lambda x: f_exp(_nudged(x)))
+    monkeypatch.setattr(verify, "f_sqrt", lambda x: f_sqrt(_nudged(x)))
+    broken = [run_suite(*run).to_json_dict() for run in _golden_runs() if run[0] in ("sum", "exp", "sqrt")]
+    assert any(d["failures"] for d in broken) and not all(d["passed"] is False for d in broken)
+    lines += map(str, broken)
+    assert _sha256(lines) == VERDICTS_SHA256
