@@ -32,9 +32,10 @@ A backend's `attend` step runs once per head, on all its queries and on
 keys and values it prepares once, and gives each query its context vector
 (query i of a causal head sees positions 0..i).  smat and budgeted attend
 in three steps: the score dots, the normalizer, then the context dots.
-ahat picks the maximizers and averages their values directly; an all-zero
-query ties every key without a score dot, and on an unmasked head all such
-queries share one context, the mean of every value.
+ahat picks the maximizers and averages their values directly, and an
+all-zero query ties every key without a score dot.  On an unmasked head,
+every all-zero query scores each key 0, so in all three modes such queries
+share one context, made once per call.
 
 Both exact modes pass one vector form between stages: a pair (ints, D) of
 integer numerators over one denominator D >= 1 with gcd(D, *ints) == 1.  D
@@ -307,6 +308,25 @@ def _relu(vec: tuple) -> tuple:
     return _reduced([x if x > 0 else 0 for x in ints], d)
 
 
+def _per_query(qs: Sequence, causal: bool, nonzero: Callable, context: Callable) -> list:
+    """context(i, q) for each query q of a head, i its position, in the
+    smat and budgeted attends.  On an unmasked head, a query that is all
+    zero (not nonzero(q)) scores 0 against every key, a full tie that is
+    the same for every such query, so they all share the first one's
+    context.  `_ahat_attend` states the same rule inline: its attend is
+    most of a short ahat evaluation, which this helper's extra calls would
+    slow by about a seventh."""
+    out, tie = [], None
+    for i, q in enumerate(qs):
+        if causal or nonzero(q):
+            out.append(context(i, q))
+            continue
+        if tie is None:
+            tie = context(i, q)
+        out.append(tie)
+    return out
+
+
 def exact_backend(normalize: Callable, layernorm: Callable) -> Backend:
     """Exact rationals on compiled rows (`compile_rows`), around the given
     attention normalizer and layernorm steps, which take and return Rats.
@@ -319,8 +339,9 @@ def exact_backend(normalize: Callable, layernorm: Callable) -> Backend:
     def attend(qs, ks, vs, layer, head, causal):
         vints, vd = _common(vs)
         dim = len(vints[0])
-        out = []
-        for i, (q, dq) in enumerate(qs):
+
+        def context(i, vec):
+            q, dq = vec
             qn = [(c, x) for c, x in enumerate(q) if x]
             scores = []
             for k, dk in ks[: i + 1] if causal else ks:
@@ -331,8 +352,9 @@ def exact_backend(normalize: Callable, layernorm: Callable) -> Backend:
             alphas = normalize(scores, layer, head)
             ad = lcm(*[a.den for a in alphas])
             terms = [(a.num * (ad // a.den), v) for a, v in zip(alphas, vints) if a.num]
-            out.append(_reduced([sum(w * v[c] for w, v in terms) for c in range(dim)], ad * vd))
-        return out
+            return _reduced([sum(w * v[c] for w, v in terms) for c in range(dim)], ad * vd)
+
+        return _per_query(qs, causal, lambda vec: any(vec[0]), context)
 
     def norm(x, ln, layer, site):
         ints, d = x
@@ -539,8 +561,12 @@ def _pbit_backend(p: int) -> Backend:
 
     def attend(qs, ks, vs, layer, head, causal):
         cols = list(zip(*vs))  # f_dot zips: a causal prefix's weights meet its values
-        alphas = (softmax_pbit([f_dot(q, k, p) for k in (ks[: i + 1] if causal else ks)], p) for i, q in enumerate(qs))
-        return [[f_dot(a, col, p) for col in cols] for a in alphas]
+
+        def context(i, q):
+            alphas = softmax_pbit([f_dot(q, k, p) for k in (ks[: i + 1] if causal else ks)], p)
+            return [f_dot(alphas, col, p) for col in cols]
+
+        return _per_query(qs, causal, lambda q: any(f.m for f in q), context)
 
     zero = PFloat.zero(p)
     return Backend(

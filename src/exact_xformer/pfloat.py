@@ -27,7 +27,7 @@ elementary.f_exp.
 
 from __future__ import annotations
 
-import math
+import decimal
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -398,17 +398,24 @@ def _ilog10(n: int) -> int:
 
 def decimal_str(x: PFloat, digits: int = 12) -> str:
     """Advisory decimal rendering; the (m, e, p) triple is the normative form.
-    The exact value rounded half up while |e| <= 2^18, approximate beyond;
-    either way `digits` significant digits of a mantissa in [1, 10), as in
-    Python's `e` format with an unpadded exponent."""
+    The exact value rounded half up while |e| <= 2^18, approximate beyond:
+    there the digits are right except near a rounding tie.  Either way
+    `digits` significant digits of a mantissa in [1, 10), as in Python's
+    `e` format with an unpadded exponent."""
     if x.m == 0:
         return "0"
     A = abs(x.m)
     if abs(x.e) > 1 << 18:
-        log10 = (math.log2(A) + x.e) * math.log10(2)
-        k10 = math.floor(log10)
-        text = f"{10 ** (log10 - k10):.{digits - 1}f}".replace(".", "")
-        k10 += len(text) - digits  # a lead rounded up to 10 carries
+        # A * 2^e in decimal, at len(str(|e|)) + 10 guard digits: its
+        # power's roundings, about 2 log2|e| of them, stay far below the
+        # last digit kept, then one rounding half up to `digits`
+        prec = digits + len(str(abs(x.e))) + 10
+        ctx = decimal.Context(prec, decimal.ROUND_HALF_UP, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
+        value = ctx.multiply(A, ctx.power(2, x.e))
+        ctx.prec = digits
+        lead = ctx.plus(value)
+        text = "".join(map(str, lead.as_tuple().digits)).ljust(digits, "0")
+        k10 = lead.adjusted()
     else:
         num, den = (A << x.e, 1) if x.e >= 0 else (A, 1 << -x.e)
 

@@ -6,7 +6,7 @@ across workers cannot change the aggregate outcome.
 
 Oracles are built from different machinery than the code under test:
 rounding uses float enumeration, summation uses the exact-rational total,
-exp uses a direct integer-fixpoint series enclosure (no range reduction, no
+exp uses an integer-fixpoint series enclosure by halving and squaring (no
 log2 constant), sqrt uses integer square roots plus exact breakpoint
 squaring, and the two perturbation-lemma suites check their inequalities on
 rigorous interval enclosures.  Monotonicity, of rounding and of exp, is
@@ -64,30 +64,50 @@ class SuiteResult:
 
 
 def exp_enclosure(x: Rat, bits: int) -> tuple[Rat, Rat]:
-    """Rigorous lo <= exp(x) <= hi with relative width about 2^-bits.
+    """Rigorous lo <= exp(x) <= hi, with hi <= (1 + 2^-bits) lo for x >= -64.
 
-    Direct series on |x| in fixed point with directed rounding per step
-    (floors only ever lose value, ceilings only ever gain), then an exact
-    interval inversion for negative arguments.  The large fixed-point shift
-    keeps the enclosure relatively tight even when exp(x) is tiny.
+    Halving and squaring in fixed point, at S = bits + 128 + s fractional
+    bits, where y = |x| / 2^s < 2^-4.  It uses no log 2 constant and nothing
+    of elementary.py, so it shares no machinery with f_exp.  Each step
+    rounds one way: floors only ever lose value and ceilings only gain.
+
+    Bracket.  The series of exp(y) is summed term by term, t_i = t_(i-1)
+    y / i, floored into lo and ceiled into hi, until a ceiled term is at
+    most 4 units.  Each later term is under 1/16 of the one before, so the
+    rest of the series is under 4/15 of a unit, and hi adds one unit for
+    it.  Squaring is increasing on positives, so s squarings, floored in lo
+    and ceiled in hi, bracket exp(y)^(2^s) = exp(|x|).  For x < 0,
+    floor(2^2S / hi) and floor(2^2S / lo) + 1 bracket 2^S exp(x).
+
+    Width.  A floored and a ceiled term differ by under their parents'
+    difference / 16 + 2 units, so by at most 2, and a ceiled term is under
+    2^(S - 4i) + 2 units, so there are at most S/4 + 1 terms and the series
+    leaves hi - lo <= S/2 + 3 units.  lo >= 2^S throughout, so hi/lo <=
+    exp(u), u = (S/2 + 3) 2^-S.  A squaring squares hi/lo, and its two
+    roundings add a factor under 1 + 3 2^-S, so after s of them hi/lo <=
+    exp(2^s (u + 3 2^-S)) <= 1 + (S + 12) 2^-(bits + 128) < 1 + 2^-(bits + 1).
+    Inverting adds a factor under 1 + 3 hi / 2^2S, and for x >= -64,
+    hi / 2^S < 2 e^64 < 2^94, so that factor is under 1 + 2^-(bits + 32)
+    and the two together under 1 + 2^-bits.
     """
-    shift = bits + 128
-    one = 1 << shift
     a, b = abs(x.num), x.den
-    lo = hi = one
-    t_lo = t_hi = one
-    i = 1
-    while True:
-        t_lo = t_lo * a // (b * i)
-        t_hi = -((-t_hi * a) // (b * i))
+    s = max(0, a.bit_length() - b.bit_length() + 5)
+    shift = bits + 128 + s
+    one = 1 << shift
+    d = b << s
+    lo = hi = t_lo = t_hi = one
+    i = 0
+    while t_hi > 4:
+        i += 1
+        di = d * i
+        t_lo = t_lo * a // di
+        t_hi = -(-t_hi * a // di)
         lo += t_lo
         hi += t_hi
-        i += 1
-        # stop once terms are down to a few fixed-point units AND at least
-        # halving per step; the remaining tail is then below 2*t_hi + 2
-        if t_hi <= 4 and i * b > 2 * a:
-            hi += 2 * t_hi + 2
-            break
+    hi += 1
+    for _ in range(s):
+        lo = lo * lo >> shift
+        hi = -(-hi * hi >> shift)
     if x.num >= 0:
         return Rat(lo, one), Rat(hi, one)
     inv_lo = (one * one) // hi
@@ -155,37 +175,51 @@ def _cases(seed: int, suite: str, cases: int):
         yield idx, _case_rng(seed, suite, idx), f"{seed}:{suite}:{idx}"
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """An integer in [0, n), drawn as Random.randrange(n) draws it: n's bit
+    length of getrandbits, drawn again while not below n.  randint(a, b) is
+    a + _below(rng, b - a + 1) and choice(seq) is seq[_below(rng, len(seq))],
+    so the cases are the ones those calls drew, without their layers of
+    Python calls.  n >= 1."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _rand_sig(rng: random.Random, p: int) -> int:
-    return rng.randint(1 << (p - 1), (1 << p) - 1) * rng.choice((1, -1))
+    half = 1 << (p - 1)
+    return (half + _below(rng, half)) * (1, -1)[_below(rng, 2)]
 
 
 def _sum_case(rng: random.Random, p: int) -> list[PFloat]:
-    kind = rng.randrange(25)
+    kind = _below(rng, 25)
     if kind < 19:
         # clustered random: a few exponent clusters, spacing around the threshold
-        n = rng.randint(2, 64)
+        n = 2 + _below(rng, 63)
         theta = 2 * p + (n - 1).bit_length()
-        ncl = rng.randint(1, 4)
+        ncl = 1 + _below(rng, 4)
         centers = []
-        base = rng.randint(-2 * theta, 2 * theta)
+        base = -2 * theta + _below(rng, 4 * theta + 1)
         for _ in range(ncl):
             centers.append(base)
-            base += rng.randint(theta, theta + 2 * p)
+            base += theta + _below(rng, 2 * p + 1)
         return [
-            PFloat(_rand_sig(rng, p), rng.choice(centers) + rng.randint(0, theta - 1), p)
+            PFloat(_rand_sig(rng, p), centers[_below(rng, ncl)] + _below(rng, theta), p)
             for _ in range(n)
         ]
     if kind < 21:
         # leading block summing exactly to a breakpoint, optional far blocks
-        e = rng.randint(-8, 8)
-        m1 = rng.randint(1 << (p - 1), (1 << p) - 2)
-        sign = rng.choice((1, -1))
+        e = -8 + _below(rng, 17)
+        m1 = (1 << (p - 1)) + _below(rng, (1 << (p - 1)) - 1)
+        sign = (1, -1)[_below(rng, 2)]
         xs = [PFloat(sign * m1, e, p), PFloat(sign * (1 << (p - 1)), e - p, p)]
-        n_far = rng.randint(0, 2)
+        n_far = _below(rng, 3)
         theta = 2 * p + (len(xs) + n_far - 1).bit_length()
         drop = e - p - theta
         for _ in range(n_far):
-            drop -= rng.randint(0, p)
+            drop -= _below(rng, p + 1)
             xs.append(PFloat(_rand_sig(rng, p), drop, p))
             drop -= theta
         rng.shuffle(xs)
@@ -197,15 +231,15 @@ def _sum_case(rng: random.Random, p: int) -> list[PFloat]:
         # Each gap is 2p + ceil(log2 n), one bit under block_threshold, so
         # the list sums as one exact block; without that guard bit it would
         # split at the straddle
-        big_l = rng.randint(3, 5)
-        deep = rng.randrange(3) == 0
-        n_far = rng.randint((1 << (big_l - 1)) + 1, (1 << big_l) - (3 if deep else 2))
+        big_l = 3 + _below(rng, 3)
+        deep = _below(rng, 3) == 0
+        n_far = (1 << (big_l - 1)) + 1 + _below(rng, (1 << (big_l - 1)) - (3 if deep else 2))
         theta = 2 * p + big_l
-        e = rng.randint(-8, 8)
-        sign = rng.choice((1, -1))
-        m1 = rng.randint((1 << (p - 1)) + 1, (1 << p) - 1)
+        e = -8 + _below(rng, 17)
+        sign = (1, -1)[_below(rng, 2)]
+        m1 = (1 << (p - 1)) + 1 + _below(rng, (1 << (p - 1)) - 1)
         xs = [PFloat(sign * m1, e, p), PFloat(-sign * (m1 - 1), e, p)]
-        units = (1 << (p + big_l - 1)) + (0 if deep else rng.randint(-3, 3))
+        units = (1 << (p + big_l - 1)) + (0 if deep else _below(rng, 7) - 3)
         base, extra = divmod(units, n_far)
         cs = [base + 1] * extra + [base] * (n_far - extra)
         if all((1 << (p - 1)) <= c < (1 << p) for c in cs):
@@ -213,20 +247,20 @@ def _sum_case(rng: random.Random, p: int) -> list[PFloat]:
         else:
             xs.append(PFloat(-sign * (1 << (p - 1)), e - theta, p))
         if deep:
-            xs.append(PFloat(rng.choice((1, -1)) * (1 << (p - 1)), e - 2 * theta, p))
+            xs.append(PFloat((1, -1)[_below(rng, 2)] * (1 << (p - 1)), e - 2 * theta, p))
         rng.shuffle(xs)
         return xs
     # cancellation: leading block collapses to a one-or-two-bit sum (or to zero)
-    e = rng.randint(-8, 8)
-    m1 = rng.randint((1 << (p - 1)) + 1, (1 << p) - 1)
-    residue = rng.randint(0, min(3, m1 - (1 << (p - 1))))
+    e = -8 + _below(rng, 17)
+    m1 = (1 << (p - 1)) + 1 + _below(rng, (1 << (p - 1)) - 1)
+    residue = _below(rng, min(3, m1 - (1 << (p - 1))) + 1)
     xs = [PFloat(m1, e, p), PFloat(-(m1 - residue), e, p)]
-    n_far = rng.randint(0 if residue else 1, 2)
+    n_far = (0 if residue else 1) + _below(rng, 3 if residue else 2)
     theta = 2 * p + (len(xs) + n_far - 1).bit_length()
     drop = e - 2 * p - theta
     for _ in range(n_far):
         xs.append(PFloat(_rand_sig(rng, p), drop, p))
-        drop -= theta + rng.randint(0, p)
+        drop -= theta + _below(rng, p + 1)
     rng.shuffle(xs)
     return xs
 
@@ -321,8 +355,7 @@ def _run_exp(p: int, cases: int, seed: int) -> SuiteResult:
     tol = Rat(1, 1 << p)
     top = min(6 - p, -1)  # |x| < 2^min(6, p-1), inside f_exp's range
     for idx, rng, tag in _cases(seed, "exp", cases):
-        m = _rand_sig(rng, p)
-        x = PFloat(m, rng.randint(-p - 2, top), p)
+        x = PFloat(_rand_sig(rng, p), -p - 2 + _below(rng, top + p + 3), p)
         y = f_exp(x)
         fy = float_to_rat(y)
         lo, hi = exp_enclosure(float_to_rat(x), 4 * p)
@@ -330,7 +363,7 @@ def _run_exp(p: int, cases: int, seed: int) -> SuiteResult:
         if not worst <= tol * lo:
             res.failures.append(CaseFailure("rel-error", tag, f"exp({x}) = {y} deviates"))
         if idx % 8 == 0:
-            x2 = PFloat(_rand_sig(rng, p), rng.randint(-p - 2, top), p)
+            x2 = PFloat(_rand_sig(rng, p), -p - 2 + _below(rng, top + p + 3), p)
             a, b = (x, x2) if float_to_rat(x) <= float_to_rat(x2) else (x2, x)
             if float_to_rat(f_exp(a)) > float_to_rat(f_exp(b)):
                 res.failures.append(CaseFailure("not-monotone", tag, f"exp({a}) > exp({b})"))
@@ -340,8 +373,7 @@ def _run_exp(p: int, cases: int, seed: int) -> SuiteResult:
 def _run_sqrt(p: int, cases: int, seed: int) -> SuiteResult:
     res = SuiteResult("sqrt", p, cases)
     for idx, rng, tag in _cases(seed, "sqrt", cases):
-        m = rng.randint(1 << (p - 1), (1 << p) - 1)
-        x = PFloat(m, rng.randint(-64, 64), p)
+        x = PFloat((1 << (p - 1)) + _below(rng, 1 << (p - 1)), -64 + _below(rng, 129), p)
         got = f_sqrt(x)
         want = sqrt_round_oracle(x)
         if got != want:

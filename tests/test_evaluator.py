@@ -8,6 +8,7 @@ step happens to be lossless.
 
 import copy
 import dataclasses
+import json
 import math
 import operator
 import random
@@ -39,6 +40,7 @@ from exact_xformer.evaluator import (
     _ahat_attend,
     _bias,
     _compile_matrix,
+    _eval_smat,
     _exact_matmul,
     _pbit_backend,
     _relu,
@@ -427,13 +429,61 @@ _TIE_VS = [[Rat(1), Rat(-3, 5)], [Rat(1, 3), Rat(1, 7)], [Rat(9), Rat(-2)]]
 @pytest.mark.parametrize("k", [2, 5])
 def test_unmasked_zero_queries_share_one_tie(monkeypatch, k):
     # every all-zero query of an unmasked head ties all keys: one context,
-    # the mean of all values, made once and handed to each
+    # made once and handed to each.  ahat's is the mean of all values; smat
+    # and budgeted make one softmax row for it
     totals = _counting_totals(monkeypatch)
     zero = _vector([Rat(0)] * 2)
     got = _ahat_attend([zero] * k, _forms(_TIE_KS), _forms(_TIE_VS), 0, 0, False)
     assert len(got) == k and all(g is got[0] for g in got)
     assert _fracs(got[0]) == [sum(map(_frac, col), Fraction(0)) / 3 for col in zip(*_TIE_VS)]
     assert totals == [3]
+
+    rows = []
+
+    def counting(normalize):
+        def counted(scores, *rest):
+            rows.append(len(scores))
+            return normalize(scores, *rest)
+
+        return counted
+
+    got = exact_backend(counting(_square_weights), None).attend([zero] * k, _forms(_TIE_KS), _forms(_TIE_VS), 0, 0, False)
+    assert len(got) == k and all(g is got[0] for g in got) and rows == [3]
+    assert _fracs(got[0]) == _fraction_square_attend([Rat(0)] * 2, _TIE_KS, _TIE_VS)
+
+    p = 24
+    rows.clear()
+    floats = lambda vecs: [[round_p(x, p) for x in vec] for vec in vecs]
+    monkeypatch.setattr(evaluator, "softmax_pbit", counting(softmax_pbit))
+    got = _pbit_backend(p).attend(floats([[Rat(0)] * 2]) * k, floats(_TIE_KS), floats(_TIE_VS), 0, 0, False)
+    assert len(got) == k and all(g is got[0] for g in got) and rows == [3]
+
+
+@pytest.mark.parametrize("mode", ["smat", "budgeted"])
+def test_zero_query_tie_keeps_value_and_trace_bytes(monkeypatch, uniform, mode):
+    # softmax-uniform's one head is unmasked with an all-zero query matrix;
+    # its trace read attends every position, each query sharing one tie
+    def run():
+        if mode == "smat":
+            value, trace = _eval_smat(uniform, "1101" * 4, 53)
+        else:
+            value, trace = budget._eval_planned(uniform, "1101" * 4, Rat(1, 1 << 16))
+        return repr(value), json.dumps(trace.to_json_dict(), sort_keys=True)
+
+    contexts, per_query = [], evaluator._per_query
+
+    def counting(qs, causal, nonzero, context):
+        def counted(i, q):
+            contexts.append(i)
+            return context(i, q)
+
+        return per_query(qs, causal, nonzero, counted)
+
+    monkeypatch.setattr(evaluator, "_per_query", counting)
+    shared = run()
+    assert contexts == [0, 0]  # the last position's query, then one for all 16
+    monkeypatch.setattr(evaluator, "_per_query", lambda qs, causal, nonzero, context: [context(i, q) for i, q in enumerate(qs)])
+    assert run() == shared
 
 
 def test_causal_zero_queries_take_each_prefix_mean():

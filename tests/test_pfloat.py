@@ -168,6 +168,29 @@ def test_decimal_str_form_past_e_2_18(digits):
         assert abs(Decimal(mant) - exact) <= Decimal(10) ** (1 - digits) / 2 + Decimal("1e-9"), (e, text)
 
 
+def _exact_digits(x: PFloat, digits: int) -> str:
+    """x rounded half up to `digits` significant digits, off the exact
+    integer |m| 2^e, or |m| 5^-e over 10^-e, with no decimal string of it."""
+    n, shift = (abs(x.m) << x.e, 0) if x.e >= 0 else (abs(x.m) * 5**-x.e, x.e)
+    k = _ilog10(n)
+    unit = 10 ** (k - digits + 1)
+    lead = (n + unit // 2) // unit
+    if lead == 10**digits:
+        lead, k = lead // 10, k + 1
+    text = str(lead)
+    return f"{'-' if x.m < 0 else ''}{text[0]}{'.' if digits > 1 else ''}{text[1:]}e{k + shift:+d}"
+
+
+@pytest.mark.parametrize("e", [(1 << 18) + 1, (1 << 18) + 7, -(1 << 18) - 1])
+def test_decimal_str_past_e_2_18_is_the_exact_value_rounded(e):
+    # every lead digit right: the float logarithm this branch used to take
+    # printed 9.66795430499e+78913 for 3 * 2^(2^18 + 1)
+    for x in (PFloat(3, e, 2), PFloat(-(1 << 52) - 12345, e, 53)):
+        for digits in (1, 12, 20):
+            assert decimal_str(x, digits) == _exact_digits(x, digits)
+    assert decimal_str(PFloat(3, (1 << 18) + 1, 2)) == "9.66795430491e+78913"
+
+
 def _decimal_str_by_string_length(x: PFloat, digits: int = 12) -> str:
     """decimal_str as it was when k10 came from decimal string lengths
     (which fail past the int-string digit limit); the reference below."""

@@ -1,30 +1,60 @@
 """The self-check suites: independent oracles, determinism, failure reporting.
 
 These tests run each suite at reduced counts (the acceptance tests run them
-at full counts) and pin the oracle machinery itself: the direct-series exp
-enclosure and the squared-integer sqrt rounder.
+at full counts) and pin the oracle machinery itself: the halving-and-squaring
+exp enclosure, the case draws and the squared-integer sqrt rounder.
 """
 
 import hashlib
+import random
 
 import pytest
 
 from exact_xformer import DomainError, PFloat, Rat, f_sqrt, run_suite, verify
-from exact_xformer.verify import SUITES, SuiteResult, exp_enclosure, run_all, sqrt_round_oracle
+from exact_xformer.verify import SUITES, SuiteResult, _below, exp_enclosure, run_all, sqrt_round_oracle
 
 
 # --- oracle machinery ----------------------------------------------------------
 
 
+def _series_reference(x: Rat, bits: int) -> tuple[Rat, Rat]:
+    """The direct series on |x|, with no range reduction: the enclosure the
+    oracle used before halving and squaring, kept as a reference."""
+    shift = bits + 128
+    one = 1 << shift
+    a, b = abs(x.num), x.den
+    lo = hi = t_lo = t_hi = one
+    i = 1
+    while True:
+        t_lo = t_lo * a // (b * i)
+        t_hi = -((-t_hi * a) // (b * i))
+        lo += t_lo
+        hi += t_hi
+        i += 1
+        if t_hi <= 4 and i * b > 2 * a:
+            hi += 2 * t_hi + 2
+            break
+    if x.num >= 0:
+        return Rat(lo, one), Rat(hi, one)
+    return Rat((one * one) // hi, one), Rat((one * one) // lo + 1, one)
+
+
+NEAR_64 = Rat(64) - Rat(1, 1 << 18)
+
+
 @pytest.mark.parametrize(
-    "x", [Rat(0), Rat(1), Rat(-1), Rat(7, 3), Rat(-32), Rat(1, 1 << 40)]
+    "x",
+    [Rat(0), Rat(1), Rat(-1), Rat(7, 3), Rat(-32), Rat(1, 1 << 40), Rat(64), Rat(-64), NEAR_64, -NEAR_64],
 )
 def test_exp_enclosure_brackets_and_inverts(x):
-    lo, hi = exp_enclosure(x, 80)
-    assert Rat(0) < lo <= hi
-    assert (hi - lo) * Rat(1 << 70) <= hi  # relative width under 2^-70
-    rlo, rhi = exp_enclosure(-x, 80)
-    assert lo * rlo <= Rat(1) <= hi * rhi
+    for bits in (80, 4 * 53):
+        lo, hi = exp_enclosure(x, bits)
+        assert Rat(0) < lo <= hi
+        assert (hi - lo) * Rat(1 << bits) <= lo  # relative width at most 2^-bits
+        rlo, rhi = exp_enclosure(-x, bits)
+        assert lo * rlo <= Rat(1) <= hi * rhi
+        ref_lo, ref_hi = _series_reference(x, bits + 32)
+        assert lo <= ref_hi and ref_lo <= hi
 
 
 def test_exp_enclosure_of_zero_is_one():
@@ -38,6 +68,14 @@ def test_exp_enclosure_known_constant():
     e_floor = Rat(2718281828459045235360287, 10**24)
     assert lo < e_floor + Rat(1, 10**24)
     assert hi > e_floor
+
+
+def test_below_draws_what_randrange_draws():
+    # the cases stay the ones randint and choice drew, on this interpreter's random
+    ns = sorted({*range(1, 3001), *(2**k + d for k in range(261) for d in (-1, 0, 1))} - {0})
+    rng, ref = random.Random("below"), random.Random("below")
+    for n in ns:
+        assert [_below(rng, n) for _ in range(3)] == [ref.randrange(n) for _ in range(3)], n
 
 
 def test_sqrt_oracle_perfect_squares():
