@@ -73,19 +73,35 @@ any_p = st.sampled_from((2, 3, 8, 24, 53))
 # --- representation ---------------------------------------------------------
 
 
+def _rejection(m, e, p, message):
+    return pytest.param(m, e, p, message, id=f"{m!r}-{e!r}-{p!r}")
+
+
 @pytest.mark.parametrize(
-    "m,e,p",
-    [(3, 0, 3), (8, 0, 3), (-3, 0, 3), (0, 5, 3), (4, 0, 0), (1, 0, -1)],
+    "m,e,p,message",
+    [
+        _rejection(3, 0, 3, "significand 3 not normalized for p=3"),
+        _rejection(8, 0, 3, "significand 8 not normalized for p=3"),
+        _rejection(-3, 0, 3, "significand -3 not normalized for p=3"),
+        _rejection(0, 5, 3, r"zero must be represented as \(0, 0\)"),
+        _rejection(4, 0, 0, "precision must be a positive int, got 0"),
+        _rejection(1, 0, -1, "precision must be a positive int, got -1"),
+        # the precision is checked first, then the field types, then the form
+        _rejection("5", "0", 0, "precision must be a positive int, got 0"),
+        _rejection(4, 0, 3.0, "precision must be a positive int, got 3.0"),
+        _rejection(0, "0", 3, "significand and exponent must be ints"),
+        _rejection(-(2**64), 0, 64, f"significand {-(2**64)} not normalized for p=64"),
+    ],
 )
-def test_constructor_rejects_unnormalized(m, e, p):
-    with pytest.raises(DomainError):
+def test_constructor_rejects_unnormalized(m, e, p, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
         PFloat(m, e, p)
 
 
 def test_constructor_rejects_non_int_fields():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^significand and exponent must be ints$"):
         PFloat(5, "0", 3)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^significand and exponent must be ints$"):
         PFloat("5", 0, 3)
 
 

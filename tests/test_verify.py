@@ -205,3 +205,20 @@ def test_suite_verdicts_are_pinned(monkeypatch):
     assert any(d["failures"] for d in broken) and not all(d["passed"] is False for d in broken)
     lines += map(str, broken)
     assert _sha256(lines) == VERDICTS_SHA256
+
+
+GAP_SHA256 = "ec30d5346aea2ddb1125ba7a0f3ad5e77e56210f8db305aeee2b0f6e103297d6"
+
+
+def test_sum_gap_failures_are_pinned(monkeypatch):
+    """The sum suite's gap check and its failure text: with a partition that
+    splits at every exponent change, most cases break the remainder bound."""
+
+    def split_everywhere(xs):
+        return [[i for i, x in enumerate(xs) if x.e == e] for e in sorted({x.e for x in xs}, reverse=True)]
+
+    monkeypatch.setattr(verify, "partition_blocks", split_everywhere)
+    dicts = [run_suite("sum", p=p, cases=200, seed=seed).to_json_dict() for seed in GOLDEN_SEEDS for p in (3, 8, 24, 53)]
+    failures = [f for d in dicts for f in d["failures"]]
+    assert {f["kind"] for f in failures} == {"gap"} and 0 < len(failures) < 200 * len(dicts)
+    assert _sha256(map(str, dicts)) == GAP_SHA256
