@@ -40,24 +40,26 @@ def _check_precision(p) -> None:
         raise DomainError(f"precision must be a positive int, got {p!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PFloat:
     m: int
     e: int
     p: int
 
-    def __post_init__(self):
-        p = self.p
+    def __init__(self, m: int, e: int, p: int):
+        """The checked constructor: the precision, then the field types,
+        then the zero form or the significand's p bits."""
         _check_precision(p)
-        if not isinstance(self.m, int) or not isinstance(self.e, int):
+        if not isinstance(m, int) or not isinstance(e, int):
             raise DomainError("significand and exponent must be ints")
-        if self.m == 0:
-            if self.e != 0:
-                raise DomainError("zero must be represented as (0, 0)")
-            return
-        a = abs(self.m)
-        if not (1 << (p - 1)) <= a < (1 << p):
-            raise DomainError(f"significand {self.m} not normalized for p={p}")
+        if m:
+            if abs(m).bit_length() != p:
+                raise DomainError(f"significand {m} not normalized for p={p}")
+        elif e:
+            raise DomainError("zero must be represented as (0, 0)")
+        _set_m(self, m)
+        _set_e(self, e)
+        _set_p(self, p)
 
     @classmethod
     def _raw(cls, m: int, e: int, p: int) -> "PFloat":

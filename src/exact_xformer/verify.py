@@ -11,6 +11,11 @@ log2 constant), sqrt uses integer square roots plus exact breakpoint
 squaring, and the two perturbation-lemma suites check their inequalities on
 rigorous interval enclosures.  Monotonicity, of rounding and of exp, is
 checked on the floats' exact rationals, not on float comparison.
+
+The generators draw through _below, which draws as Random.randrange does;
+the sum suite's clustered cases, most of its draws, make the same draws
+inline.  The exp and sum verdicts are decided on integers over one power
+of two, and a failure's text still prints the exact rationals.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .budget import invsqrt_delta, softmax_delta, sqrt_bounds
 from .elementary import f_exp, f_sqrt
 from .errors import DomainError
 from .pfloat import PFloat, f_sum_blocks, f_sum_oracle, float_to_rat, partition_blocks, round_p
-from .rational import RAT_ZERO, Rat, rat_sum
+from .rational import Rat, rat_sum
 
 
 @dataclass
@@ -64,12 +69,14 @@ class SuiteResult:
 
 
 def exp_enclosure(x: Rat, bits: int) -> tuple[Rat, Rat]:
-    """Rigorous lo <= exp(x) <= hi, with hi <= (1 + 2^-bits) lo for x >= -64.
+    """Rigorous lo <= exp(x) <= hi, with hi <= (1 + 2^-bits) lo.
 
-    Halving and squaring in fixed point, at S = bits + 128 + s fractional
-    bits, where y = |x| / 2^s < 2^-4.  It uses no log 2 constant and nothing
-    of elementary.py, so it shares no machinery with f_exp.  Each step
-    rounds one way: floors only ever lose value and ceilings only gain.
+    Halving and squaring in fixed point, at S = bits + g + s fractional
+    bits, where y = |x| / 2^s < 2^-4 and the guard g is the bit length of
+    bits + s, plus 8, plus floor(3|x|/2) + 6 when x < 0.  It uses no log 2
+    constant and nothing of elementary.py, so it shares no machinery with
+    f_exp.  Each step rounds one way: floors only ever lose value and
+    ceilings only gain.
 
     Bracket.  The series of exp(y) is summed term by term, t_i = t_(i-1)
     y / i, floored into lo and ceiled into hi, until a ceiled term is at
@@ -85,14 +92,21 @@ def exp_enclosure(x: Rat, bits: int) -> tuple[Rat, Rat]:
     leaves hi - lo <= S/2 + 3 units.  lo >= 2^S throughout, so hi/lo <=
     exp(u), u = (S/2 + 3) 2^-S.  A squaring squares hi/lo, and its two
     roundings add a factor under 1 + 3 2^-S, so after s of them hi/lo <=
-    exp(2^s (u + 3 2^-S)) <= 1 + (S + 12) 2^-(bits + 128) < 1 + 2^-(bits + 1).
-    Inverting adds a factor under 1 + 3 hi / 2^2S, and for x >= -64,
-    hi / 2^S < 2 e^64 < 2^94, so that factor is under 1 + 2^-(bits + 32)
-    and the two together under 1 + 2^-bits.
+    exp(2^s (u + 3 2^-S)) <= 1 + (S + 12) 2^-(bits + g).  With L the bit
+    length of bits + s, S + 12 < 2^L + L + 20 + (g - L - 8), which is at
+    most 2^(g - 1), so hi/lo <= 1 + 2^-(bits + 1).  Inverting adds a factor
+    under 1 + 3 hi / 2^2S.  There hi / 2^S < 2 e^|x| < 2^(3|x|/2 + 1), as
+    log2 e < 3/2, and g > 3|x|/2 + 13, so the factor is under
+    1 + 2^-(bits + 2) and the two together under 1 + 2^-bits, for every x.
+    The guard thus grows with the log of the width asked for, and with |x|
+    only where the inversion needs it.
     """
     a, b = abs(x.num), x.den
     s = max(0, a.bit_length() - b.bit_length() + 5)
-    shift = bits + 128 + s
+    guard = (bits + s).bit_length() + 8
+    if x.num < 0:
+        guard += 3 * a // (2 * b) + 6
+    shift = bits + guard + s
     one = 1 << shift
     d = b << s
     lo = hi = t_lo = t_hi = one
@@ -180,7 +194,8 @@ def _below(rng: random.Random, n: int) -> int:
     length of getrandbits, drawn again while not below n.  randint(a, b) is
     a + _below(rng, b - a + 1) and choice(seq) is seq[_below(rng, len(seq))],
     so the cases are the ones those calls drew, without their layers of
-    Python calls.  n >= 1."""
+    Python calls.  _sum_case's clustered branch makes these same draws
+    inline, without this call either.  n >= 1."""
     k = n.bit_length()
     r = rng.getrandbits(k)
     while r >= n:
@@ -205,10 +220,28 @@ def _sum_case(rng: random.Random, p: int) -> list[PFloat]:
         for _ in range(ncl):
             centers.append(base)
             base += theta + _below(rng, 2 * p + 1)
-        return [
-            PFloat(_rand_sig(rng, p), centers[_below(rng, ncl)] + _below(rng, theta), p)
-            for _ in range(n)
-        ]
+        # each term draws as PFloat(_rand_sig(rng, p), centers[_below(rng,
+        # ncl)] + _below(rng, theta), p) would, inline: the same bit lengths
+        # and the same redraws, so the same stream
+        getrandbits = rng.getrandbits
+        half = 1 << (p - 1)
+        k_ncl, k_theta = ncl.bit_length(), theta.bit_length()
+        xs = []
+        for _ in range(n):
+            m = getrandbits(p)
+            while m >= half:
+                m = getrandbits(p)
+            sign = getrandbits(2)
+            while sign >= 2:
+                sign = getrandbits(2)
+            c = getrandbits(k_ncl)
+            while c >= ncl:
+                c = getrandbits(k_ncl)
+            t = getrandbits(k_theta)
+            while t >= theta:
+                t = getrandbits(k_theta)
+            xs.append(PFloat(-half - m if sign else half + m, centers[c] + t, p))
+        return xs
     if kind < 21:
         # leading block summing exactly to a breakpoint, optional far blocks
         e = -8 + _below(rng, 17)
@@ -329,38 +362,38 @@ def _run_sum(p: int, cases: int, seed: int) -> SuiteResult:
         if not nonzero:
             continue
         blocks = partition_blocks(nonzero)
-        sums = []
-        for block in blocks:
-            anchor = min(nonzero[i].e for i in block)
-            total = sum(nonzero[i].m << (nonzero[i].e - anchor) for i in block)
-            sums.append((total, anchor))
-        lead_at = next((k for k, (m, _) in enumerate(sums) if m), None)
-        if lead_at is None:
+        for lead_at, block in enumerate(blocks):
+            e1 = min(nonzero[i].e for i in block)
+            if sum(nonzero[i].m << (nonzero[i].e - e1) for i in block):
+                break
+        else:
             continue
-        e1 = sums[lead_at][1]
-        rest = RAT_ZERO
-        for k, block in enumerate(blocks):
-            if k == lead_at:
-                continue
-            for i in block:
-                rest = rest + float_to_rat(nonzero[i])
-        bound = Rat(1, 1 << (p + 1 - e1)) if e1 < p + 1 else Rat(1 << (e1 - p - 1))
-        if not abs(rest) < bound:
-            res.failures.append(CaseFailure("gap", tag, f"|r|={rest} !< 2^({e1}-{p}-1)"))
+        rest = [nonzero[i] for j, block in enumerate(blocks) if j != lead_at for i in block]
+        if not rest:
+            continue
+        # the rest is r * 2^low, so |rest| < 2^(e1-p-1) iff |r| < 2^k
+        low = min(x.e for x in rest)
+        r = sum(x.m << (x.e - low) for x in rest)
+        k = e1 - p - 1 - low
+        if not (abs(r) < 1 << k if k >= 0 else r == 0):
+            text = Rat(r << low) if low >= 0 else Rat(r, 1 << -low)
+            res.failures.append(CaseFailure("gap", tag, f"|r|={text} !< 2^({e1}-{p}-1)"))
     return res
 
 
 def _run_exp(p: int, cases: int, seed: int) -> SuiteResult:
     res = SuiteResult("exp", p, cases)
-    tol = Rat(1, 1 << p)
     top = min(6 - p, -1)  # |x| < 2^min(6, p-1), inside f_exp's range
     for idx, rng, tag in _cases(seed, "exp", cases):
         x = PFloat(_rand_sig(rng, p), -p - 2 + _below(rng, top + p + 3), p)
         y = f_exp(x)
-        fy = float_to_rat(y)
         lo, hi = exp_enclosure(float_to_rat(x), 4 * p)
-        worst = max(abs(fy - lo), abs(fy - hi))
-        if not worst <= tol * lo:
+        # y, lo and hi over one power of two 2^k: y = F, lo = L, hi = H units
+        k = max(lo.den.bit_length(), hi.den.bit_length(), 1 - y.e) - 1
+        F = y.m << (k + y.e)
+        L = lo.num << (k + 1 - lo.den.bit_length())
+        H = hi.num << (k + 1 - hi.den.bit_length())
+        if max(abs(F - L), abs(F - H)) << p > L:
             res.failures.append(CaseFailure("rel-error", tag, f"exp({x}) = {y} deviates"))
         if idx % 8 == 0:
             x2 = PFloat(_rand_sig(rng, p), -p - 2 + _below(rng, top + p + 3), p)

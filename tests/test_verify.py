@@ -44,10 +44,13 @@ NEAR_64 = Rat(64) - Rat(1, 1 << 18)
 
 @pytest.mark.parametrize(
     "x",
-    [Rat(0), Rat(1), Rat(-1), Rat(7, 3), Rat(-32), Rat(1, 1 << 40), Rat(64), Rat(-64), NEAR_64, -NEAR_64],
+    [
+        *(Rat(0), Rat(1), Rat(-1), Rat(7, 3), Rat(-32), Rat(1, 1 << 40)),
+        *(Rat(64), Rat(-64), NEAR_64, -NEAR_64, Rat(-200), Rat(-1000)),
+    ],
 )
 def test_exp_enclosure_brackets_and_inverts(x):
-    for bits in (80, 4 * 53):
+    for bits in (80, 4 * 53, 1024):
         lo, hi = exp_enclosure(x, bits)
         assert Rat(0) < lo <= hi
         assert (hi - lo) * Rat(1 << bits) <= lo  # relative width at most 2^-bits
@@ -55,6 +58,12 @@ def test_exp_enclosure_brackets_and_inverts(x):
         assert lo * rlo <= Rat(1) <= hi * rhi
         ref_lo, ref_hi = _series_reference(x, bits + 32)
         assert lo <= ref_hi and ref_lo <= hi
+
+
+def test_exp_enclosure_works_at_a_width_that_follows_its_argument():
+    # the guard is sized to bits and |x|, not a fixed 128 bits
+    lo, hi = exp_enclosure(Rat(1, 2), 96)
+    assert lo.den <= 1 << (96 + 32) and hi.den <= 1 << (96 + 32)
 
 
 def test_exp_enclosure_of_zero_is_one():
