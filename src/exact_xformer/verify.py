@@ -14,8 +14,9 @@ checked on the floats' exact rationals, not on float comparison.
 
 The generators draw through _below, which draws as Random.randrange does;
 the sum suite's clustered cases, most of its draws, make the same draws
-inline.  The exp and sum verdicts are decided on integers over one power
-of two, and a failure's text still prints the exact rationals.
+inline.  The exp suite's error check and the sum suite's gap check are
+decided on integers over one power of two; a failure's text still prints
+the exact rationals.
 """
 
 from __future__ import annotations
@@ -388,7 +389,8 @@ def _run_exp(p: int, cases: int, seed: int) -> SuiteResult:
         x = PFloat(_rand_sig(rng, p), -p - 2 + _below(rng, top + p + 3), p)
         y = f_exp(x)
         lo, hi = exp_enclosure(float_to_rat(x), 4 * p)
-        # y, lo and hi over one power of two 2^k: y = F, lo = L, hi = H units
+        # lo and hi have power-of-two denominators, so y, lo and hi are F, L
+        # and H units of 2^-k, and |y - lo|, |y - hi| <= 2^-p lo runs on integers
         k = max(lo.den.bit_length(), hi.den.bit_length(), 1 - y.e) - 1
         F = y.m << (k + y.e)
         L = lo.num << (k + 1 - lo.den.bit_length())
