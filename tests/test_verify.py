@@ -45,8 +45,18 @@ NEAR_64 = Rat(64) - Rat(1, 1 << 18)
 @pytest.mark.parametrize(
     "x",
     [
-        *(Rat(0), Rat(1), Rat(-1), Rat(7, 3), Rat(-32), Rat(1, 1 << 40)),
-        *(Rat(64), Rat(-64), NEAR_64, -NEAR_64, Rat(-200), Rat(-1000)),
+        Rat(0),
+        Rat(1),
+        Rat(-1),
+        Rat(7, 3),
+        Rat(-32),
+        Rat(1, 1 << 40),
+        Rat(64),
+        Rat(-64),
+        NEAR_64,
+        -NEAR_64,
+        Rat(-200),
+        Rat(-1000),
     ],
 )
 def test_exp_enclosure_brackets_and_inverts(x):
@@ -61,7 +71,7 @@ def test_exp_enclosure_brackets_and_inverts(x):
 
 
 def test_exp_enclosure_works_at_a_width_that_follows_its_argument():
-    # the guard is sized to bits and |x|, not a fixed 128 bits
+    # the guard is sized to bits and |x|: S = 96 + 15 + 4 fractional bits here
     lo, hi = exp_enclosure(Rat(1, 2), 96)
     assert lo.den <= 1 << (96 + 32) and hi.den <= 1 << (96 + 32)
 
