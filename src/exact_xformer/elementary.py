@@ -7,10 +7,12 @@
 * exp: x = k * log2 + r with r in [0, log2), exp(r) by a truncated Taylor
   series, result exp(r) * 2^k; the log2 constant is a truncated series with
   a proven tail, and k is the exact rational floor of x over that constant,
-  which keeps r inside [0, log2) unconditionally.  The truncated sum S is
-  enclosed from one side in W-bit fixed point: lo, every term floored from
-  its predecessor, satisfies lo <= S * 2^W < lo + 2 * terms (each floored
-  term stays within two units of the exact one, see _exp_enclosure).  When
+  which keeps r inside [0, log2) unconditionally.  x is reduced once per
+  call; each pass after that is one enclosure of a truncated sum of exp(r).
+  The full sum S is enclosed from one side in W-bit fixed point: lo, every
+  term floored from its predecessor, satisfies lo <= S * 2^W < lo + 2 *
+  terms (each floored term stays within two units of the exact one, see
+  _exp_enclosure).  When
   lo and lo + 2 * terms round to the same p-bit float, that float is the
   rounding of S, because rounding is monotone; otherwise S is summed
   exactly over one common denominator and rounded.  Either way the result
@@ -93,25 +95,26 @@ def log2_const(bits: int) -> Rat:
     return Rat(num, den)
 
 
-def _exp_series(r: Rat, terms: int) -> Rat:
-    """Exact sum_{i<terms} r^i / i! for r >= 0, over one common denominator."""
-    if terms == 1:
-        return RAT_ONE
-    a, b = r.num, r.den
+def _exp_series(rn: int, rd: int, terms: int) -> tuple[int, int]:
+    """(total, den) with total / den = sum_{i<terms} r^i / i! exactly, for
+    r = rn / rd >= 0: r in lowest terms, summed over one common denominator
+    that is left unreduced (_round_ratio needs no canonical pair)."""
+    g = math.gcd(rn, rd)
+    a, b = rn // g, rd // g
     den = b ** (terms - 1) * math.factorial(terms - 1)
-    term = den
-    total = den
-    for i in range(terms - 1):
-        term = term * a // (b * (i + 1))  # exact: factorial and b-power remain
+    term = total = den
+    for i in range(1, terms):
+        term = term * a // (b * i)  # exact: factorial and b-power remain
         if term == 0:
             break
         total += term
-    return Rat(total, den)
+    return total, den
 
 
-def _exp_enclosure(rn: int, rd: int, terms: int, shift: int) -> tuple[int, int]:
-    """(lo, hi) with lo <= 2^shift * sum_{i<terms} r^i / i! < hi = lo + 2 * terms,
-    for 0 <= r = rn / rd < 3/4.
+def _exp_enclosure(rn: int, rd: int, sum_w: int) -> tuple[int, int, int]:
+    """(lo, hi, shift) with lo <= 2^shift * S < hi = lo + 2 * terms, where S
+    is the exp_plan(sum_w) = terms-term Taylor sum of exp(r) for 0 <= r =
+    rn / rd < 3/4 and shift = sum_w + _EXP_GUARD + terms.bit_length().
 
     a = floor(r * 2^shift), and each term t_i = floor(t_(i-1) * a / (2^shift
     * i)) is floored from the one before.  With T_i = 2^shift * r^i / i!
@@ -122,32 +125,27 @@ def _exp_enclosure(rn: int, rd: int, terms: int, shift: int) -> tuple[int, int]:
     at every i after.  So the floored sum lo falls short of the exact one
     by less than 1 + 2 * (terms - 2) < 2 * terms.
     """
+    terms = exp_plan(sum_w)
+    shift = sum_w + _EXP_GUARD + terms.bit_length()
     a = (rn << shift) // rd
     lo = t = 1 << shift
     for i in range(1, terms):
         t = ((t * a) >> shift) // i
         lo += t
-    return lo, lo + 2 * terms
+    return lo, lo + 2 * terms, shift
 
 
-def _exp_reduced(num: int, den: int, w: int, log_mag: int, sum_w: int) -> tuple[int, int, int, int, int, int]:
-    """The range reduction and enclosure shared by f_exp and rat_exp_approx.
+def _exp_reduced(num: int, den: int, w: int, log_mag: int) -> tuple[int, int, int]:
+    """The range reduction shared by f_exp and rat_exp_approx: (k, rn, rd).
 
     With x = num / den (den >= 1, in lowest terms or not), log_mag =
     floor(log2 |x|) and lam = log2_const(w + max(2, log_mag + 2) + 8) <=
-    log 2, x = k * lam + rn / rd exactly with k = floor(x / lam), and lo <=
-    S * 2^shift < hi encloses S, the exp_plan(sum_w)-term Taylor sum of
-    exp(rn / rd) (lo < hi, see _exp_enclosure).  sum_w is w but in f_exp's
-    first pass.  Returns (k, rn, rd, shift, lo, hi).
+    log 2, x = k * lam + rn / rd exactly with k = floor(x / lam), so
+    0 <= rn / rd < lam.
     """
     lam = log2_const(w + max(2, log_mag + 2) + 8)
     k = (num * lam.den) // (den * lam.num)  # exact floor(x / lam)
-    rn = num * lam.den - k * lam.num * den
-    rd = den * lam.den
-    terms = exp_plan(sum_w)
-    shift = sum_w + _EXP_GUARD + terms.bit_length()
-    lo, hi = _exp_enclosure(rn, rd, terms, shift)
-    return k, rn, rd, shift, lo, hi
+    return k, num * lam.den - k * lam.num * den, den * lam.den
 
 
 def f_sqrt(x: PFloat) -> PFloat:
@@ -188,19 +186,19 @@ def f_exp(x: PFloat, p: int | None = None) -> PFloat:
         raise FloatRangeError(f"exp argument magnitude 2^{log_mag} puts k outside [-2^{p}, 2^{p})")
     w = 2 * p + 8
     num, den = (x.m << x.e, 1) if x.e >= 0 else (x.m, 1 << -x.e)
+    k, rn, rd = _exp_reduced(num, den, w, log_mag)
+    if not -(1 << p) <= k < (1 << p):
+        raise FloatRangeError(f"exp scaling k={k} outside [-2^{p}, 2^{p})")
     w1 = p + _EXP_FIRST
     for sum_w in (w1, w) if w1 < w else (w,):
-        k, rn, rd, shift, lo, hi = _exp_reduced(num, den, w, log_mag, sum_w)
-        if not -(1 << p) <= k < (1 << p):
-            raise FloatRangeError(f"exp scaling k={k} outside [-2^{p}, 2^{p})")
+        lo, hi, shift = _exp_enclosure(rn, rd, sum_w)
         if sum_w < w:
             # the sum's terms past exp_plan(sum_w) add less than 2^-(sum_w + 2)
             hi += 1 << (shift - sum_w - 2)
         y = _round_pair(lo, k - shift, p)
         if y == _round_pair(hi, k - shift, p):
             return PFloat._raw(*y, p)
-    total = _exp_series(Rat(rn, rd), exp_plan(w))
-    return _round_ratio(total.num, total.den, k, p)
+    return _round_ratio(*_exp_series(rn, rd, exp_plan(w)), k, p)
 
 
 # --------------------------------------------------------------------------
@@ -239,7 +237,8 @@ def rat_exp_approx(x: Rat, rel_bits: int) -> Rat:
     if x.num == 0:
         return RAT_ONE
     w = rel_bits + 4
-    k, _, _, shift, lo, _ = _exp_reduced(x.num, x.den, w, rat_floor_log2(x), w)
+    k, rn, rd = _exp_reduced(x.num, x.den, w, rat_floor_log2(x))
+    lo, _, shift = _exp_enclosure(rn, rd, w)
     return _dyadic(lo, k - shift)
 
 

@@ -5,12 +5,14 @@ so any failure is reproducible in isolation and sharding the index range
 across workers cannot change the aggregate outcome.
 
 Oracles are built from different machinery than the code under test:
-rounding uses float enumeration, summation uses the exact-rational total,
-exp uses an integer-fixpoint series enclosure by halving and squaring (no
-log2 constant), sqrt uses integer square roots plus exact breakpoint
-squaring, and the two perturbation-lemma suites check their inequalities on
-rigorous interval enclosures.  Monotonicity, of rounding and of exp, is
-checked on the floats' exact rationals, not on float comparison.
+rounding uses float enumeration, exp uses an integer-fixpoint series
+enclosure by halving and squaring (no log2 constant), sqrt a bisection on
+the significand with exact squaring, not f_sqrt's math.isqrt, and the two
+perturbation-lemma suites check their inequalities on rigorous interval
+enclosures.  Monotonicity, of rounding and of exp, is checked on the
+floats' exact rationals, not on float comparison.  The one shared piece is
+the sum suite's rounding: its exact-rational total is rounded by round_p,
+which goes through the same _round_pair as f_sum_blocks.
 
 The generators draw through _below, which draws as Random.randrange does;
 the sum suite's clustered cases, most of its draws, make the same draws
@@ -311,8 +313,7 @@ def _run_round(p: int, cases: int, seed: int) -> SuiteResult:
         PFloat(m, e, p)
         for e in range(-8, 9)
         for m in range(1 << (p - 1), 1 << p)
-    ]
-    floats.sort(key=lambda x: float_to_rat(x))
+    ]  # ascending: (2^p - 1) * 2^e < 2^(p-1) * 2^(e+1)
     prev_out = None
     for a, b in zip(floats, floats[1:]):
         ra, rb = float_to_rat(a), float_to_rat(b)

@@ -28,32 +28,12 @@ from exact_xformer import (
 )
 from exact_xformer.evaluator import bit_growth_trace, fit_loglog_slope
 from exact_xformer.verify import _case_rng
+from reference_rounder import round_ref
 
 pytestmark = pytest.mark.slow
 
 SUM_PRECISIONS = (3, 8, 24, 53)
 SUM_CASES_PER_P = 34_000  # 4 * 34000 * (19/25 random | 6/25 adversarial)
-
-
-def _round_ref(x: Fraction, p: int) -> PFloat:
-    """Independent round-to-nearest-even on exact rationals."""
-    n, d = x.numerator, x.denominator
-    if n == 0:
-        return PFloat.zero(p)
-    s, a = (1, n) if n > 0 else (-1, -n)
-    t = a.bit_length() - d.bit_length()
-    if (a >> t if t >= 0 else a << -t) < d:
-        t -= 1
-    e = t - (p - 1)
-    num, den = (a, d << e) if e >= 0 else (a << -e, d)
-    base, rem = divmod(num, den)
-    double = 2 * rem
-    if double > den or (double == den and base % 2 == 1):
-        base += 1
-    if base == 1 << p:
-        base >>= 1
-        e += 1
-    return PFloat(s * base, e, p)
 
 
 def _frac(x: PFloat) -> Fraction:
@@ -113,9 +93,9 @@ def test_c4_two_ary_ops_correctly_rounded():
             x = PFloat(rng.choice((1, -1)) * rng.randint(lo, hi), rng.randint(-60, 60), p)
             y = PFloat(rng.choice((1, -1)) * rng.randint(lo, hi), rng.randint(-60, 60), p)
             fx, fy = _frac(x), _frac(y)
-            assert f_add(x, y) == _round_ref(fx + fy, p)
-            assert f_mul(x, y) == _round_ref(fx * fy, p)
-            assert f_div(x, y) == _round_ref(fx / fy, p)
+            assert f_add(x, y) == round_ref(fx + fy, p)
+            assert f_mul(x, y) == round_ref(fx * fy, p)
+            assert f_div(x, y) == round_ref(fx / fy, p)
 
     everything = [PFloat.zero(3)] + [
         PFloat(s * m, e, 3)
@@ -126,10 +106,10 @@ def test_c4_two_ary_ops_correctly_rounded():
     for x in everything:
         for y in everything:
             fx, fy = _frac(x), _frac(y)
-            assert f_add(x, y) == _round_ref(fx + fy, 3)
-            assert f_mul(x, y) == _round_ref(fx * fy, 3)
+            assert f_add(x, y) == round_ref(fx + fy, 3)
+            assert f_mul(x, y) == round_ref(fx * fy, 3)
             if y.m != 0:
-                assert f_div(x, y) == _round_ref(fx / fy, 3)
+                assert f_div(x, y) == round_ref(fx / fy, 3)
 
 
 # --- criterion 5: elementary functions at scale --------------------------------------

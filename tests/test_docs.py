@@ -4,6 +4,7 @@ import importlib
 import inspect
 import pkgutil
 import re
+import sys
 from pathlib import Path
 
 import exact_xformer
@@ -51,4 +52,29 @@ def test_module_docstrings_name_only_what_exists():
                 obj = getattr(obj, part, None)
             if obj is None:
                 stale.append(f"{info.name}: {name}")
+    assert stale == []
+
+
+def test_readme_names_only_what_exists():
+    # a backticked module.name path resolves in the package (a stdlib path
+    # such as math.isqrt aside), and a backticked _private name is defined
+    # in one of its modules
+    text = README.read_text()
+    modules = {
+        info.name: importlib.import_module(f"exact_xformer.{info.name}")
+        for info in pkgutil.iter_modules(exact_xformer.__path__)
+    }
+    stale = []
+    for name in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)", text):
+        head, *rest = name.split(".")
+        if head in sys.stdlib_module_names:
+            continue
+        obj = modules.get(head)
+        for part in rest:
+            obj = getattr(obj, part, None)
+        if obj is None:
+            stale.append(name)
+    for name in re.findall(r"`(_\w+)", text):
+        if name != "__all__" and not any(hasattr(module, name) for module in modules.values()):
+            stale.append(name)
     assert stale == []

@@ -6,10 +6,11 @@ enclosures and squared-integer comparisons, never a binary float library.
 """
 
 import math
+from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exact_xformer import (
@@ -130,8 +131,8 @@ def _exp_reference(x, p=None):
     k = (xr.num * lam.den) // (xr.den * lam.num)
     if not -(1 << p) <= k < (1 << p):
         raise FloatRangeError("k out of range")
-    total = _exp_series(xr - Rat(k) * lam, exp_plan(w))
-    return _round_ratio(total.num, total.den, k, p)
+    r = xr - Rat(k) * lam
+    return _round_ratio(*_exp_series(r.num, r.den, exp_plan(w)), k, p)
 
 
 def _same_exp(x, p=None):
@@ -185,9 +186,9 @@ def test_exp_fallback_keeps_exact_series_result(p, monkeypatch):
     # so lo and hi often round apart and the exact sum has to decide
     fallbacks = []
 
-    def counting(r, terms):
-        fallbacks.append(r)
-        return _exp_series(r, terms)
+    def counting(rn, rd, terms):
+        fallbacks.append((rn, rd))
+        return _exp_series(rn, rd, terms)
 
     monkeypatch.setattr(elementary, "_EXP_GUARD", -(p + 8))
     monkeypatch.setattr(elementary, "_exp_series", counting)
@@ -203,13 +204,13 @@ def test_exp_first_pass_defers_to_full_width(p, data):
     # the first pass patched down to w1 <= p + 8 < 2p + 8 bits leaves every
     # result as it was; at one bit its ends round apart at any p >= 5, so the
     # full-width enclosure or the exact series decides (a k out of range
-    # raises after the first reduction)
+    # raises before any enclosure)
     x = data.draw(_pfloats(p, -(3 * p + 20), 3))
     w1 = data.draw(st.sampled_from((1, 2, p // 2 + 1, p, p + 8)))
     widths = []
-    reduced = elementary._exp_reduced
+    enclosure = elementary._exp_enclosure
     with mock.patch.object(elementary, "_EXP_FIRST", w1 - p), mock.patch.object(
-        elementary, "_exp_reduced", lambda *args: widths.append(args[4]) or reduced(*args)
+        elementary, "_exp_enclosure", lambda *args: widths.append(args[2]) or enclosure(*args)
     ):
         in_range = _same_exp(x)
     assert widths in ([], [w1], [w1, 2 * p + 8])
@@ -224,14 +225,43 @@ def test_exp_narrow_first_pass_matches_exact_series_exhaustive(p, w1):
     # series by up to 2^-(w1 + 2), as much as a p-bit rounding step: its
     # enclosure must carry that tail to return the same floats
     passes = []
-    reduced = elementary._exp_reduced
+    enclosure = elementary._exp_enclosure
     with mock.patch.object(elementary, "_EXP_FIRST", w1 - p), mock.patch.object(
-        elementary, "_exp_reduced", lambda *args: passes.append(args[4]) or reduced(*args)
+        elementary, "_exp_enclosure", lambda *args: passes.append(args[2]) or enclosure(*args)
     ):
         for x in _exp_grid(p):
             _same_exp(x)
     assert w1 in passes
 
+
+
+@pytest.mark.parametrize("p", [5, 8, 24])
+def test_exp_reduces_once_for_both_passes(p):
+    # the first pass patched down to one bit rounds apart at any p >= 5, so
+    # the full-width pass runs too, on the same range reduction
+    reductions, widths = [], []
+    reduced, enclosure = elementary._exp_reduced, elementary._exp_enclosure
+    with mock.patch.object(elementary, "_EXP_FIRST", 1 - p), mock.patch.object(
+        elementary, "_exp_reduced", lambda *args: reductions.append(args) or reduced(*args)
+    ), mock.patch.object(elementary, "_exp_enclosure", lambda *args: widths.append(args[2]) or enclosure(*args)):
+        for x in (PFloat(3 << (p - 2), -p, p), PFloat(-(1 << (p - 1)) - 1, 3 - p, p)):
+            reductions.clear()
+            widths.clear()
+            assert _same_exp(x)
+            assert len(reductions) == 1
+            assert widths == [1, 2 * p + 8]
+
+
+@given(rn=st.integers(0, 1 << 20), rd=st.integers(1, 1 << 20), terms=st.integers(1, 24))
+@example(rn=0, rd=7, terms=5)
+@example(rn=0, rd=1, terms=1)
+@example(rn=5, rd=3, terms=1)
+@example(rn=6, rd=4, terms=9)
+def test_exp_series_is_the_exact_sum(rn, rd, terms):
+    total, den = _exp_series(rn, rd, terms)
+    assert type(total) is int and type(den) is int
+    r = Fraction(rn, rd)
+    assert Fraction(total, den) == sum(r**i / math.factorial(i) for i in range(terms))
 
 # --- log2 constant ---------------------------------------------------------------
 
@@ -331,9 +361,10 @@ def test_exp_enclosure_is_one_sided_within_two_units_per_term(p, data):
     lam = log2_const(w + 10)
     rd = data.draw(st.one_of(st.integers(1, 1 << 64), st.integers(1, 1 << 16).map(lambda k: k * lam.den)))
     rn = data.draw(st.integers(0, (lam.num * rd - 1) // lam.den))  # rn / rd < lam
-    lo, hi = _exp_enclosure(rn, rd, terms, shift)
+    lo, hi, got_shift = _exp_enclosure(rn, rd, w)
+    assert got_shift == shift
     assert hi == lo + 2 * terms
-    exact = _exp_series(Rat(rn, rd), terms) * Rat(1 << shift)
+    exact = Rat(*_exp_series(rn, rd, terms)) * Rat(1 << shift)
     assert Rat(lo) <= exact < Rat(hi)
 
 
