@@ -36,7 +36,7 @@ from .rational import Rat, rat_sum
 
 
 def _check_precision(p) -> None:
-    if not isinstance(p, int) or p < 1:
+    if type(p) is not int or p < 1:
         raise DomainError(f"precision must be a positive int, got {p!r}")
 
 
@@ -50,7 +50,7 @@ class PFloat:
         """The checked constructor: the precision, then the field types,
         then the zero form or the significand's p bits."""
         _check_precision(p)
-        if not isinstance(m, int) or not isinstance(e, int):
+        if type(m) is not int or type(e) is not int:
             raise DomainError("significand and exponent must be ints")
         if m:
             if abs(m).bit_length() != p:
@@ -410,30 +410,24 @@ def decimal_str(x: PFloat, digits: int = 12) -> str:
     if abs(x.e) > 1 << 18:
         # A * 2^e in decimal, at len(str(|e|)) + 10 guard digits: its
         # power's roundings, about 2 log2|e| of them, stay far below the
-        # last digit kept, then one rounding half up to `digits`
+        # last digit kept; the tail rounds its coefficient times 10^s
         prec = digits + len(str(abs(x.e))) + 10
         ctx = decimal.Context(prec, decimal.ROUND_HALF_UP, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
-        value = ctx.multiply(A, ctx.power(2, x.e))
-        ctx.prec = digits
-        lead = ctx.plus(value)
-        text = "".join(map(str, lead.as_tuple().digits)).ljust(digits, "0")
-        k10 = lead.adjusted()
+        _, coefficient, s = ctx.multiply(A, ctx.power(2, x.e)).as_tuple()
+        num, den = int("".join(map(str, coefficient))), 1
     else:
-        num, den = (A << x.e, 1) if x.e >= 0 else (A, 1 << -x.e)
-
-        def scaled(k10: int) -> int:
-            sh = digits - 1 - k10
-            n, d = (num * 10**sh, den) if sh >= 0 else (num, den * 10**-sh)
-            return (n + d // 2) // d
-
-        k10 = _ilog10(num) - _ilog10(den)
-        mant = scaled(k10)
-        while mant >= 10**digits:
-            k10 += 1
-            mant = scaled(k10)
-        while mant < 10 ** (digits - 1):
-            k10 -= 1
-            mant = scaled(k10)
-        text = str(mant)
+        num, den, s = (A << x.e, 1, 0) if x.e >= 0 else (A, 1 << -x.e, 0)
+    # The exact tail, for num/den * 10^s: the _ilog10 difference k is
+    # floor(log10(num/den)) or one above it, and one comparison after the
+    # one scaling by 10^-k settles which; then one rounding half up, and a
+    # carry into the next decade.
+    k = _ilog10(num) - _ilog10(den)
+    num, den = (num, den * 10**k) if k >= 0 else (num * 10**-k, den)
+    if num < den:
+        num, k = num * 10, k - 1
+    mant = (2 * num * 10 ** (digits - 1) + den) // (2 * den)
+    if mant == 10**digits:
+        mant, k = mant // 10, k + 1
+    text = str(mant)
     point = "." if digits > 1 else ""
-    return f"{'-' if x.m < 0 else ''}{text[0]}{point}{text[1:digits]}e{k10:+d}"
+    return f"{'-' if x.m < 0 else ''}{text[0]}{point}{text[1:]}e{k + s:+d}"

@@ -2,12 +2,15 @@
 
 import importlib
 import inspect
+import json
 import pkgutil
 import re
+import shlex
 import sys
 from pathlib import Path
 
 import exact_xformer
+from exact_xformer import cli
 from exact_xformer.evaluator import Backend
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -78,3 +81,26 @@ def test_readme_names_only_what_exists():
         if name != "__all__" and not any(hasattr(module, name) for module in modules.values()):
             stale.append(name)
     assert stale == []
+
+
+def _readme_eval(capsys, flag: str, *extra: str) -> dict:
+    """The parsed --json stdout of the README's `exact-xformer eval` line
+    that has `flag`, run with `extra` added."""
+    line = next(s for s in README.read_text().splitlines() if s.startswith("exact-xformer eval") and flag in s)
+    assert cli.main([*shlex.split(line)[1:], *extra]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def _readme_json_after(marker: str) -> dict:
+    text = README.read_text()
+    start = text.index("```json", text.index(marker)) + len("```json")
+    return json.loads(text[start : text.index("```", start)])
+
+
+def test_readme_eval_json_example_is_the_output(capsys):
+    assert _readme_eval(capsys, "--json") == _readme_json_after("## CLI")
+
+
+def test_readme_trace_example_is_the_output(capsys):
+    trace = _readme_eval(capsys, "--trace", "--json")["trace"]
+    assert trace == _readme_json_after("The budgeted example above gives")

@@ -6,7 +6,6 @@ cores, so "correctly rounded" is never checked against itself.
 """
 
 import copy
-import math
 import pickle
 import random
 from decimal import ROUND_HALF_UP, Context, Decimal
@@ -28,6 +27,7 @@ from exact_xformer import (
     f_sum_blocks,
     load_model,
     round_p,
+    run_suite,
 )
 from exact_xformer import pfloat
 from exact_xformer.pfloat import _ilog10, block_threshold, decimal_str, f_dot, f_neg, f_sum_oracle, float_to_rat
@@ -70,6 +70,10 @@ def _rejection(m, e, p, message):
         _rejection("5", "0", 0, "precision must be a positive int, got 0"),
         _rejection(4, 0, 3.0, "precision must be a positive int, got 3.0"),
         _rejection(0, "0", 3, "significand and exponent must be ints"),
+        # a bool is an int subclass, and no field takes one
+        _rejection(1, 0, True, "precision must be a positive int, got True"),
+        _rejection(True, 0, 1, "significand and exponent must be ints"),
+        _rejection(4, True, 3, "significand and exponent must be ints"),
         _rejection(-(2**64), 0, 64, f"significand {-(2**64)} not normalized for p=64"),
     ],
 )
@@ -129,6 +133,14 @@ def test_entry_points_reject_precision_zero(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call", [lambda: round_p(Rat(1, 3), True), lambda: run_suite("sqrt", p=True)], ids=["round-rat", "sqrt-suite"]
+)
+def test_entry_points_reject_a_bool_precision(call):
+    with pytest.raises(DomainError, match=r"^precision must be a positive int, got True$"):
+        call()
+
+
 @given(any_p.flatmap(lambda p: _pfloats(p, -(10**6), 10**6)))
 def test_json_round_trip(x):
     d = x.to_json_dict()
@@ -146,6 +158,12 @@ def test_decimal_str_forms():
     assert decimal_str(PFloat(3, (1 << 18) + 1, 2), 1) == "1e+78914"  # 9.67e+78913, not 10e+78913
     # the exact branch's mantissa carry: 9.67e+24 rounds up into the next decade
     assert decimal_str(PFloat(16777215, 59, 24), 1) == "1e+25"
+    # values just below a power of ten, whose decade is one below the
+    # difference of their numerator's and denominator's decimal lengths
+    assert decimal_str(PFloat(1, -1, 1), 1) == "5e-1"
+    assert decimal_str(PFloat(4, -62, 3), 1) == "9e-19"
+    assert decimal_str(PFloat(2**40 - 4, -40, 40)) == "9.99999999996e-1"
+    assert decimal_str(round_p(Rat(999999999996, 10**12), 64)) == "9.99999999996e-1"
 
 
 @pytest.mark.parametrize("digits", range(1, 21))
@@ -189,40 +207,12 @@ def test_decimal_str_past_e_2_18_is_the_exact_value_rounded(e):
     assert decimal_str(PFloat(3, (1 << 18) + 1, 2)) == "9.66795430491e+78913"
 
 
-def _decimal_str_by_string_length(x: PFloat, digits: int = 12) -> str:
-    """decimal_str as it was when k10 came from decimal string lengths
-    (which fail past the int-string digit limit); the reference below."""
-    if x.m == 0:
-        return "0"
-    s = "-" if x.m < 0 else ""
-    A = abs(x.m)
-    if abs(x.e) > 4096:
-        log10 = (math.log2(A) + x.e) * math.log10(2)
-        k = math.floor(log10)
-        lead = 10 ** (log10 - k)
-        return f"{s}{lead:.{digits - 1}f}e{k:+d}"
-    if x.e >= 0:
-        num, den = A << x.e, 1
-    else:
-        num, den = A, 1 << -x.e
-
-    def scaled(k10: int) -> int:
-        sh = digits - 1 - k10
-        if sh >= 0:
-            return (num * 10**sh + den // 2) // den
-        q = 10**-sh
-        return (num + den * q // 2) // (den * q)
-
-    k10 = len(str(num)) - len(str(den))
-    mant = scaled(k10)
-    while mant >= 10**digits:
-        k10 += 1
-        mant = scaled(k10)
-    while mant < 10 ** (digits - 1):
-        k10 -= 1
-        mant = scaled(k10)
-    text = str(mant)
-    return f"{s}{text[0]}.{text[1:]}e{k10:+d}" if digits > 1 else f"{s}{text}e{k10:+d}"
+def _half_up(x: PFloat, digits: int) -> str:
+    """x's exact value rounded half up to `digits` significant digits: one
+    correctly rounded Decimal division, in decimal_str's form."""
+    num, den = (x.m << x.e, 1) if x.e >= 0 else (x.m, 1 << -x.e)
+    want = Context(prec=digits, rounding=ROUND_HALF_UP).divide(Decimal(num), Decimal(den))
+    return f"{want:.{digits - 1}e}"
 
 
 @st.composite
@@ -239,9 +229,9 @@ def _decimal_cases(draw):
 
 
 @given(_decimal_cases())
-def test_decimal_str_matches_string_length_reference(case):
+def test_decimal_str_matches_decimal_half_up_reference(case):
     x, digits = case
-    assert decimal_str(x, digits) == _decimal_str_by_string_length(x, digits)
+    assert decimal_str(x, digits) == _half_up(x, digits)
 
 
 @pytest.mark.parametrize("p", [1024, 4200, 8192])
@@ -252,10 +242,8 @@ def test_decimal_str_is_rounded_half_up_past_e_4096(p):
     edges = [4097, -4097, 1 << 18, -(1 << 18)]
     for e in edges + [rng.choice((1, -1)) * rng.randint(4097, 1 << 18) for _ in range(8)]:
         x = PFloat(rng.choice((1, -1)) * rng.randint(1 << (p - 1), (1 << p) - 1), e, p)
-        num, den = (Decimal(x.m << e), Decimal(1)) if e >= 0 else (Decimal(x.m), Decimal(1 << -e))
         for digits in (12, 17):
-            want = Context(prec=digits, rounding=ROUND_HALF_UP).divide(num, den)
-            assert decimal_str(x, digits) == f"{want:.{digits - 1}e}", (p, e)
+            assert decimal_str(x, digits) == _half_up(x, digits), (p, e)
 
 
 powers_of_ten = st.integers(min_value=1, max_value=4000).map(lambda k: 10**k)
