@@ -139,9 +139,11 @@ def test_precision_below_the_least_is_a_domain_error(suite, bound, p):
 
 
 def test_round_suite_is_exhaustive_per_precision():
-    r = run_suite("round", p=2)
-    assert r.passed
-    assert r.cases > 0
+    # 17 binades of 2^(p-1) floats, 8 probes per gap between neighbours
+    for p in range(2, 6):
+        r = run_suite("round", p=p)
+        assert r.cases == 8 * (17 * 2 ** (p - 1) - 1)
+        assert r.passed
 
 
 def test_json_shape():
