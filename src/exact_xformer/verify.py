@@ -5,14 +5,16 @@ so any failure is reproducible in isolation and sharding the index range
 across workers cannot change the aggregate outcome.
 
 Oracles are built from different machinery than the code under test:
-rounding uses float enumeration, exp uses an integer-fixpoint series
-enclosure by halving and squaring (no log2 constant), sqrt a bisection on
-the significand with exact squaring, not f_sqrt's math.isqrt, and the two
-perturbation-lemma suites check their inequalities on rigorous interval
-enclosures.  Monotonicity, of rounding and of exp, is checked on the
-floats' exact rationals, not on float comparison.  The one shared piece is
-the sum suite's rounding: its exact-rational total is rounded by round_p,
-which goes through the same _round_pair as f_sum_blocks.
+rounding is checked against the enumerated floats themselves, exp uses an
+integer-fixpoint series enclosure by halving and squaring (no log2
+constant), sqrt a bisection on the significand with exact squaring, not
+f_sqrt's math.isqrt, and the two perturbation-lemma suites check their
+inequalities on rigorous interval enclosures.  Monotonicity is checked for
+exp only, on the floats' exact rationals, not on float comparison.  The one
+shared piece is the sum suite's rounding: its exact-rational total is
+rounded by round_p, which goes through the same _round_pair as
+f_sum_blocks; the round suite checks that _round_pair against the
+enumerated floats at p <= 16.
 
 The generators draw through _below, which draws as Random.randrange does;
 the sum suite's clustered cases, most of its draws, make the same draws
@@ -307,45 +309,35 @@ def _sum_case(rng: random.Random, p: int) -> list[PFloat]:
 
 
 def _run_round(p: int, cases: int, seed: int) -> SuiteResult:
-    """Exhaustive midpoint/evenness/idempotence/monotonicity over e in [-8, 8]."""
-    res = SuiteResult("round", p, 0)
+    """Exhaustive round-to-nearest, ties-to-even, over e in [-8, 8].
+
+    For each gap between neighbouring floats a = m * 2^e < b = (m + 1) * 2^e,
+    the probes (8m + k) * 2^(e-3), exact as p+3-bit floats, are a (k = 0),
+    an eighth below the midpoint (k = 3), the midpoint (k = 4) and an eighth
+    above it (k = 5).  They must round to a, a, whichever of a and b has the
+    even significand, and b; the negated probes to the negated floats: 8
+    cases per gap.  The top float must round to itself too, uncounted.
+    """
     floats = [
         PFloat(m, e, p)
         for e in range(-8, 9)
         for m in range(1 << (p - 1), 1 << p)
     ]  # ascending: (2^p - 1) * 2^e < 2^(p-1) * 2^(e+1)
-    prev_out = None
+    res = SuiteResult("round", p, 8 * (len(floats) - 1))
+
+    def nearest(k: int, a: PFloat, want: PFloat) -> None:
+        for s in (1, -1):
+            val = float_to_rat(PFloat(s * (8 * a.m + k), a.e - 3, p + 3))
+            got, expected = round_p(val, p), PFloat(s * want.m, want.e, p)
+            if got != expected:
+                res.failures.append(
+                    CaseFailure("not-nearest", f"{p}:{val}", f"round_p({val}) = {got}, want {expected}")
+                )
+
     for a, b in zip(floats, floats[1:]):
-        ra, rb = float_to_rat(a), float_to_rat(b)
-        mid = (ra + rb) * Rat(1, 2)
-        step = (rb - ra) * Rat(1, 8)
-        for sgn in (1, -1):
-            for probe, expect_even in (
-                (mid, True),
-                (mid - step, False),
-                (mid + step, False),
-                (ra, False),
-            ):
-                val = probe if sgn > 0 else -probe
-                got = round_p(val, p)
-                res.cases += 1
-                if expect_even and got.m % 2 != 0:
-                    res.failures.append(
-                        CaseFailure("midpoint-odd", f"{p}:{val}", f"round_p({val}) = {got}")
-                    )
-                if got != round_p(float_to_rat(got), p):
-                    res.failures.append(
-                        CaseFailure("not-idempotent", f"{p}:{val}", f"{got} re-rounds differently")
-                    )
-        # monotone over the dense probe grid around this gap
-        grid = [ra, mid - step, mid, mid + step, rb]
-        outs = [round_p(v, p) for v in grid]
-        for u, v in zip(outs, outs[1:]):
-            if float_to_rat(u) > float_to_rat(v):
-                res.failures.append(CaseFailure("not-monotone", f"{p}:{ra}", f"{u} > {v}"))
-        if prev_out is not None and float_to_rat(prev_out) > float_to_rat(outs[0]):
-            res.failures.append(CaseFailure("not-monotone", f"{p}:{ra}", "across gaps"))
-        prev_out = outs[-1]
+        for k, want in ((0, a), (3, a), (4, b if a.m & 1 else a), (5, b)):
+            nearest(k, a, want)
+    nearest(0, floats[-1], floats[-1])
     return res
 
 

@@ -50,7 +50,7 @@ def sum_results():
 
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_c1_rounding_exhaustive(p):
-    """Every midpoint, neighborhood, and re-round over e in [-8, 8] behaves."""
+    """Round-to-nearest, ties-to-even, on every gap between floats over e in [-8, 8]."""
     result = run_suite("round", p=p)
     assert result.cases > 0
     assert result.passed, result.failures[:5]

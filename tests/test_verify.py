@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from exact_xformer import DomainError, PFloat, Rat, f_sqrt, run_suite, verify
+from exact_xformer import DomainError, PFloat, Rat, f_add, f_sqrt, pfloat, run_suite, verify
 from exact_xformer.verify import SUITES, SuiteResult, _below, exp_enclosure, run_all, sqrt_round_oracle
 
 
@@ -144,6 +144,46 @@ def test_round_suite_is_exhaustive_per_precision():
         r = run_suite("round", p=p)
         assert r.cases == 8 * (17 * 2 ** (p - 1) - 1)
         assert r.passed
+
+
+def _rounding_core(up):
+    """pfloat._round_pair with its ties-to-even test replaced: the truncated
+    significand m goes up by one when up(m, low) holds, low being the bits
+    shifted out."""
+
+    def round_pair(M, E, p):
+        if M == 0:
+            return 0, 0
+        A = abs(M)
+        shift = A.bit_length() - p
+        if shift <= 0:
+            return M << -shift, E + shift
+        m, low = A >> shift, A & ((1 << shift) - 1)
+        m += bool(up(m, low))
+        e = E + shift
+        if m == 1 << p:
+            m, e = m >> 1, e + 1
+        return (m if M > 0 else -m), e
+
+    return round_pair
+
+
+@pytest.mark.parametrize(
+    "up, x, y, wrong",
+    [
+        # every inexact value to its even neighbour: 5 + 1/8 gives 6, not 5
+        (lambda m, low: low and m & 1, PFloat(5, 0, 3), PFloat(4, -5, 3), PFloat(6, 0, 3)),
+        # truncation toward zero: 7 + 7/8 gives 7, not 8
+        (lambda m, low: False, PFloat(7, 0, 3), PFloat(7, -3, 3), PFloat(7, 0, 3)),
+    ],
+    ids=["even-neighbour", "truncate"],
+)
+def test_round_suite_catches_a_wrong_rounding_core(monkeypatch, up, x, y, wrong):
+    monkeypatch.setattr(pfloat, "_round_pair", _rounding_core(up))
+    assert f_add(x, y) == wrong
+    for p in (2, 3, 8):
+        r = run_suite("round", p=p)
+        assert r.failures and {f.kind for f in r.failures} == {"not-nearest"}
 
 
 def test_json_shape():
