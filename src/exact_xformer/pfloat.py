@@ -404,6 +404,8 @@ def decimal_str(x: PFloat, digits: int = 12) -> str:
     there the digits are right except near a rounding tie.  Either way
     `digits` significant digits of a mantissa in [1, 10), as in Python's
     `e` format with an unpadded exponent."""
+    if type(digits) is not int or digits < 1:
+        raise DomainError(f"digits must be a positive int, got {digits!r}")
     if x.m == 0:
         return "0"
     A = abs(x.m)

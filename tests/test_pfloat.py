@@ -166,6 +166,18 @@ def test_decimal_str_forms():
     assert decimal_str(round_p(Rat(999999999996, 10**12), 64)) == "9.99999999996e-1"
 
 
+@pytest.mark.parametrize(
+    "x, digits",
+    # below one, 10 ** (digits - 1) is a float: a zero mantissa, or at
+    # e = -3000 an exact numerator too wide for it; a bool is not a count
+    [(PFloat(5, 0, 3), 0), (PFloat(5, 0, 3), -2), (PFloat(5, -3000, 3), 0), (PFloat(5, 0, 3), True)],
+    ids=["zero", "negative", "zero-small-e", "bool"],
+)
+def test_decimal_str_rejects_a_digit_count_below_one(x, digits):
+    with pytest.raises(DomainError, match=f"^digits must be a positive int, got {digits}$"):
+        decimal_str(x, digits)
+
+
 @pytest.mark.parametrize("digits", range(1, 21))
 def test_decimal_str_form_past_e_2_18(digits):
     # the approximate branch: `digits` significant digits of a mantissa in
